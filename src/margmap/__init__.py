@@ -37,7 +37,6 @@ from .inference import (
 from .heuristic import (
     ExplanationStep,
     ExplanationTrace,
-    confidence,
     epsilon_mmap2mar,
     mmap2mar,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "ZeroProbabilityEvidenceError",
     "brute_force_joint",
     "brute_force_mmap",
-    "confidence",
     "emit_dat",
     "entropy",
     "epsilon_mmap2mar",

@@ -62,11 +62,6 @@ class ExplanationTrace:
     mar_seconds: float
 
 
-def confidence(trace: ExplanationTrace) -> float:
-    """Minimum information gain (1 - entropy) over committed steps; 1 if none."""
-    return min((1.0 - s.entropy_at_selection for s in trace.steps), default=1.0)
-
-
 def mmap2mar(
     model: GraphicalModel,
     explain: Iterable[int],

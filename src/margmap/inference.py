@@ -88,61 +88,71 @@ def min_fill_order(
     return tuple(order)
 
 
-def _eliminate(
-    factors: Iterable[Potential], cards: Sequence[int], order: Iterable[int]
-) -> tuple[list[Potential], float]:
-    """Sum the ordered variables out of a factor list.
+def _sum_out(
+    model: GraphicalModel,
+    evidence: Evidence,
+    keep: Sequence[int],
+    order: Sequence[int] | None = None,
+) -> tuple[Potential, float]:
+    """Restrict to the evidence and sum out every free variable not in ``keep``.
 
-    Each intermediate is rescaled to max entry 1 so long eliminations cannot
-    underflow; returns the remaining factors and the accumulated log scale.
+    Returns the product of what is left as a table over ``keep`` (in that
+    order) together with its log scale: each intermediate is rescaled to max
+    entry 1 so long eliminations cannot underflow. ``order``, when given,
+    must be a permutation of all model variables and its subsequence over
+    the summed variables is used; otherwise a min-fill order over the
+    evidence-conditioned graph is computed. A table that overflowed float64
+    on the way shows up as a non-finite entry and raises ``ValueError``.
     """
-    factors = list(factors)
+    cards = model.cardinalities
+    summed = [v for v in range(model.n_vars) if v not in evidence and v not in keep]
+    if order is None:
+        order = min_fill_order(model, summed, evidence=evidence.keys())
+    else:
+        order = tuple(int(v) for v in order)
+        if sorted(order) != list(range(model.n_vars)):
+            raise ValueError("order must be a permutation of all model variables")
+        wanted = set(summed)
+        order = tuple(v for v in order if v in wanted)
+    factors = [factor_restrict(p, evidence, cards) for p in model.potentials]
     log_scale = 0.0
     for v in order:
         bucket = [f for f in factors if v in f.scope]
         if not bucket:
             continue
-        rest = [f for f in factors if v not in f.scope]
+        factors = [f for f in factors if v not in f.scope]
         prod = bucket[0]
         for f in bucket[1:]:
             prod = factor_product(prod, f, cards)
-        summed = factor_marginalize(prod, {v}, cards)
-        peak = float(summed.values.max()) if summed.values.size else 0.0
+        out = factor_marginalize(prod, {v}, cards)
+        peak = float(out.values.max())
         if peak > 0.0 and peak != 1.0:
-            summed = Potential(summed.scope, summed.values / peak)
+            out = Potential._result(out.scope, out.values / peak)
             log_scale += math.log(peak)
-        factors = rest + [summed]
-    return factors, log_scale
-
-
-def _scalar(factors: Iterable[Potential], cards: Sequence[int]) -> float:
-    value = 1.0
+        factors.append(out)
+    table = Potential._result(tuple(keep), np.ones([cards[v] for v in keep]))
     for f in factors:
-        if f.scope:
-            raise AssertionError(f"expected scalar factor, got scope {f.scope}")
-        value *= float(f.values)
-    return value
+        table = factor_product(table, f, cards)
+    if not np.all(np.isfinite(table.values)):
+        raise ValueError("table entries must be finite: a product of potentials overflowed")
+    return table, log_scale
 
 
-def _split_order(
-    model: GraphicalModel,
-    targets: Sequence[int],
-    evidence: Evidence,
-    order: Sequence[int] | None,
-) -> EliminationOrder:
-    """Resolve the elimination order for ``targets``.
+def _log_z(model: GraphicalModel) -> tuple[float, float]:
+    """The log partition function as (log of the summed-out table, its log scale).
 
-    ``order``, when given, must be a permutation of all model variables; the
-    subsequence over ``targets`` is used. Otherwise a min-fill order over the
-    evidence-conditioned graph is computed.
+    Computed once per model under a min-fill order and kept on the instance;
+    the model is immutable, so the stored value never goes stale.
     """
-    if order is None:
-        return min_fill_order(model, targets, evidence=evidence.keys())
-    order = tuple(int(v) for v in order)
-    if sorted(order) != list(range(model.n_vars)):
-        raise ValueError("order must be a permutation of all model variables")
-    wanted = set(targets)
-    return tuple(v for v in order if v in wanted)
+    cached = vars(model).get("_log_z")
+    if cached is None:
+        table, log_scale = _sum_out(model, {}, ())
+        den = float(table.values)
+        if den == 0.0:
+            raise ZeroProbabilityEvidenceError("the model's joint mass is identically zero")
+        cached = (math.log(den), log_scale)
+        object.__setattr__(model, "_log_z", cached)
+    return cached
 
 
 def pr(
@@ -154,27 +164,21 @@ def pr(
     """Probability of the evidence, P(x_E).
 
     The ratio of the evidence-restricted grand sum to the partition function,
-    both evaluated by variable elimination. Empty evidence gives exactly 1;
-    structurally impossible evidence gives 0.
+    both evaluated by variable elimination. A caller-supplied ``order``
+    applies to the evidence-restricted sum only; the partition function
+    always comes from a per-model cache computed under a min-fill order, so
+    results under different orders agree up to rounding. Empty evidence
+    gives exactly 1; structurally impossible evidence gives 0.
     """
     validate_evidence(model, evidence)
     if not evidence:
         return 1.0
-    cards = model.cardinalities
-    free = [v for v in range(model.n_vars) if v not in evidence]
-    restricted = [factor_restrict(p, evidence, cards) for p in model.potentials]
-    rem, log_num = _eliminate(restricted, cards, _split_order(model, free, evidence, order))
-    num = _scalar(rem, cards)
+    table, log_num = _sum_out(model, evidence, (), order)
+    num = float(table.values)
     if num == 0.0:
         return 0.0
-    all_vars = list(range(model.n_vars))
-    rem, log_den = _eliminate(
-        model.potentials, cards, _split_order(model, all_vars, {}, order)
-    )
-    den = _scalar(rem, cards)
-    if den == 0.0:
-        raise ZeroProbabilityEvidenceError("the model's joint mass is identically zero")
-    return math.exp(math.log(num) - math.log(den) + log_num - log_den)
+    log_den, log_den_scale = _log_z(model)
+    return math.exp(math.log(num) - log_den + log_num - log_den_scale)
 
 
 def mar(
@@ -196,15 +200,9 @@ def mar(
         raise ValueError(f"variable {variable} is observed in the evidence")
     if not 0 <= variable < model.n_vars:
         raise ValueError(f"variable {variable} out of range")
-    cards = model.cardinalities
-    targets = [v for v in range(model.n_vars) if v != variable and v not in evidence]
-    restricted = [factor_restrict(p, evidence, cards) for p in model.potentials]
-    rem, _ = _eliminate(restricted, cards, _split_order(model, targets, evidence, order))
-    acc = Potential((variable,), np.ones(cards[variable]))
-    for f in rem:
-        acc = factor_product(acc, f, cards)
+    table, _ = _sum_out(model, evidence, (variable,), order)
     try:
-        return normalize(acc)
+        return normalize(table)
     except ZeroProbabilityEvidenceError:
         raise ZeroProbabilityEvidenceError(
             f"evidence {dict(evidence)} has probability zero"
@@ -263,37 +261,22 @@ def brute_force_mmap(
     explain = tuple(sorted({int(v) for v in explain}))
     if set(explain) & set(evidence):
         raise ValueError("explain set and evidence variables must be disjoint")
-    cards = model.cardinalities
     if not all(0 <= v < model.n_vars for v in explain):
         raise ValueError("explain variables out of range")
-    shape = tuple(cards[v] for v in explain)
+    shape = tuple(model.cardinalities[v] for v in explain)
     states = math.prod(shape)
     if states > cap:
         raise OracleTooLargeError(f"{states} explained states exceed the cap of {cap}")
     if not explain:
         return MmapSolution({}, pr(model, evidence))
 
-    summed = [v for v in range(model.n_vars) if v not in evidence and v not in explain]
-    restricted = [factor_restrict(p, evidence, cards) for p in model.potentials]
-    rem, log_num = _eliminate(
-        restricted, cards, min_fill_order(model, summed, evidence=evidence.keys())
-    )
-    acc = Potential(explain, np.ones(shape))
-    for f in rem:
-        acc = factor_product(acc, f, cards)
-
-    rem, log_den = _eliminate(
-        model.potentials, cards, min_fill_order(model, range(model.n_vars))
-    )
-    den = _scalar(rem, cards)
-    if den == 0.0:
-        raise ZeroProbabilityEvidenceError("the model's joint mass is identically zero")
-
-    flat = acc.flat
+    table, log_num = _sum_out(model, evidence, explain)
+    log_den, log_den_scale = _log_z(model)
+    flat = table.flat
     best = int(np.argmax(flat))
     assignment = dict(zip(explain, (int(s) for s in np.unravel_index(best, shape))))
     peak = float(flat[best])
     if peak == 0.0:
         return MmapSolution(dict(zip(explain, (0,) * len(explain))), 0.0)
-    probability = math.exp(math.log(peak) - math.log(den) + log_num - log_den)
+    probability = math.exp(math.log(peak) - log_den + log_num - log_den_scale)
     return MmapSolution(assignment, probability)

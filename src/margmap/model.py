@@ -6,6 +6,13 @@ joint distribution. Variables are dense integer ids ``0..n-1``. A potential's
 table is stored as a numpy array with one axis per scope variable, so a
 C-order flatten yields the row-major layout in which the last scope variable
 varies fastest (the same layout the UAI file format uses).
+
+Validation happens where tables come in from outside: ``Potential(...)``
+checks every table a caller passes in (finite, non-negative, one axis per
+scope variable), and ``GraphicalModel`` checks scopes against its
+cardinalities. Results of the factor operations are built from tables that
+were already checked, so they are trusted: wrapped without a copy or a
+second check, but still read-only.
 """
 
 from __future__ import annotations
@@ -84,6 +91,16 @@ class Potential:
             )
         return cls(scope, flat.reshape(shape))
 
+    @classmethod
+    def _result(cls, scope: tuple[VariableId, ...], values: np.ndarray) -> "Potential":
+        """Wrap a factor-op result over checked inputs: no copy, no checks, read-only."""
+        values = np.asarray(values)
+        values.setflags(write=False)
+        p = object.__new__(cls)
+        object.__setattr__(p, "scope", scope)
+        object.__setattr__(p, "values", values)
+        return p
+
     @property
     def flat(self) -> np.ndarray:
         """The table flattened in C order (last scope variable fastest)."""
@@ -110,7 +127,7 @@ class MassFunction:
         probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty vector")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN fails both
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(float(probs.sum()) - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
@@ -216,7 +233,7 @@ def factor_product(a: Potential, b: Potential, cards: Sequence[int]) -> Potentia
     _check_scope(b, cards)
     a_vars = set(a.scope)
     scope = a.scope + tuple(v for v in b.scope if v not in a_vars)
-    return Potential(scope, _aligned(a, scope) * _aligned(b, scope))
+    return Potential._result(scope, _aligned(a, scope) * _aligned(b, scope))
 
 
 def factor_marginalize(
@@ -234,22 +251,22 @@ def factor_marginalize(
         )
     axes = tuple(i for i, v in enumerate(p.scope) if v in out)
     scope = tuple(v for v in p.scope if v not in out)
-    return Potential(scope, p.values.sum(axis=axes))
+    return Potential._result(scope, p.values.sum(axis=axes))
 
 
 def factor_restrict(p: Potential, evidence: Evidence, cards: Sequence[int]) -> Potential:
     """Select the slice of a potential consistent with the evidence.
 
-    Evidence on variables outside the scope is ignored; evidenced scope
-    variables are dropped from the result.
+    Evidence on variables outside the scope is ignored, states included;
+    evidenced scope variables are dropped from the result.
     """
     _check_scope(p, cards)
-    for v, s in evidence.items():
-        if not 0 <= int(s) < cards[int(v)]:
-            raise ValueError(f"evidence state {s} out of range for variable {v}")
     index = tuple(int(evidence[v]) if v in evidence else slice(None) for v in p.scope)
+    for v, s, size in zip(p.scope, index, p.values.shape):
+        if v in evidence and not 0 <= s < size:
+            raise ValueError(f"evidence state {s} out of range for variable {v}")
     scope = tuple(v for v in p.scope if v not in evidence)
-    return Potential(scope, p.values[index])
+    return Potential._result(scope, p.values[index])
 
 
 def normalize(p: Potential) -> MassFunction:

@@ -8,7 +8,6 @@ from margmap import (
     Potential,
     ZeroProbabilityEvidenceError,
     brute_force_mmap,
-    confidence,
     epsilon_mmap2mar,
     mar,
     mmap2mar,
@@ -52,7 +51,6 @@ class TestWeatherRun:
         expected = 1.0 - entropy_by_formula([6 / 13, 7 / 13])
         assert trace.confidence == pytest.approx(expected, abs=1e-12)
         assert trace.confidence == pytest.approx(0.0043, abs=5e-4)
-        assert confidence(trace) == trace.confidence
 
     def test_step_marginals_recorded(self, weather):
         trace = mmap2mar(weather, [0, 1])

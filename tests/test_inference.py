@@ -16,6 +16,7 @@ from margmap import (
     entropy,
     mar,
     min_fill_order,
+    mmap2mar,
     pr,
 )
 from margmap.generate import random_model
@@ -324,3 +325,21 @@ class TestBruteForceMmap:
     def test_overlap_with_evidence_rejected(self, weather):
         with pytest.raises(ValueError, match="disjoint"):
             brute_force_mmap(weather, {0: 0}, {0, 1})
+
+
+class TestOverflow:
+    def test_overflowing_product_raises_from_every_query(self):
+        # each table is finite, but their product over the shared variable 1 is not
+        model = GraphicalModel(
+            (2, 2),
+            (Potential((0, 1), np.full((2, 2), 1e200)), Potential((1,), [1e200, 1e200])),
+        )
+        queries = [
+            lambda: pr(model, {0: 0}),
+            lambda: mar(model, {}, 0),
+            lambda: brute_force_mmap(model, {}, {0}),
+            lambda: mmap2mar(model, [0, 1]),
+        ]
+        for query in queries:
+            with pytest.raises(ValueError, match="finite"):
+                query()

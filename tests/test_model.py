@@ -14,6 +14,7 @@ from margmap import (
     factor_marginalize,
     factor_product,
     factor_restrict,
+    mar,
     normalize,
 )
 from margmap.generate import random_model
@@ -133,9 +134,10 @@ class TestFactorRestrict:
 
     def test_out_of_scope_evidence_ignored(self, weather):
         p = weather.potentials[0]
-        out = factor_restrict(p, {1: 0}, (2, 2))
-        assert out.scope == (0,)
-        np.testing.assert_array_equal(out.values, p.values)
+        for evidence in ({1: 0}, {1: 7}):  # an out-of-range state is ignored too
+            out = factor_restrict(p, evidence, (2, 2))
+            assert out.scope == (0,)
+            np.testing.assert_array_equal(out.values, p.values)
 
     def test_slice_matches_enumeration(self):
         rng = np.random.default_rng(13)
@@ -220,8 +222,18 @@ class TestTypeInvariants:
             Potential.from_flat((0, 1), [1.0, 2.0], (2, 2))
 
     def test_potential_values_are_immutable(self, weather):
-        with pytest.raises(ValueError):
-            weather.potentials[0].values[0] = 2.0
+        a, b = weather.potentials
+        cards = weather.cardinalities
+        tables = [
+            a.values,
+            factor_product(a, b, cards).values,
+            factor_marginalize(b, {1}, cards).values,
+            factor_restrict(b, {1: 0}, cards).values,
+            mar(weather, {}, 0).probs,
+        ]
+        for values in tables:
+            with pytest.raises(ValueError):
+                values[0] = 2.0
 
     def test_model_requires_full_coverage(self):
         with pytest.raises(ModelInconsistencyError, match="cover"):
@@ -240,5 +252,6 @@ class TestTypeInvariants:
             MassFunction(0, [0.5, 0.4])
 
     def test_mass_function_entries_in_unit_interval(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            MassFunction(0, [1.2, -0.2])
+        for probs in ([1.2, -0.2], [np.nan, 0.5]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                MassFunction(0, probs)
