@@ -53,11 +53,9 @@ from .bench import (
 )
 from .generate import random_chain_model, random_grid_model, random_model
 from .uaiio import (
-    UaiDocument,
     UaiParseError,
     parse_evid,
     parse_uai,
-    parse_uai_document,
     write_evid,
     write_uai,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "Potential",
     "SkippedInstance",
     "TrajectoryPoint",
-    "UaiDocument",
     "UaiParseError",
     "VariableId",
     "ZeroProbabilityEvidenceError",
@@ -101,7 +98,6 @@ __all__ = [
     "normalize",
     "parse_evid",
     "parse_uai",
-    "parse_uai_document",
     "pr",
     "random_chain_model",
     "random_grid_model",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,10 @@ class BenchmarkSpec:
             raise ValueError("epsilon values must lie in [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("epsilon_grid must be strictly increasing")
+        for name in ("k", "q", "seed", "oracle_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.q < 1:
             raise ValueError("q must be >= 1")
         if self.k < 1:
@@ -128,12 +133,17 @@ def hamming_similarity(a: Mapping[int, int], b: Mapping[int, int]) -> float:
 def run_benchmark(
     spec: BenchmarkSpec,
 ) -> tuple[list[TrajectoryPoint], list[InstanceResult], list[SkippedInstance]]:
-    """Run the full grid of (epsilon, instance) evaluations for a spec."""
+    """Run the full grid of (epsilon, instance) evaluations for a spec.
+
+    An instance is skipped, with its reason recorded, only for a domain
+    failure: no evidence with positive probability could be drawn, the
+    working evidence became impossible during the greedy run, the explained
+    set exceeds the oracle cap, or every explainable variable is observed.
+    Any other error, such as ``k`` outside ``0 < k < n`` or a product that
+    overflows, propagates and stops the run.
+    """
     model = parse_uai(Path(spec.model_path).read_text())
-    n = model.n_vars
-    if not 0 < spec.k < n:
-        raise ValueError(f"k={spec.k} must satisfy 0 < k < n={n}")
-    explainable = [v for v in range(n) if model.cardinalities[v] >= 2]
+    explainable = [v for v in range(model.n_vars) if model.cardinalities[v] >= 2]
 
     points: list[TrajectoryPoint] = []
     results: list[InstanceResult] = []
@@ -146,14 +156,17 @@ def run_benchmark(
                 evidence = generate_instance(model, spec.k, rng)
                 explain = [v for v in explainable if v not in evidence]
                 if not explain:
-                    raise ValueError("no explainable variables left unobserved")
+                    skipped.append(
+                        SkippedInstance(eps, index, "no explainable variables left unobserved")
+                    )
+                    continue
                 trace = epsilon_mmap2mar(model, explain, evidence, epsilon=eps)
                 start = time.perf_counter()
                 exact = brute_force_mmap(
                     model, evidence, trace.explained, cap=spec.oracle_cap
                 )
                 t_mmap = time.perf_counter() - start
-            except (ZeroProbabilityEvidenceError, OracleTooLargeError, ValueError) as err:
+            except (ZeroProbabilityEvidenceError, OracleTooLargeError) as err:
                 skipped.append(SkippedInstance(eps, index, str(err)))
                 continue
             completed.append(

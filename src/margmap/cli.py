@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GraphicalModel, validate_evidence
+from .model import GraphicalModel
 from .inference import DEFAULT_ORACLE_CAP, brute_force_mmap
 from .heuristic import epsilon_mmap2mar, mmap2mar
 from .bench import BenchmarkSpec, emit_dat, run_benchmark
@@ -21,12 +21,8 @@ def _load_model(path: str) -> GraphicalModel:
     return parse_uai(Path(path).read_text())
 
 
-def _load_evidence(model: GraphicalModel, path: str | None) -> dict[int, int]:
-    if path is None:
-        return {}
-    evidence = parse_evid(Path(path).read_text())
-    validate_evidence(model, evidence)
-    return evidence
+def _load_evidence(path: str | None) -> dict[int, int]:
+    return {} if path is None else parse_evid(Path(path).read_text())
 
 
 def _explain_set(
@@ -49,7 +45,7 @@ def _format_assignment(assignment: dict[int, int]) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    evidence = _load_evidence(model, args.evidence)
+    evidence = _load_evidence(args.evidence)
     explain = _explain_set(model, evidence, args)
     if args.epsilon is None:
         trace = mmap2mar(model, explain, evidence)
@@ -77,7 +73,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    evidence = _load_evidence(model, args.evidence)
+    evidence = _load_evidence(args.evidence)
     explain = _explain_set(model, evidence, args)
     solution = brute_force_mmap(model, evidence, explain, cap=args.oracle_cap)
     print(f"model: {args.model} ({model.n_vars} variables)")
@@ -91,6 +87,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     config = {}
     if args.config:
         config = json.loads(Path(args.config).read_text())
+        if not isinstance(config, dict):
+            raise ValueError(f"--config {args.config} must hold a JSON object")
     epsilons = args.epsilons if args.epsilons is not None else config.get("epsilon_grid")
     if epsilons is None:
         epsilons = [i / 20 for i in range(21)]

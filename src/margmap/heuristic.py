@@ -23,7 +23,7 @@ from .model import (
     GraphicalModel,
     MassFunction,
     ZeroProbabilityEvidenceError,
-    validate_evidence,
+    _check_explain,
 )
 from .inference import entropy, mar, pr
 
@@ -98,13 +98,9 @@ def _greedy(
     evidence: Evidence,
     epsilon: float | None,
 ) -> ExplanationTrace:
-    targets = sorted({int(v) for v in explain})
+    targets = list(_check_explain(model, evidence, explain))
     if not targets:
         raise ValueError("explain set must be non-empty")
-    validate_evidence(model, evidence)
-    overlap = set(targets) & set(evidence)
-    if overlap:
-        raise ValueError(f"explain set and evidence overlap on {sorted(overlap)}")
     degenerate = [v for v in targets if model.cardinalities[v] < 2]
     if degenerate:
         raise ValueError(

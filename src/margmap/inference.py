@@ -20,6 +20,7 @@ from .model import (
     MassFunction,
     Potential,
     ZeroProbabilityEvidenceError,
+    _check_explain,
     factor_marginalize,
     factor_product,
     factor_restrict,
@@ -194,12 +195,7 @@ def mar(
     to one evidence-probability query per state of X followed by
     normalization.
     """
-    validate_evidence(model, evidence)
-    variable = int(variable)
-    if variable in evidence:
-        raise ValueError(f"variable {variable} is observed in the evidence")
-    if not 0 <= variable < model.n_vars:
-        raise ValueError(f"variable {variable} out of range")
+    (variable,) = _check_explain(model, evidence, (variable,))
     table, _ = _sum_out(model, evidence, (variable,), order)
     try:
         return normalize(table)
@@ -257,12 +253,7 @@ def brute_force_mmap(
     P(x_M*, x_E). Ties break toward the lexicographically smallest
     assignment in variable-id order.
     """
-    validate_evidence(model, evidence)
-    explain = tuple(sorted({int(v) for v in explain}))
-    if set(explain) & set(evidence):
-        raise ValueError("explain set and evidence variables must be disjoint")
-    if not all(0 <= v < model.n_vars for v in explain):
-        raise ValueError("explain variables out of range")
+    explain = _check_explain(model, evidence, explain)
     shape = tuple(model.cardinalities[v] for v in explain)
     states = math.prod(shape)
     if states > cap:

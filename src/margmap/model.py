@@ -216,6 +216,29 @@ def validate_evidence(model: GraphicalModel, evidence: Evidence) -> None:
             )
 
 
+def _check_explain(
+    model: GraphicalModel, evidence: Evidence, explain: Iterable[int]
+) -> tuple[VariableId, ...]:
+    """Validate the evidence and an explain set; return the distinct explain ids, sorted.
+
+    Explain ids must be model variables and must not be observed in the evidence.
+    """
+    validate_evidence(model, evidence)
+    explain = tuple(sorted({int(v) for v in explain}))
+    outside = [v for v in explain if not 0 <= v < model.n_vars]
+    if outside:
+        raise ValueError(
+            f"explain variables {outside} out of range for a {model.n_vars}-variable model"
+        )
+    overlap = [v for v in explain if v in evidence]
+    if overlap:
+        raise ValueError(
+            f"explain set and evidence overlap on observed variables {overlap}; "
+            "they must be disjoint"
+        )
+    return explain
+
+
 def _aligned(p: Potential, scope: tuple[int, ...]) -> np.ndarray:
     """View of p.values broadcastable over the axes of ``scope``."""
     pos = {v: i for i, v in enumerate(p.scope)}

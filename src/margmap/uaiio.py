@@ -12,7 +12,6 @@ variable/state pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import Evidence, GraphicalModel, NetworkKind, Potential
 
@@ -30,27 +29,6 @@ class UaiParseError(ValueError):
                 where += f", token {token}"
             where += ": "
         super().__init__(where + message)
-
-
-@dataclass(frozen=True)
-class UaiDocument:
-    """The raw contents of a model file, before model-level validation."""
-
-    network_kind: NetworkKind
-    n: int
-    cardinalities: tuple[int, ...]
-    clique_scopes: tuple[tuple[int, ...], ...]
-    tables: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.tables) != len(self.clique_scopes):
-            raise ValueError("one table is required per clique scope")
-        for scope, table in zip(self.clique_scopes, self.tables):
-            expected = math.prod(self.cardinalities[v] for v in scope)
-            if len(table) != expected:
-                raise ValueError(
-                    f"table over scope {scope} has {len(table)} entries, expected {expected}"
-                )
 
 
 class _Cursor:
@@ -108,8 +86,8 @@ class _Cursor:
             raise UaiParseError(f"unexpected trailing token {text!r}", line, tok_no)
 
 
-def parse_uai_document(text: str) -> UaiDocument:
-    """Parse model text into its raw preamble, scopes, and tables."""
+def parse_uai(text: str) -> GraphicalModel:
+    """Parse model text into a validated graphical model."""
     cur = _Cursor(text)
     kind_text = cur.next("network kind keyword")
     try:
@@ -135,7 +113,7 @@ def parse_uai_document(text: str) -> UaiDocument:
             scope.append(v)
         scopes.append(tuple(scope))
 
-    tables: list[tuple[float, ...]] = []
+    potentials: list[Potential] = []
     for i, scope in enumerate(scopes):
         expected = math.prod(cards[v] for v in scope)
         count = cur.take_int(f"entry count of table {i}")
@@ -149,19 +127,9 @@ def parse_uai_document(text: str) -> UaiDocument:
             if value < 0.0:
                 raise cur.fail(f"negative table value {value}")
             entries.append(value)
-        tables.append(tuple(entries))
+        potentials.append(Potential.from_flat(scope, entries, cards))
     cur.finish()
-    return UaiDocument(kind, n, cards, tuple(scopes), tuple(tables))
-
-
-def parse_uai(text: str) -> GraphicalModel:
-    """Parse model text into a validated graphical model."""
-    doc = parse_uai_document(text)
-    potentials = tuple(
-        Potential.from_flat(scope, table, doc.cardinalities)
-        for scope, table in zip(doc.clique_scopes, doc.tables)
-    )
-    return GraphicalModel(doc.cardinalities, potentials, network_kind=doc.network_kind)
+    return GraphicalModel(cards, tuple(potentials), network_kind=kind)
 
 
 def write_uai(model: GraphicalModel) -> str:

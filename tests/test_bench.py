@@ -201,6 +201,19 @@ class TestRunBenchmark:
         assert len(skipped) == 5
         assert all("cap" in s.reason for s in skipped)
 
+    def test_fully_observed_explainable_set_is_a_skip(self, tmp_path):
+        model = GraphicalModel(
+            (1, 2), (Potential((0,), [1.0]), Potential((1,), [0.4, 0.6]))
+        )
+        path = tmp_path / "card1.uai"
+        path.write_text(write_uai(model))
+        spec = BenchmarkSpec(path, k=1, q=10, epsilon_grid=(1.0,), seed=0)
+        _, results, skipped = run_benchmark(spec)
+        assert skipped and results
+        assert len(skipped) + len(results) == spec.q
+        for s in skipped:
+            assert s.reason == "no explainable variables left unobserved"
+
     def test_k_must_leave_free_variables(self, tmp_path):
         with pytest.raises(ValueError, match="k"):
             run_benchmark(_small_spec(tmp_path, k=5))

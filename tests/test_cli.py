@@ -54,6 +54,10 @@ class TestSolve:
         ) == 1
         assert "out of range" in capsys.readouterr().err
 
+    def test_out_of_range_explain_is_a_clean_error(self, weather_file, capsys):
+        assert main(["solve", str(weather_file), "--explain", "2"]) == 1
+        assert "out of range" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_weather_optimum(self, weather_file, capsys):
@@ -163,3 +167,16 @@ class TestBench:
         a_rows = _strip_timing_columns((tmp_path / "a_instances.csv").read_text())
         b_rows = _strip_timing_columns((tmp_path / "b_instances.csv").read_text())
         assert a_rows == b_rows
+
+    @pytest.mark.parametrize("config", [{"k": "2"}, {"seed": 1.5}, [1, 2]])
+    def test_bad_config_is_a_clean_error(self, weather_file, tmp_path, capsys, config):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(config))
+        assert main(
+            [
+                "bench", str(weather_file),
+                "--config", str(path),
+                "--out-prefix", str(tmp_path / "run"),
+            ]
+        ) == 1
+        assert "error:" in capsys.readouterr().err

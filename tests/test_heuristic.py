@@ -268,6 +268,12 @@ class TestContractErrors:
         with pytest.raises(ValueError, match="overlap"):
             mmap2mar(weather, [0, 1], {0: 0})
 
+    def test_out_of_range_explain_rejected(self, weather):
+        with pytest.raises(ValueError, match="out of range"):
+            mmap2mar(weather, [2])
+        with pytest.raises(ValueError, match="out of range"):
+            epsilon_mmap2mar(weather, [2], epsilon=0.5)
+
     def test_cardinality_one_variable_rejected(self):
         model = GraphicalModel(
             (1, 2),

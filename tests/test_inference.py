@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from margmap import (
+    BenchmarkSpec,
     GraphicalModel,
     MassFunction,
     OracleTooLargeError,
@@ -18,8 +19,10 @@ from margmap import (
     min_fill_order,
     mmap2mar,
     pr,
+    run_benchmark,
 )
 from margmap.generate import random_model
+from margmap.uaiio import write_uai
 
 from conftest import (
     WEATHER_JOINT,
@@ -327,18 +330,24 @@ class TestBruteForceMmap:
             brute_force_mmap(weather, {0: 0}, {0, 1})
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestOverflow:
-    def test_overflowing_product_raises_from_every_query(self):
+    def test_overflowing_product_raises_from_every_query(self, tmp_path):
         # each table is finite, but their product over the shared variable 1 is not
         model = GraphicalModel(
             (2, 2),
             (Potential((0, 1), np.full((2, 2), 1e200)), Potential((1,), [1e200, 1e200])),
         )
+        path = tmp_path / "overflow.uai"
+        path.write_text(write_uai(model))
         queries = [
             lambda: pr(model, {0: 0}),
             lambda: mar(model, {}, 0),
             lambda: brute_force_mmap(model, {}, {0}),
             lambda: mmap2mar(model, [0, 1]),
+            lambda: run_benchmark(
+                BenchmarkSpec(path, k=1, q=1, epsilon_grid=(1.0,), seed=0)
+            ),
         ]
         for query in queries:
             with pytest.raises(ValueError, match="finite"):

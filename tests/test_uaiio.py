@@ -9,7 +9,6 @@ from margmap.uaiio import (
     UaiParseError,
     parse_evid,
     parse_uai,
-    parse_uai_document,
     write_evid,
     write_uai,
 )
@@ -84,13 +83,6 @@ class TestParseUai:
             parse_uai(bad)
         assert exc.value.line is not None
         assert "line" in str(exc.value)
-
-    def test_document_preserves_raw_fields(self):
-        doc = parse_uai_document(WEATHER_TEXT)
-        assert doc.n == 2
-        assert doc.cardinalities == (2, 2)
-        assert doc.clique_scopes == ((0,), (0, 1))
-        assert doc.tables[0] == (0.6, 0.4)
 
 
 class TestRoundTrip:
