@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,14 @@ class BenchmarkSpec:
     oracle_cap: int = DEFAULT_ORACLE_CAP
 
     def __post_init__(self) -> None:
-        grid = tuple(float(e) for e in self.epsilon_grid)
+        grid = self.epsilon_grid
+        if (
+            isinstance(grid, str)
+            or not isinstance(grid, Sequence)
+            or not all(isinstance(e, Real) and not isinstance(e, bool) for e in grid)
+        ):
+            raise ValueError(f"epsilon_grid must be a sequence of numbers, got {grid!r}")
+        grid = tuple(float(e) for e in grid)
         if not grid:
             raise ValueError("epsilon_grid must be non-empty")
         if any(not 0.0 <= e <= 1.0 for e in grid):

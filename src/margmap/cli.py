@@ -98,7 +98,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         model_path=args.model,
         k=args.k if args.k is not None else config.get("k", 1),
         q=args.q if args.q is not None else config.get("q", 100),
-        epsilon_grid=tuple(epsilons),
+        epsilon_grid=epsilons,
         seed=args.seed if args.seed is not None else config.get("seed", 0),
         oracle_cap=(
             args.oracle_cap

@@ -24,8 +24,9 @@ from .model import (
     MassFunction,
     ZeroProbabilityEvidenceError,
     _check_explain,
+    normalize,
 )
-from .inference import entropy, mar, pr
+from .inference import _sum_out_each, entropy, pr
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +48,11 @@ class ExplanationTrace:
     when the run went to completion). ``p_tilde`` is the joint probability of
     the explained states together with the input evidence, a lower bound on
     the exact optimum over the same set. ``break_entropy`` is the entropy of
-    the marginal that failed the threshold, when one did; ``mar_calls`` and
-    ``mar_seconds`` account for the marginal queries issued.
+    the marginal that failed the threshold, when one did. ``mar_calls``
+    counts the logical marginal queries, one per candidate per round
+    (k(k+1)/2 for a full run over k targets), although each round computes
+    its candidates' marginals in one shared elimination; ``mar_seconds`` is
+    the time spent scoring rounds, entropies included.
     """
 
     steps: tuple[ExplanationStep, ...]
@@ -114,21 +118,22 @@ def _greedy(
     break_entropy: float | None = None
 
     while targets:
+        start = time.perf_counter()
         best: tuple[float, int, MassFunction] | None = None
-        for v in targets:
-            start = time.perf_counter()
+        tables = _sum_out_each(model, working, [(v,) for v in targets])
+        for v, (table, _) in zip(targets, tables):
             try:
-                marginal = mar(model, working, v)
+                marginal = normalize(table)
             except ZeroProbabilityEvidenceError as err:
                 raise ZeroProbabilityEvidenceError(
                     f"working evidence became impossible at step {len(steps) + 1} "
                     f"while scoring variable {v}"
                 ) from err
-            mar_seconds += time.perf_counter() - start
-            mar_calls += 1
             h = entropy(marginal)
             if best is None or h < best[0]:  # ties keep the lowest variable id
                 best = (h, v, marginal)
+        mar_seconds += time.perf_counter() - start
+        mar_calls += len(targets)
         h, chosen, marginal = best
         if epsilon is not None and not h < epsilon:
             break_entropy = h

@@ -4,12 +4,20 @@
 queries by sum-product elimination under a min-fill ordering (or any caller
 supplied ordering). ``brute_force_joint`` and ``brute_force_mmap`` enumerate
 the answers they are tested against and double as desk-scale exact solvers.
+
+Every elimination runs through one core, ``_sum_out_each``, which sums the
+model down to one table per requested set of kept variables under a single
+evidence. The greedy explainer asks it for all candidates of a round at once:
+the potentials are restricted once, and each elimination step's message is
+computed once per round and reused by every candidate whose elimination
+reaches the same step, so each table is bit-identical to a separate query.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +28,7 @@ from .model import (
     MassFunction,
     Potential,
     ZeroProbabilityEvidenceError,
+    _aligned,
     _check_explain,
     factor_marginalize,
     factor_product,
@@ -60,33 +69,134 @@ def min_fill_order(
     targets = {int(v) for v in eliminate}
     if not targets <= set(range(model.n_vars)):
         raise ValueError("elimination targets must be model variables")
-    dropped = {int(v) for v in evidence}
+    return _min_fill(_interaction_graph(model, {int(v) for v in evidence}), targets)
+
+
+def _interaction_graph(model: GraphicalModel, evidence: Iterable[int]) -> dict[int, set[int]]:
+    """Adjacency sets of the interaction graph left after removing the evidence variables."""
+    dropped = set(evidence)
     adjacency: dict[int, set[int]] = {}
     for p in model.potentials:
         scope = [v for v in p.scope if v not in dropped]
         for v in scope:
             adjacency.setdefault(v, set()).update(u for u in scope if u != v)
+    return adjacency
 
-    def fill_count(v: int) -> int:
-        nbrs = sorted(adjacency.get(v, ()))
-        return sum(
-            1
-            for i, a in enumerate(nbrs)
-            for b in nbrs[i + 1 :]
-            if b not in adjacency[a]
-        )
 
-    order: list[int] = []
+def _fill_count(adjacency: dict[int, set[int]], v: int) -> int:
+    """Pairs of neighbours of ``v`` not yet adjacent: the fill edges its elimination adds."""
+    nbrs = adjacency.get(v, set())
+    d = len(nbrs)
+    linked = sum(len(adjacency[a] & nbrs) for a in nbrs)  # each edge counted twice
+    return d * (d - 1) // 2 - linked // 2
+
+
+def _min_fill(graph: dict[int, set[int]], targets: Iterable[int]) -> EliminationOrder:
+    """Min-fill elimination order of ``targets`` on (a copy of) ``graph``.
+
+    Eliminating a vertex changes the fill count only of vertices within
+    distance two of it, so only those are recounted; a heap of
+    (fill count, id) entries, stale ones skipped, yields the next vertex.
+    """
+    adjacency = {v: set(nbrs) for v, nbrs in graph.items()}
     remaining = set(targets)
+    fill = {v: _fill_count(adjacency, v) for v in remaining}
+    heap = [(f, v) for v, f in fill.items()]
+    heapq.heapify(heap)
+    order: list[int] = []
     while remaining:
-        best = min(sorted(remaining), key=fill_count)
+        f, best = heapq.heappop(heap)
+        if best not in remaining or fill[best] != f:
+            continue
         nbrs = adjacency.pop(best, set())
         for a in nbrs:
             adjacency[a].discard(best)
             adjacency[a].update(b for b in nbrs if b != a)
         order.append(best)
         remaining.discard(best)
+        near = set(nbrs)
+        for a in nbrs:
+            near.update(adjacency[a])
+        for u in near & remaining:
+            f = _fill_count(adjacency, u)
+            if f != fill[u]:
+                fill[u] = f
+                heapq.heappush(heap, (f, u))
     return tuple(order)
+
+
+def _sum_out_each(
+    model: GraphicalModel,
+    evidence: Evidence,
+    keeps: Iterable[Sequence[int]],
+    order: Sequence[int] | None = None,
+) -> Iterator[tuple[Potential, float]]:
+    """For each ``keep`` in turn, restrict to the evidence and sum out every other free variable.
+
+    Yields the product of what is left as a table over ``keep`` (in that
+    order) together with its log scale: each intermediate is rescaled to max
+    entry 1 so long eliminations cannot underflow. ``order``, when given,
+    must be a permutation of all model variables and its subsequence over
+    the summed variables is used; otherwise a min-fill order over the
+    evidence-conditioned graph is computed for each ``keep``. A table that
+    overflowed float64 on the way shows up as a non-finite entry and raises
+    ``ValueError``.
+
+    All ``keeps`` share one elimination: the potentials are restricted once
+    and the graph is built once, and each message is kept under its
+    eliminated variable and the identities of its bucket's factors, in
+    bucket order. A later ``keep`` whose elimination reaches the same step
+    reuses the message, so every table is bit-identical to the one a
+    separate call would give.
+    """
+    cards = model.cardinalities
+    free = [v for v in range(model.n_vars) if v not in evidence]
+    if order is None:
+        graph = _interaction_graph(model, evidence.keys())
+    else:
+        order = tuple(int(v) for v in order)
+        if sorted(order) != list(range(model.n_vars)):
+            raise ValueError("order must be a permutation of all model variables")
+    restricted = [factor_restrict(p, evidence, cards) for p in model.potentials]
+    messages: dict[tuple[int, ...], tuple[Potential, float]] = {}
+    for keep in keeps:
+        summed = [v for v in free if v not in keep]
+        if order is None:
+            steps = _min_fill(graph, summed)
+        else:
+            wanted = set(summed)
+            steps = tuple(v for v in order if v in wanted)
+        factors = list(restricted)
+        log_scale = 0.0
+        for v in steps:
+            bucket = [f for f in factors if v in f.scope]
+            if not bucket:
+                continue
+            factors = [f for f in factors if v not in f.scope]
+            # ids cannot be reused: `restricted` and `messages` keep every factor alive
+            key = (v, *map(id, bucket))
+            if key not in messages:
+                prod = bucket[0]
+                for f in bucket[1:]:
+                    prod = factor_product(prod, f, cards)
+                out = factor_marginalize(prod, {v}, cards)
+                peak = float(out.values.max())
+                log_peak = 0.0
+                if peak > 0.0 and peak != 1.0:
+                    out = Potential._result(out.scope, out.values / peak)
+                    log_peak = math.log(peak)
+                messages[key] = (out, log_peak)
+            out, log_peak = messages[key]
+            log_scale += log_peak
+            factors.append(out)
+        keep = tuple(keep)
+        values = np.ones([cards[v] for v in keep])
+        for f in factors:
+            aligned = f.values if f.scope == keep or not f.scope else _aligned(f, keep)
+            np.multiply(values, aligned, out=values)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("table entries must be finite: a product of potentials overflowed")
+        yield Potential._result(keep, values), log_scale
 
 
 def _sum_out(
@@ -95,48 +205,8 @@ def _sum_out(
     keep: Sequence[int],
     order: Sequence[int] | None = None,
 ) -> tuple[Potential, float]:
-    """Restrict to the evidence and sum out every free variable not in ``keep``.
-
-    Returns the product of what is left as a table over ``keep`` (in that
-    order) together with its log scale: each intermediate is rescaled to max
-    entry 1 so long eliminations cannot underflow. ``order``, when given,
-    must be a permutation of all model variables and its subsequence over
-    the summed variables is used; otherwise a min-fill order over the
-    evidence-conditioned graph is computed. A table that overflowed float64
-    on the way shows up as a non-finite entry and raises ``ValueError``.
-    """
-    cards = model.cardinalities
-    summed = [v for v in range(model.n_vars) if v not in evidence and v not in keep]
-    if order is None:
-        order = min_fill_order(model, summed, evidence=evidence.keys())
-    else:
-        order = tuple(int(v) for v in order)
-        if sorted(order) != list(range(model.n_vars)):
-            raise ValueError("order must be a permutation of all model variables")
-        wanted = set(summed)
-        order = tuple(v for v in order if v in wanted)
-    factors = [factor_restrict(p, evidence, cards) for p in model.potentials]
-    log_scale = 0.0
-    for v in order:
-        bucket = [f for f in factors if v in f.scope]
-        if not bucket:
-            continue
-        factors = [f for f in factors if v not in f.scope]
-        prod = bucket[0]
-        for f in bucket[1:]:
-            prod = factor_product(prod, f, cards)
-        out = factor_marginalize(prod, {v}, cards)
-        peak = float(out.values.max())
-        if peak > 0.0 and peak != 1.0:
-            out = Potential._result(out.scope, out.values / peak)
-            log_scale += math.log(peak)
-        factors.append(out)
-    table = Potential._result(tuple(keep), np.ones([cards[v] for v in keep]))
-    for f in factors:
-        table = factor_product(table, f, cards)
-    if not np.all(np.isfinite(table.values)):
-        raise ValueError("table entries must be finite: a product of potentials overflowed")
-    return table, log_scale
+    """The one-``keep`` case of :func:`_sum_out_each`."""
+    return next(_sum_out_each(model, evidence, (keep,), order))
 
 
 def _log_z(model: GraphicalModel) -> tuple[float, float]:

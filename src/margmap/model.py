@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -204,9 +205,12 @@ def _check_scope(p: Potential, cards: Sequence[int]) -> None:
 
 
 def validate_evidence(model: GraphicalModel, evidence: Evidence) -> None:
-    """Check that every observed variable and state exists in the model."""
+    """Check that every observed variable and state is an integer that exists in the model."""
     for v, s in evidence.items():
-        v, s = int(v), int(s)
+        if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in (v, s)):
+            raise ValueError(
+                f"evidence entry {v!r}: {s!r} must map an integer variable to an integer state"
+            )
         if not 0 <= v < model.n_vars:
             raise ValueError(f"evidence variable {v} out of range")
         if not 0 <= s < model.cardinalities[v]:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the rain/commute toy model and pure-Python enumeration oracles.
+"""Shared fixtures: the rain/commute toy model, pure-Python enumeration oracles
+and the reference implementations the faster engine code is checked against.
 
 The enumeration helpers here deliberately avoid the package's numpy
 broadcasting paths (plain itertools loops and float arithmetic), so they can
@@ -14,8 +15,16 @@ import math
 import numpy as np
 import pytest
 
-from margmap import BenchmarkSpec, GraphicalModel, Potential, run_benchmark
-from margmap.generate import random_grid_model
+from margmap import (
+    BenchmarkSpec,
+    GraphicalModel,
+    Potential,
+    factor_marginalize,
+    factor_product,
+    factor_restrict,
+    run_benchmark,
+)
+from margmap.generate import random_grid_model, random_model
 from margmap.uaiio import write_uai
 
 # Two binary variables: X0 = rain (0 sunny, 1 rainy), X1 = commute (0 walk, 1 drive).
@@ -89,6 +98,115 @@ def entropy_by_formula(probs) -> float:
     if k <= 1:
         return 0.0
     return -sum(p * math.log(p, k) for p in probs if p > 0)
+
+
+def reference_min_fill_order(model, eliminate, evidence=()):
+    """Min-fill that recounts every remaining variable's fill edges at every step."""
+    dropped = {int(v) for v in evidence}
+    adjacency = {}
+    for p in model.potentials:
+        scope = [v for v in p.scope if v not in dropped]
+        for v in scope:
+            adjacency.setdefault(v, set()).update(u for u in scope if u != v)
+
+    def fill_count(v):
+        nbrs = sorted(adjacency.get(v, ()))
+        return sum(
+            1 for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in adjacency[a]
+        )
+
+    order = []
+    remaining = {int(v) for v in eliminate}
+    while remaining:
+        best = min(sorted(remaining), key=fill_count)
+        nbrs = adjacency.pop(best, set())
+        for a in nbrs:
+            adjacency[a].discard(best)
+            adjacency[a].update(b for b in nbrs if b != a)
+        order.append(best)
+        remaining.discard(best)
+    return tuple(order)
+
+
+def reference_sum_out(model, evidence, keep):
+    """One separate elimination under the reference min-fill order, through the public factor ops.
+
+    Restricts every potential, multiplies each bucket left to right, rescales
+    each message to max entry 1, and multiplies what is left onto a table of
+    ones over ``keep``; returns the table and its log scale.
+    """
+    cards = model.cardinalities
+    summed = [v for v in range(model.n_vars) if v not in evidence and v not in keep]
+    factors = [factor_restrict(p, evidence, cards) for p in model.potentials]
+    log_scale = 0.0
+    for v in reference_min_fill_order(model, summed, evidence):
+        bucket = [f for f in factors if v in f.scope]
+        if not bucket:
+            continue
+        factors = [f for f in factors if v not in f.scope]
+        prod = bucket[0]
+        for f in bucket[1:]:
+            prod = factor_product(prod, f, cards)
+        out = factor_marginalize(prod, {v}, cards)
+        peak = float(out.values.max())
+        if peak > 0.0 and peak != 1.0:
+            out = Potential(out.scope, out.values / peak)
+            log_scale += math.log(peak)
+        factors.append(out)
+    table = Potential(tuple(keep), np.ones([cards[v] for v in keep]))
+    for f in factors:
+        table = factor_product(table, f, cards)
+    return table, log_scale
+
+
+def _shifted(model, offset):
+    return tuple(Potential(tuple(v + offset for v in p.scope), p.values) for p in model.potentials)
+
+
+def differential_models(seed):
+    """100 small models of every shape an exact engine must handle bit for bit.
+
+    Free-form and grid models, models with zero entries, two disconnected
+    components, cardinality-1 variables, and symmetric grids whose marginals
+    tie exactly.
+    """
+    rng = np.random.default_rng(seed)
+    models = [random_model(int(rng.integers(3, 10)), rng=rng) for _ in range(30)]
+    for _ in range(20):
+        rows, cols, card = (int(x) for x in rng.integers((1, 2, 2), (4, 4, 4)))
+        models.append(random_grid_model(rows, cols, card, rng=rng, sigma=2.0))
+    for _ in range(15):
+        base = random_model(int(rng.integers(3, 9)), rng=rng, max_cardinality=3)
+        zeroed = tuple(
+            Potential(p.scope, np.where(rng.random(p.values.shape) < 0.3, 0.0, p.values))
+            for p in base.potentials
+        )
+        models.append(GraphicalModel(base.cardinalities, zeroed))
+    for _ in range(15):
+        a = random_model(int(rng.integers(2, 6)), rng=rng)
+        b = random_model(int(rng.integers(2, 6)), rng=rng)
+        models.append(
+            GraphicalModel(a.cardinalities + b.cardinalities, a.potentials + _shifted(b, a.n_vars))
+        )
+    for _ in range(10):
+        models.append(random_model(int(rng.integers(3, 9)), rng=rng, min_cardinality=1))
+    for _ in range(10):
+        rows, cols, card = (int(x) for x in rng.integers((1, 2, 2), (4, 4, 4)))
+        coupling = np.where(np.eye(card) > 0, float(rng.choice([0.5, 3.0])), 1.0)
+        grid = random_grid_model(rows, cols, card, rng=rng)
+        symmetric = tuple(
+            Potential(p.scope, np.ones(card) if len(p.scope) == 1 else coupling)
+            for p in grid.potentials
+        )
+        models.append(GraphicalModel(grid.cardinalities, symmetric))
+    return models
+
+
+def random_evidence(model, rng, max_size=2):
+    """Up to ``max_size`` observed variables, each at a uniform state."""
+    k = int(rng.integers(0, min(max_size, model.n_vars - 1) + 1))
+    variables = rng.choice(model.n_vars, size=k, replace=False)
+    return {int(v): int(rng.integers(model.cardinalities[v])) for v in variables}
 
 
 GRID_EPSILONS = (0.0, 0.5, 1.0)

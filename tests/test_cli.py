@@ -168,7 +168,10 @@ class TestBench:
         b_rows = _strip_timing_columns((tmp_path / "b_instances.csv").read_text())
         assert a_rows == b_rows
 
-    @pytest.mark.parametrize("config", [{"k": "2"}, {"seed": 1.5}, [1, 2]])
+    @pytest.mark.parametrize(
+        "config",
+        [{"k": "2"}, {"seed": 1.5}, [1, 2], {"epsilon_grid": 5}, {"epsilon_grid": [None]}],
+    )
     def test_bad_config_is_a_clean_error(self, weather_file, tmp_path, capsys, config):
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(config))

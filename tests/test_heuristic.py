@@ -8,6 +8,7 @@ from margmap import (
     Potential,
     ZeroProbabilityEvidenceError,
     brute_force_mmap,
+    entropy,
     epsilon_mmap2mar,
     mar,
     mmap2mar,
@@ -15,7 +16,7 @@ from margmap import (
 )
 from margmap.generate import random_model
 
-from conftest import entropy_by_formula
+from conftest import differential_models, entropy_by_formula, random_evidence
 
 
 def _random_evidence(model, k, rng):
@@ -257,6 +258,73 @@ class TestAccounting:
             assert trace.confidence >= 1.0 - eps
             if trace.steps:
                 assert trace.confidence > 1.0 - eps
+
+
+def _reference_greedy(model, targets, evidence, epsilon):
+    """The greedy run as one separate ``mar`` query per candidate per round."""
+    targets, working = sorted(targets), dict(evidence)
+    steps, calls, break_entropy = [], 0, None
+    while targets:
+        scored = []
+        for v in targets:
+            marginal = mar(model, working, v)
+            calls += 1
+            scored.append((entropy(marginal), v, marginal))
+        h, chosen, marginal = min(scored, key=lambda s: s[0])  # first minimum: lowest id
+        if epsilon is not None and not h < epsilon:
+            break_entropy = h
+            break
+        state = int(np.argmax(marginal.probs))
+        steps.append((chosen, state, h, marginal))
+        working[chosen] = state
+        targets.remove(chosen)
+    p_tilde = pr(model, evidence)
+    for _, state, _, marginal in steps:
+        p_tilde *= float(marginal.probs[state])
+    return steps, targets, p_tilde, break_entropy, calls
+
+
+class TestSharedRounds:
+    def test_trace_matches_one_mar_query_per_candidate(self):
+        rng = np.random.default_rng(71)
+        compared = 0
+        for model in differential_models(71):
+            evidence = random_evidence(model, rng)
+            targets = [
+                v for v in range(model.n_vars)
+                if v not in evidence and model.cardinalities[v] >= 2
+            ]
+            if not targets:
+                continue
+            for epsilon in (None, float(rng.uniform(0.2, 0.9))):
+
+                def run():
+                    if epsilon is None:
+                        return mmap2mar(model, targets, evidence)
+                    return epsilon_mmap2mar(model, targets, evidence, epsilon=epsilon)
+
+                try:
+                    steps, left, p_tilde, break_entropy, calls = _reference_greedy(
+                        model, targets, evidence, epsilon
+                    )
+                except ZeroProbabilityEvidenceError:
+                    with pytest.raises(ZeroProbabilityEvidenceError):
+                        run()
+                    continue
+                trace = run()
+                committed = [(s.variable, s.chosen_state, s.entropy_at_selection) for s in trace.steps]
+                assert committed == [(v, state, h) for v, state, h, _ in steps]
+                for s, (_, _, _, marginal) in zip(trace.steps, steps):
+                    assert np.array_equal(s.marginal.probs, marginal.probs)
+                assert trace.explained == {v: state for v, state, _, _ in steps}
+                assert trace.unexplained == frozenset(left)
+                assert trace.p_tilde == p_tilde
+                assert trace.confidence == min((1.0 - h for _, _, h, _ in steps), default=1.0)
+                assert trace.epsilon == epsilon
+                assert trace.break_entropy == break_entropy
+                assert trace.mar_calls == calls
+                compared += 1
+        assert compared >= 150
 
 
 class TestContractErrors:

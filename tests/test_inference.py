@@ -21,14 +21,19 @@ from margmap import (
     pr,
     run_benchmark,
 )
-from margmap.generate import random_model
+from margmap.generate import random_grid_model, random_model
+from margmap.inference import _sum_out, _sum_out_each
 from margmap.uaiio import write_uai
 
 from conftest import (
     WEATHER_JOINT,
+    differential_models,
     entropy_by_formula,
     mar_by_enumeration,
     pr_by_enumeration,
+    random_evidence,
+    reference_min_fill_order,
+    reference_sum_out,
 )
 
 
@@ -75,6 +80,42 @@ class TestMinFillOrder:
             a = pr(model, evidence)
             b = pr(model, evidence, order=identity)
             assert b == pytest.approx(a, rel=1e-9)
+
+
+    def test_matches_the_recount_everything_reference(self):
+        rng = np.random.default_rng(62)
+        grids = [random_grid_model(r, c, 2, rng=rng) for r, c in [(4, 4), (5, 6), (6, 6), (3, 8)]]
+        for model in differential_models(62) + grids:
+            n = model.n_vars
+            evidence = random_evidence(model, rng, max_size=4)
+            size = int(rng.integers(0, n + 1))
+            eliminate = [int(v) for v in rng.choice(n, size=size, replace=False)]
+            assert min_fill_order(model, eliminate, evidence) == reference_min_fill_order(
+                model, eliminate, evidence
+            )
+            assert min_fill_order(model, range(n)) == reference_min_fill_order(model, range(n))
+
+
+class TestSharedElimination:
+    def test_each_table_is_bit_identical_to_a_fresh_elimination(self):
+        rng = np.random.default_rng(61)
+        for model in differential_models(61):
+            evidence = random_evidence(model, rng)
+            free = [v for v in range(model.n_vars) if v not in evidence]
+            keeps = [(v,) for v in free] + [tuple(free[:2]), ()]
+            for order in (None, tuple(int(v) for v in rng.permutation(model.n_vars))):
+                shared = list(_sum_out_each(model, evidence, keeps, order))
+                assert len(shared) == len(keeps)
+                for keep, (table, log_scale) in zip(keeps, shared):
+                    fresh, fresh_log_scale = _sum_out(model, evidence, keep, order)
+                    assert table.scope == fresh.scope == keep
+                    assert np.array_equal(table.values, fresh.values)
+                    assert log_scale == fresh_log_scale
+                    if order is None:
+                        reference, reference_log_scale = reference_sum_out(model, evidence, keep)
+                        assert reference.scope == keep
+                        assert np.array_equal(table.values, reference.values)
+                        assert log_scale == reference_log_scale
 
 
 class TestPr:
@@ -176,6 +217,17 @@ class TestMar:
     def test_observed_variable_rejected(self, weather):
         with pytest.raises(ValueError, match="observed"):
             mar(weather, {1: 1}, 1)
+
+
+@pytest.mark.parametrize("evidence", [{2: 0}, {0: 2}, {1.5: 0}, {0: 1.5}, {True: 0}, {0: False}])
+def test_bad_evidence_rejected_by_every_query(weather, evidence):
+    for query in (
+        lambda: pr(weather, evidence),
+        lambda: mar(weather, evidence, 1 if 0 in evidence else 0),
+        lambda: mmap2mar(weather, [1 if 0 in evidence else 0], evidence),
+    ):
+        with pytest.raises(ValueError, match="out of range|integer"):
+            query()
 
 
 class TestEntropy:
