@@ -6,18 +6,20 @@ supplied ordering). ``brute_force_joint`` and ``brute_force_mmap`` enumerate
 the answers they are tested against and double as desk-scale exact solvers.
 
 Every elimination runs through one core, ``_sum_out_each``, which sums the
-model down to one table per requested set of kept variables under a single
-evidence. The greedy explainer asks it for all candidates of a round at once:
-the potentials are restricted once, and each elimination step's message is
-computed once per round and reused by every candidate whose elimination
-reaches the same step, so each table is bit-identical to a separate query.
+model down to a list of tables, one per requested set of kept variables,
+under a single evidence. The greedy explainer asks it for all candidates of a
+round at once: the potentials are restricted once, one elimination path over
+every free variable is ordered and eliminated once, and each candidate forks
+off that path at the step where the path would eliminate it. Messages are
+computed once per round and reused by every fork that reaches the same step,
+so each table is bit-identical to a separate query.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ from .model import (
     ZeroProbabilityEvidenceError,
     _aligned,
     _check_explain,
+    _variable_ids,
     factor_marginalize,
     factor_product,
     factor_restrict,
@@ -66,10 +69,11 @@ def min_fill_order(
     elimination adds the fewest fill edges is chosen, ties going to the
     lowest variable id.
     """
-    targets = {int(v) for v in eliminate}
+    targets = set(_variable_ids(eliminate, "elimination target"))
     if not targets <= set(range(model.n_vars)):
         raise ValueError("elimination targets must be model variables")
-    return _min_fill(_interaction_graph(model, {int(v) for v in evidence}), targets)
+    graph = _interaction_graph(model, _variable_ids(evidence, "evidence variable"))
+    return tuple(iter(_MinFill(graph, targets).eliminate_next, None))
 
 
 def _interaction_graph(model: GraphicalModel, evidence: Iterable[int]) -> dict[int, set[int]]:
@@ -91,28 +95,48 @@ def _fill_count(adjacency: dict[int, set[int]], v: int) -> int:
     return d * (d - 1) // 2 - linked // 2
 
 
-def _min_fill(graph: dict[int, set[int]], targets: Iterable[int]) -> EliminationOrder:
-    """Min-fill elimination order of ``targets`` on (a copy of) ``graph``.
+class _MinFill:
+    """Min-fill elimination of ``targets`` on (a copy of) ``graph``, one vertex at a time.
 
-    Eliminating a vertex changes the fill count only of vertices within
-    distance two of it, so only those are recounted; a heap of
-    (fill count, id) entries, stale ones skipped, yields the next vertex.
+    ``peek`` names the remaining target whose elimination adds the fewest
+    fill edges, ties going to the lowest id, and ``eliminate_next`` removes
+    it (``None`` once no target is left). Eliminating a vertex changes the
+    fill count only of vertices within distance two of it, so only those are
+    recounted; a heap of (fill count, id) entries, stale ones skipped, yields
+    the next vertex. ``fork(exclude)`` copies the state with ``exclude``
+    dropped from the targets. Every vertex picked so far was the least
+    (fill count, id) among a superset of the copy's targets, so the copy
+    goes on exactly as a fresh stepper over its own targets would.
     """
-    adjacency = {v: set(nbrs) for v, nbrs in graph.items()}
-    remaining = set(targets)
-    fill = {v: _fill_count(adjacency, v) for v in remaining}
-    heap = [(f, v) for v, f in fill.items()]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while remaining:
-        f, best = heapq.heappop(heap)
-        if best not in remaining or fill[best] != f:
-            continue
+
+    __slots__ = ("adjacency", "remaining", "fill", "heap")
+
+    def __init__(self, graph: dict[int, set[int]], targets: Iterable[int]):
+        self.adjacency = {v: set(nbrs) for v, nbrs in graph.items()}
+        self.remaining = set(targets)
+        self.fill = {v: _fill_count(self.adjacency, v) for v in self.remaining}
+        self.heap = [(f, v) for v, f in self.fill.items()]
+        heapq.heapify(self.heap)
+
+    def peek(self) -> int | None:
+        heap = self.heap
+        while heap:
+            f, v = heap[0]
+            if v in self.remaining and self.fill[v] == f:
+                return v
+            heapq.heappop(heap)
+        return None
+
+    def eliminate_next(self) -> int | None:
+        best = self.peek()
+        if best is None:
+            return None
+        heapq.heappop(self.heap)
+        adjacency, remaining, fill = self.adjacency, self.remaining, self.fill
         nbrs = adjacency.pop(best, set())
         for a in nbrs:
             adjacency[a].discard(best)
             adjacency[a].update(b for b in nbrs if b != a)
-        order.append(best)
         remaining.discard(best)
         near = set(nbrs)
         for a in nbrs:
@@ -121,8 +145,38 @@ def _min_fill(graph: dict[int, set[int]], targets: Iterable[int]) -> Elimination
             f = _fill_count(adjacency, u)
             if f != fill[u]:
                 fill[u] = f
-                heapq.heappush(heap, (f, u))
-    return tuple(order)
+                heapq.heappush(self.heap, (f, u))
+        return best
+
+    def fork(self, exclude: Iterable[int]) -> _MinFill:
+        twin = object.__new__(_MinFill)
+        twin.adjacency = {v: set(nbrs) for v, nbrs in self.adjacency.items()}
+        twin.remaining = self.remaining.difference(exclude)
+        twin.fill = dict(self.fill)
+        twin.heap = list(self.heap)
+        return twin
+
+
+class _Ordered:
+    """A caller's order restricted to ``targets``, stepped like :class:`_MinFill`."""
+
+    __slots__ = ("ahead",)
+
+    def __init__(self, order: Iterable[int], targets: Iterable[int]):
+        targets = set(targets)
+        self.ahead = [v for v in order if v in targets][::-1]  # next vertex last
+
+    def peek(self) -> int | None:
+        return self.ahead[-1] if self.ahead else None
+
+    def eliminate_next(self) -> int | None:
+        return self.ahead.pop() if self.ahead else None
+
+    def fork(self, exclude: Iterable[int]) -> _Ordered:
+        twin = object.__new__(_Ordered)
+        exclude = set(exclude)
+        twin.ahead = [v for v in self.ahead if v not in exclude]
+        return twin
 
 
 def _sum_out_each(
@@ -130,73 +184,94 @@ def _sum_out_each(
     evidence: Evidence,
     keeps: Iterable[Sequence[int]],
     order: Sequence[int] | None = None,
-) -> Iterator[tuple[Potential, float]]:
-    """For each ``keep`` in turn, restrict to the evidence and sum out every other free variable.
+) -> list[tuple[Potential, float]]:
+    """For each ``keep``, restrict to the evidence and sum out every other free variable.
 
-    Yields the product of what is left as a table over ``keep`` (in that
-    order) together with its log scale: each intermediate is rescaled to max
-    entry 1 so long eliminations cannot underflow. ``order``, when given,
-    must be a permutation of all model variables and its subsequence over
-    the summed variables is used; otherwise a min-fill order over the
-    evidence-conditioned graph is computed for each ``keep``. A table that
-    overflowed float64 on the way shows up as a non-finite entry and raises
-    ``ValueError``.
+    Returns a list in ``keeps`` order: for each, the product of what is left
+    as a table over ``keep`` (in that order) together with its log scale.
+    Each intermediate is rescaled to max entry 1 so long eliminations cannot
+    underflow. ``order``, when given, must be a permutation of all model
+    variables and its subsequence over the summed variables is used;
+    otherwise the order is min-fill over the evidence-conditioned graph. A
+    table that overflowed float64 on the way shows up as a non-finite entry
+    and raises ``ValueError``.
 
-    All ``keeps`` share one elimination: the potentials are restricted once
-    and the graph is built once, and each message is kept under its
-    eliminated variable and the identities of its bucket's factors, in
-    bucket order. A later ``keep`` whose elimination reaches the same step
-    reuses the message, so every table is bit-identical to the one a
-    separate call would give.
+    All ``keeps`` share one elimination path: the order of every free
+    variable, walked once. When the path's next variable lies in a
+    ``keep``, the path forks: the copy drops that keep's variables and
+    finishes on its own, while the path goes on for the other keeps and
+    stops once each has forked. Up to the fork the path's order is the
+    keep's own, so the factors held there are the ones a separate
+    elimination would hold. The potentials are restricted once, and each
+    message is kept under its eliminated variable and the identities of its
+    bucket's factors, in bucket order, so a fork that reaches the same step
+    as another reuses the message. Every table is bit-identical to the one
+    a separate call would give.
     """
     cards = model.cardinalities
     free = [v for v in range(model.n_vars) if v not in evidence]
     if order is None:
-        graph = _interaction_graph(model, evidence.keys())
+        path = _MinFill(_interaction_graph(model, evidence.keys()), free)
     else:
-        order = tuple(int(v) for v in order)
+        order = _variable_ids(order, "order entry")
         if sorted(order) != list(range(model.n_vars)):
             raise ValueError("order must be a permutation of all model variables")
+        path = _Ordered(order, free)
+    # ids cannot be reused: `restricted` and `messages` keep every factor alive
+    # until the round ends
     restricted = [factor_restrict(p, evidence, cards) for p in model.potentials]
     messages: dict[tuple[int, ...], tuple[Potential, float]] = {}
-    for keep in keeps:
-        summed = [v for v in free if v not in keep]
-        if order is None:
-            steps = _min_fill(graph, summed)
-        else:
-            wanted = set(summed)
-            steps = tuple(v for v in order if v in wanted)
-        factors = list(restricted)
-        log_scale = 0.0
-        for v in steps:
-            bucket = [f for f in factors if v in f.scope]
-            if not bucket:
-                continue
-            factors = [f for f in factors if v not in f.scope]
-            # ids cannot be reused: `restricted` and `messages` keep every factor alive
-            key = (v, *map(id, bucket))
-            if key not in messages:
-                prod = bucket[0]
-                for f in bucket[1:]:
-                    prod = factor_product(prod, f, cards)
-                out = factor_marginalize(prod, {v}, cards)
-                peak = float(out.values.max())
-                log_peak = 0.0
-                if peak > 0.0 and peak != 1.0:
-                    out = Potential._result(out.scope, out.values / peak)
-                    log_peak = math.log(peak)
-                messages[key] = (out, log_peak)
-            out, log_peak = messages[key]
-            log_scale += log_peak
-            factors.append(out)
-        keep = tuple(keep)
+
+    def eliminate(v: int, factors: list[Potential], log_scale: float):
+        bucket = [f for f in factors if v in f.scope]
+        if not bucket:
+            return factors, log_scale
+        rest = [f for f in factors if v not in f.scope]
+        key = (v, *map(id, bucket))
+        if key not in messages:
+            prod = bucket[0]
+            for f in bucket[1:]:
+                prod = factor_product(prod, f, cards)
+            out = factor_marginalize(prod, {v}, cards)
+            peak = float(out.values.max())
+            log_peak = 0.0
+            if peak > 0.0 and peak != 1.0:
+                out = Potential._result(out.scope, out.values / peak)
+                log_peak = math.log(peak)
+            messages[key] = (out, log_peak)
+        out, log_peak = messages[key]
+        rest.append(out)
+        return rest, log_scale + log_peak
+
+    def finish(branch, factors: list[Potential], log_scale: float, keep: tuple[int, ...]):
+        for v in iter(branch.eliminate_next, None):
+            factors, log_scale = eliminate(v, factors, log_scale)
         values = np.ones([cards[v] for v in keep])
         for f in factors:
             aligned = f.values if f.scope == keep or not f.scope else _aligned(f, keep)
             np.multiply(values, aligned, out=values)
         if not np.all(np.isfinite(values)):
             raise ValueError("table entries must be finite: a product of potentials overflowed")
-        yield Potential._result(keep, values), log_scale
+        return Potential._result(keep, values), log_scale
+
+    keeps = [tuple(keep) for keep in keeps]
+    forks_at: dict[int, list[int]] = {}
+    for i, keep in enumerate(keeps):
+        for v in keep:
+            forks_at.setdefault(v, []).append(i)
+    tables: dict[int, tuple[Potential, float]] = {}
+    waiting = set(range(len(keeps)))
+    factors, log_scale = restricted, 0.0
+    while waiting and (v := path.peek()) is not None:
+        for i in forks_at.get(v, ()):
+            if i in waiting:
+                waiting.remove(i)
+                tables[i] = finish(path.fork(keeps[i]), factors, log_scale, keeps[i])
+        if waiting:
+            factors, log_scale = eliminate(path.eliminate_next(), factors, log_scale)
+    for i in waiting:  # keeps the path never reached take its final factors
+        tables[i] = finish(path, factors, log_scale, keeps[i])
+    return [tables[i] for i in range(len(keeps))]
 
 
 def _sum_out(
@@ -206,7 +281,7 @@ def _sum_out(
     order: Sequence[int] | None = None,
 ) -> tuple[Potential, float]:
     """The one-``keep`` case of :func:`_sum_out_each`."""
-    return next(_sum_out_each(model, evidence, (keep,), order))
+    return _sum_out_each(model, evidence, (keep,), order)[0]
 
 
 def _log_z(model: GraphicalModel) -> tuple[float, float]:

@@ -204,10 +204,25 @@ def _check_scope(p: Potential, cards: Sequence[int]) -> None:
             )
 
 
+def _is_integer(x: object) -> bool:
+    """Whether ``x`` may serve as a variable id or state: numpy integers do, ``bool`` does not."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _variable_ids(ids: Iterable[int], what: str) -> list[VariableId]:
+    """``ids`` as Python ints, in the given order; a non-integer one raises ``ValueError``."""
+    out = []
+    for v in ids:
+        if not _is_integer(v):
+            raise ValueError(f"{what} {v!r} must be an integer variable id")
+        out.append(int(v))
+    return out
+
+
 def validate_evidence(model: GraphicalModel, evidence: Evidence) -> None:
     """Check that every observed variable and state is an integer that exists in the model."""
     for v, s in evidence.items():
-        if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in (v, s)):
+        if not (_is_integer(v) and _is_integer(s)):
             raise ValueError(
                 f"evidence entry {v!r}: {s!r} must map an integer variable to an integer state"
             )
@@ -228,7 +243,7 @@ def _check_explain(
     Explain ids must be model variables and must not be observed in the evidence.
     """
     validate_evidence(model, evidence)
-    explain = tuple(sorted({int(v) for v in explain}))
+    explain = tuple(sorted(set(_variable_ids(explain, "explain variable"))))
     outside = [v for v in explain if not 0 <= v < model.n_vars]
     if outside:
         raise ValueError(

@@ -128,18 +128,24 @@ def reference_min_fill_order(model, eliminate, evidence=()):
     return tuple(order)
 
 
-def reference_sum_out(model, evidence, keep):
-    """One separate elimination under the reference min-fill order, through the public factor ops.
+def reference_sum_out(model, evidence, keep, order=None):
+    """One separate elimination through the public factor ops.
 
-    Restricts every potential, multiplies each bucket left to right, rescales
-    each message to max entry 1, and multiplies what is left onto a table of
-    ones over ``keep``; returns the table and its log scale.
+    Eliminates under ``order``'s subsequence over the summed variables, or
+    under the reference min-fill order when ``order`` is None. Restricts
+    every potential, multiplies each bucket left to right, rescales each
+    message to max entry 1, and multiplies what is left onto a table of ones
+    over ``keep``; returns the table and its log scale.
     """
     cards = model.cardinalities
     summed = [v for v in range(model.n_vars) if v not in evidence and v not in keep]
+    if order is None:
+        steps = reference_min_fill_order(model, summed, evidence)
+    else:
+        steps = [v for v in order if v in summed]
     factors = [factor_restrict(p, evidence, cards) for p in model.potentials]
     log_scale = 0.0
-    for v in reference_min_fill_order(model, summed, evidence):
+    for v in steps:
         bucket = [f for f in factors if v in f.scope]
         if not bucket:
             continue

@@ -342,6 +342,13 @@ class TestContractErrors:
         with pytest.raises(ValueError, match="out of range"):
             epsilon_mmap2mar(weather, [2], epsilon=0.5)
 
+    @pytest.mark.parametrize("explain", [[1.5], ["1"], [True], [0, 0.7]])
+    def test_non_integer_explain_rejected(self, weather, explain):
+        with pytest.raises(ValueError, match="must be an integer variable id"):
+            mmap2mar(weather, explain)
+        with pytest.raises(ValueError, match="must be an integer variable id"):
+            epsilon_mmap2mar(weather, explain, epsilon=0.5)
+
     def test_cardinality_one_variable_rejected(self):
         model = GraphicalModel(
             (1, 2),

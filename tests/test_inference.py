@@ -102,20 +102,28 @@ class TestSharedElimination:
         for model in differential_models(61):
             evidence = random_evidence(model, rng)
             free = [v for v in range(model.n_vars) if v not in evidence]
-            keeps = [(v,) for v in free] + [tuple(free[:2]), ()]
             for order in (None, tuple(int(v) for v in rng.permutation(model.n_vars))):
-                shared = list(_sum_out_each(model, evidence, keeps, order))
-                assert len(shared) == len(keeps)
+                if order is None:
+                    path = reference_min_fill_order(model, free, evidence)
+                else:
+                    path = [v for v in order if v in free]
+                singles = [(v,) for v in free]
+                keeps = singles + singles[::-1] + [tuple(free[:2]), (), singles[0]]
+                if len(path) >= 3:
+                    # two multi-variable keeps that fork off the path at the same step
+                    mid = len(path) // 2 - 1
+                    keeps += [path[mid : mid + 2], (path[mid + 2], path[mid])]
+                shared = _sum_out_each(model, evidence, keeps, order)
+                assert isinstance(shared, list) and len(shared) == len(keeps)
                 for keep, (table, log_scale) in zip(keeps, shared):
                     fresh, fresh_log_scale = _sum_out(model, evidence, keep, order)
-                    assert table.scope == fresh.scope == keep
+                    assert table.scope == fresh.scope == tuple(keep)
                     assert np.array_equal(table.values, fresh.values)
                     assert log_scale == fresh_log_scale
-                    if order is None:
-                        reference, reference_log_scale = reference_sum_out(model, evidence, keep)
-                        assert reference.scope == keep
-                        assert np.array_equal(table.values, reference.values)
-                        assert log_scale == reference_log_scale
+                    reference, reference_log_scale = reference_sum_out(model, evidence, keep, order)
+                    assert reference.scope == tuple(keep)
+                    assert np.array_equal(table.values, reference.values)
+                    assert log_scale == reference_log_scale
 
 
 class TestPr:
@@ -228,6 +236,29 @@ def test_bad_evidence_rejected_by_every_query(weather, evidence):
     ):
         with pytest.raises(ValueError, match="out of range|integer"):
             query()
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.7, "1", True, None])
+def test_non_integer_variable_ids_rejected_by_every_query(weather, bad):
+    for query in (
+        lambda: mar(weather, {}, bad),
+        lambda: brute_force_mmap(weather, {}, [bad]),
+        lambda: min_fill_order(weather, [bad]),
+        lambda: min_fill_order(weather, [0], evidence=[bad]),
+        lambda: pr(weather, {1: 1}, order=(0, bad)),
+        lambda: mar(weather, {}, 0, order=(0, bad)),
+    ):
+        with pytest.raises(ValueError, match="must be an integer variable id"):
+            query()
+
+
+def test_numpy_integer_variable_ids_accepted(weather):
+    one = np.int64(1)
+    np.testing.assert_array_equal(mar(weather, {}, one).probs, mar(weather, {}, 1).probs)
+    assert brute_force_mmap(weather, {}, [one]) == brute_force_mmap(weather, {}, [1])
+    assert mmap2mar(weather, np.array([0, 1])).explained == mmap2mar(weather, [0, 1]).explained
+    assert min_fill_order(weather, [one], evidence=[np.int32(0)]) == (1,)
+    assert pr(weather, {1: 1}, order=np.array([1, 0])) == pr(weather, {1: 1}, order=(1, 0))
 
 
 class TestEntropy:
