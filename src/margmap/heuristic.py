@@ -26,7 +26,7 @@ from .model import (
     _check_explain,
     normalize,
 )
-from .inference import _sum_out_each, entropy, pr
+from .inference import _Elimination, entropy, pr
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +116,12 @@ def _greedy(
     mar_calls = 0
     mar_seconds = 0.0
     break_entropy: float | None = None
+    elimination = _Elimination(model)
 
     while targets:
         start = time.perf_counter()
         best: tuple[float, int, MassFunction] | None = None
-        tables = _sum_out_each(model, working, [(v,) for v in targets])
+        tables = elimination.tables(working, [(v,) for v in targets])
         for v, (table, _) in zip(targets, tables):
             try:
                 marginal = normalize(table)

@@ -5,19 +5,23 @@ queries by sum-product elimination under a min-fill ordering (or any caller
 supplied ordering). ``brute_force_joint`` and ``brute_force_mmap`` enumerate
 the answers they are tested against and double as desk-scale exact solvers.
 
-Every elimination runs through one core, ``_sum_out_each``, which sums the
+Every elimination runs through one core, ``_Elimination``, which sums the
 model down to a list of tables, one per requested set of kept variables,
-under a single evidence. The greedy explainer asks it for all candidates of a
-round at once: the potentials are restricted once, one elimination path over
-every free variable is ordered and eliminated once, and each candidate forks
-off that path at the step where the path would eliminate it. Messages are
-computed once per round and reused by every fork that reaches the same step,
-so each table is bit-identical to a separate query.
+under one evidence at a time. The greedy explainer keeps one per run and asks
+it for all candidates of a round at once: one elimination path over every
+free variable is ordered on a bitset min-fill graph and eliminated once, and
+each candidate forks off that path at the step where the path would
+eliminate it. Between rounds, a potential is restricted again only when the
+evidence on its scope changed, and a message of the previous round is reused
+whenever a step meets the same factors in the same order, so mostly what the
+newly observed variable touches is redone. Each table is bit-identical to a
+separate query. ``pr``, ``mar`` and the oracle use a fresh core per query.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -32,6 +36,7 @@ from .model import (
     ZeroProbabilityEvidenceError,
     _aligned,
     _check_explain,
+    _product,
     _variable_ids,
     factor_marginalize,
     factor_product,
@@ -72,57 +77,81 @@ def min_fill_order(
     targets = set(_variable_ids(eliminate, "elimination target"))
     if not targets <= set(range(model.n_vars)):
         raise ValueError("elimination targets must be model variables")
-    graph = _interaction_graph(model, _variable_ids(evidence, "evidence variable"))
+    evidence = _variable_ids(evidence, "evidence variable")
+    graph = _without(_interaction_graph(model), evidence)
     return tuple(iter(_MinFill(graph, targets).eliminate_next, None))
 
 
-def _interaction_graph(model: GraphicalModel, evidence: Iterable[int]) -> dict[int, set[int]]:
-    """Adjacency sets of the interaction graph left after removing the evidence variables."""
-    dropped = set(evidence)
-    adjacency: dict[int, set[int]] = {}
+def _mask(variables: Iterable[int]) -> int:
+    """The bitmask with bit v set for each variable v."""
+    mask = 0
+    for v in variables:
+        mask |= 1 << v
+    return mask
+
+
+def _interaction_graph(model: GraphicalModel) -> list[int]:
+    """Adjacency bitmasks of the interaction graph: bit u of entry v is set when u, v share a scope."""
+    adjacency = [0] * model.n_vars
     for p in model.potentials:
-        scope = [v for v in p.scope if v not in dropped]
-        for v in scope:
-            adjacency.setdefault(v, set()).update(u for u in scope if u != v)
-    return adjacency
+        scope = _mask(p.scope)
+        for v in p.scope:
+            adjacency[v] |= scope
+    return [nbrs & ~(1 << v) for v, nbrs in enumerate(adjacency)]
 
 
-def _fill_count(adjacency: dict[int, set[int]], v: int) -> int:
+def _without(graph: list[int], variables: Iterable[int]) -> list[int]:
+    """``graph`` with ``variables`` removed, as after conditioning on them; other ids are ignored."""
+    dropped = _mask(v for v in variables if 0 <= v < len(graph))
+    return [0 if dropped >> v & 1 else nbrs & ~dropped for v, nbrs in enumerate(graph)]
+
+
+def _fill_count(adjacency: list[int], v: int) -> int:
     """Pairs of neighbours of ``v`` not yet adjacent: the fill edges its elimination adds."""
-    nbrs = adjacency.get(v, set())
-    d = len(nbrs)
-    linked = sum(len(adjacency[a] & nbrs) for a in nbrs)  # each edge counted twice
+    nbrs = rest = adjacency[v]
+    d = nbrs.bit_count()
+    linked = 0  # each edge among the neighbours is counted twice
+    while rest:
+        low = rest & -rest
+        linked += (adjacency[low.bit_length() - 1] & nbrs).bit_count()
+        rest ^= low
     return d * (d - 1) // 2 - linked // 2
 
 
 class _MinFill:
     """Min-fill elimination of ``targets`` on (a copy of) ``graph``, one vertex at a time.
 
-    ``peek`` names the remaining target whose elimination adds the fewest
-    fill edges, ties going to the lowest id, and ``eliminate_next`` removes
-    it (``None`` once no target is left). Eliminating a vertex changes the
-    fill count only of vertices within distance two of it, so only those are
-    recounted; a heap of (fill count, id) entries, stale ones skipped, yields
-    the next vertex. ``fork(exclude)`` copies the state with ``exclude``
-    dropped from the targets. Every vertex picked so far was the least
-    (fill count, id) among a superset of the copy's targets, so the copy
-    goes on exactly as a fresh stepper over its own targets would.
+    The graph is a list of adjacency bitmasks and the targets not yet
+    eliminated are the bitmask ``remaining``. ``peek`` names the remaining
+    target whose elimination adds the fewest fill edges, ties going to the
+    lowest id, and ``eliminate_next`` removes it (``None`` once no target is
+    left). Eliminating a vertex joins its neighbours into a clique, which
+    changes the fill count only of those neighbours and of vertices adjacent
+    to two or more of them, so only those are recounted; a heap of
+    (fill count, id) entries, stale ones skipped, yields the next vertex.
+    ``fork(exclude)`` copies the state with ``exclude`` dropped from the
+    targets. Every vertex picked so far was the least (fill count, id) among
+    a superset of the copy's targets, so the copy goes on exactly as a fresh
+    stepper over its own targets would.
     """
 
     __slots__ = ("adjacency", "remaining", "fill", "heap")
 
-    def __init__(self, graph: dict[int, set[int]], targets: Iterable[int]):
-        self.adjacency = {v: set(nbrs) for v, nbrs in graph.items()}
-        self.remaining = set(targets)
-        self.fill = {v: _fill_count(self.adjacency, v) for v in self.remaining}
-        self.heap = [(f, v) for v, f in self.fill.items()]
+    def __init__(self, graph: list[int], targets: Iterable[int]):
+        targets = set(targets)
+        self.adjacency = list(graph)
+        self.remaining = _mask(targets)
+        self.fill = [0] * len(graph)
+        for v in targets:
+            self.fill[v] = _fill_count(self.adjacency, v)
+        self.heap = [(self.fill[v], v) for v in targets]
         heapq.heapify(self.heap)
 
     def peek(self) -> int | None:
-        heap = self.heap
+        heap, remaining, fill = self.heap, self.remaining, self.fill
         while heap:
             f, v = heap[0]
-            if v in self.remaining and self.fill[v] == f:
+            if remaining >> v & 1 and fill[v] == f:
                 return v
             heapq.heappop(heap)
         return None
@@ -132,16 +161,24 @@ class _MinFill:
         if best is None:
             return None
         heapq.heappop(self.heap)
-        adjacency, remaining, fill = self.adjacency, self.remaining, self.fill
-        nbrs = adjacency.pop(best, set())
-        for a in nbrs:
-            adjacency[a].discard(best)
-            adjacency[a].update(b for b in nbrs if b != a)
-        remaining.discard(best)
-        near = set(nbrs)
-        for a in nbrs:
-            near.update(adjacency[a])
-        for u in near & remaining:
+        adjacency, fill = self.adjacency, self.fill
+        nbrs = rest = adjacency[best]
+        adjacency[best] = 0
+        self.remaining &= ~(1 << best)
+        near = nbrs
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            adjacency[a] = (adjacency[a] | nbrs) & ~low & ~(1 << best)
+            near |= adjacency[a]
+            rest ^= low
+        rest = near & self.remaining
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            rest ^= low
+            if not nbrs & low and (adjacency[u] & nbrs).bit_count() < 2:
+                continue  # u kept its neighbours, and no new edge joins two of them
             f = _fill_count(adjacency, u)
             if f != fill[u]:
                 fill[u] = f
@@ -150,9 +187,9 @@ class _MinFill:
 
     def fork(self, exclude: Iterable[int]) -> _MinFill:
         twin = object.__new__(_MinFill)
-        twin.adjacency = {v: set(nbrs) for v, nbrs in self.adjacency.items()}
-        twin.remaining = self.remaining.difference(exclude)
-        twin.fill = dict(self.fill)
+        twin.adjacency = list(self.adjacency)
+        twin.remaining = self.remaining & ~_mask(exclude)
+        twin.fill = list(self.fill)
         twin.heap = list(self.heap)
         return twin
 
@@ -179,99 +216,157 @@ class _Ordered:
         return twin
 
 
-def _sum_out_each(
-    model: GraphicalModel,
-    evidence: Evidence,
-    keeps: Iterable[Sequence[int]],
-    order: Sequence[int] | None = None,
-) -> list[tuple[Potential, float]]:
-    """For each ``keep``, restrict to the evidence and sum out every other free variable.
+# One elimination state: for each variable, the (sequence number, factor)
+# entries whose scope holds it; the entries of empty scope; the log scale.
+# Sequence numbers follow the factor list (restricted potentials in model
+# order, then messages in creation order), so sorting entries by them gives
+# that list's order. States are never changed in place, so forks share them.
+_State = tuple[list[tuple[tuple[int, Potential], ...]], tuple[tuple[int, Potential], ...], float]
 
-    Returns a list in ``keeps`` order: for each, the product of what is left
-    as a table over ``keep`` (in that order) together with its log scale.
-    Each intermediate is rescaled to max entry 1 so long eliminations cannot
-    underflow. ``order``, when given, must be a permutation of all model
-    variables and its subsequence over the summed variables is used;
-    otherwise the order is min-fill over the evidence-conditioned graph. A
-    table that overflowed float64 on the way shows up as a non-finite entry
-    and raises ``ValueError``.
 
-    All ``keeps`` share one elimination path: the order of every free
-    variable, walked once. When the path's next variable lies in a
+class _Elimination:
+    """Sum-product elimination of one model under a sequence of evidences.
+
+    ``tables(evidence, keeps)`` restricts the model to ``evidence`` and,
+    for each ``keep``, sums out every other free variable: it returns a
+    list in ``keeps`` order of (table over ``keep`` in that order, log
+    scale). Each intermediate is rescaled to max entry 1 so long
+    eliminations cannot underflow. ``order``, when given, must be a
+    permutation of all model variables and its subsequence over the summed
+    variables is used; otherwise the order is min-fill over the
+    evidence-conditioned graph. A table that overflowed float64 on the way
+    shows up as a non-finite entry and raises ``ValueError``.
+
+    All ``keeps`` of one call share one elimination path: the order of every
+    free variable, walked once. When the path's next variable lies in a
     ``keep``, the path forks: the copy drops that keep's variables and
     finishes on its own, while the path goes on for the other keeps and
     stops once each has forked. Up to the fork the path's order is the
     keep's own, so the factors held there are the ones a separate
-    elimination would hold. The potentials are restricted once, and each
-    message is kept under its eliminated variable and the identities of its
-    bucket's factors, in bucket order, so a fork that reaches the same step
-    as another reuses the message. Every table is bit-identical to the one
-    a separate call would give.
+    elimination would hold.
+
+    State carries from one call to the next, which is what a greedy run
+    needs: it adds one variable to the evidence per call. A potential is
+    restricted again only when the evidence on its scope changed; otherwise
+    the previous call's object is reused. Each message is kept under its
+    eliminated variable and the identities of its bucket's factors, in
+    bucket order, so a step that meets the same factors in the same order,
+    in this call or the next, reuses the message. A memo entry holds its
+    bucket, so no identity in a live key is recycled, and an entry no step
+    looked up during a call is dropped when that call ends. Every table is
+    bit-identical to the one a fresh elimination would give.
     """
-    cards = model.cardinalities
-    free = [v for v in range(model.n_vars) if v not in evidence]
-    if order is None:
-        path = _MinFill(_interaction_graph(model, evidence.keys()), free)
-    else:
-        order = _variable_ids(order, "order entry")
-        if sorted(order) != list(range(model.n_vars)):
-            raise ValueError("order must be a permutation of all model variables")
-        path = _Ordered(order, free)
-    # ids cannot be reused: `restricted` and `messages` keep every factor alive
-    # until the round ends
-    restricted = [factor_restrict(p, evidence, cards) for p in model.potentials]
-    messages: dict[tuple[int, ...], tuple[Potential, float]] = {}
 
-    def eliminate(v: int, factors: list[Potential], log_scale: float):
-        bucket = [f for f in factors if v in f.scope]
-        if not bucket:
-            return factors, log_scale
-        rest = [f for f in factors if v not in f.scope]
-        key = (v, *map(id, bucket))
-        if key not in messages:
-            prod = bucket[0]
-            for f in bucket[1:]:
-                prod = factor_product(prod, f, cards)
-            out = factor_marginalize(prod, {v}, cards)
-            peak = float(out.values.max())
-            log_peak = 0.0
-            if peak > 0.0 and peak != 1.0:
-                out = Potential._result(out.scope, out.values / peak)
-                log_peak = math.log(peak)
-            messages[key] = (out, log_peak)
-        out, log_peak = messages[key]
-        rest.append(out)
-        return rest, log_scale + log_peak
+    __slots__ = ("model", "order", "graph", "slices", "restricted", "messages")
 
-    def finish(branch, factors: list[Potential], log_scale: float, keep: tuple[int, ...]):
-        for v in iter(branch.eliminate_next, None):
-            factors, log_scale = eliminate(v, factors, log_scale)
-        values = np.ones([cards[v] for v in keep])
-        for f in factors:
-            aligned = f.values if f.scope == keep or not f.scope else _aligned(f, keep)
-            np.multiply(values, aligned, out=values)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("table entries must be finite: a product of potentials overflowed")
-        return Potential._result(keep, values), log_scale
+    def __init__(self, model: GraphicalModel, order: Sequence[int] | None = None):
+        if order is not None:
+            order = _variable_ids(order, "order entry")
+            if sorted(order) != list(range(model.n_vars)):
+                raise ValueError("order must be a permutation of all model variables")
+        self.model = model
+        self.order = order
+        self.graph = _interaction_graph(model) if order is None else None
+        self.slices: list[tuple[tuple[int, int], ...] | None] = [None] * len(model.potentials)
+        self.restricted: list[Potential | None] = [None] * len(model.potentials)
+        self.messages: dict[tuple[int, ...], tuple[Potential, float, list[Potential]]] = {}
 
-    keeps = [tuple(keep) for keep in keeps]
-    forks_at: dict[int, list[int]] = {}
-    for i, keep in enumerate(keeps):
-        for v in keep:
-            forks_at.setdefault(v, []).append(i)
-    tables: dict[int, tuple[Potential, float]] = {}
-    waiting = set(range(len(keeps)))
-    factors, log_scale = restricted, 0.0
-    while waiting and (v := path.peek()) is not None:
-        for i in forks_at.get(v, ()):
-            if i in waiting:
-                waiting.remove(i)
-                tables[i] = finish(path.fork(keeps[i]), factors, log_scale, keeps[i])
-        if waiting:
-            factors, log_scale = eliminate(path.eliminate_next(), factors, log_scale)
-    for i in waiting:  # keeps the path never reached take its final factors
-        tables[i] = finish(path, factors, log_scale, keeps[i])
-    return [tables[i] for i in range(len(keeps))]
+    def _restrict(self, evidence: Evidence) -> list[Potential]:
+        cards, restricted, slices = self.model.cardinalities, self.restricted, self.slices
+        for i, p in enumerate(self.model.potentials):
+            part = tuple((v, evidence[v]) for v in p.scope if v in evidence)
+            if part != slices[i]:
+                slices[i] = part
+                restricted[i] = factor_restrict(p, evidence, cards)
+        return restricted
+
+    def tables(
+        self, evidence: Evidence, keeps: Iterable[Sequence[int]]
+    ) -> list[tuple[Potential, float]]:
+        model, cards = self.model, self.model.cardinalities
+        free = [v for v in range(model.n_vars) if v not in evidence]
+        if self.order is None:
+            path = _MinFill(_without(self.graph, evidence), free)
+        else:
+            path = _Ordered(self.order, free)
+        restricted = self._restrict(evidence)
+        earlier, messages = self.messages, {}
+        numbers = itertools.count(len(restricted))
+
+        def eliminate(v: int, state: _State) -> _State:
+            holders, scalars, log_scale = state
+            bucket = holders[v]
+            if not bucket:
+                return state
+            factors = [f for _, f in bucket]
+            key = (v, *map(id, factors))
+            found = messages.get(key)
+            if found is None:
+                found = earlier.pop(key, None)
+                if found is None:
+                    prod = factors[0]
+                    for f in factors[1:]:
+                        prod = _product(prod, f)
+                    out = factor_marginalize(prod, {v}, cards)
+                    peak = float(out.values.max())
+                    log_peak = 0.0
+                    if peak > 0.0 and peak != 1.0:
+                        out = Potential._result(out.scope, out.values / peak)
+                        log_peak = math.log(peak)
+                    found = (out, log_peak, factors)
+                messages[key] = found
+            out, log_peak, _ = found
+            entry = (next(numbers), out)
+            holders = holders.copy()
+            holders[v] = ()
+            for u in out.scope:
+                holders[u] = tuple(e for e in holders[u] if e not in bucket) + (entry,)
+            if not out.scope:
+                scalars += (entry,)
+            return holders, scalars, log_scale + log_peak
+
+        def finish(branch, state: _State, keep: tuple[int, ...]):
+            for v in iter(branch.eliminate_next, None):
+                state = eliminate(v, state)
+            holders, scalars, log_scale = state
+            left = dict(scalars)
+            for v in keep:
+                left.update(holders[v])
+            values = np.ones([cards[v] for v in keep])
+            for _, f in sorted(left.items()):
+                aligned = f.values if f.scope == keep or not f.scope else _aligned(f, keep)
+                np.multiply(values, aligned, out=values)
+            if not np.all(np.isfinite(values)):
+                raise ValueError("table entries must be finite: a product of potentials overflowed")
+            return Potential._result(keep, values), log_scale
+
+        held: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
+        scalars = []
+        for entry in enumerate(restricted):
+            for v in entry[1].scope:
+                held[v].append(entry)
+            if not entry[1].scope:
+                scalars.append(entry)
+        state: _State = ([tuple(h) for h in held], tuple(scalars), 0.0)
+
+        keeps = [tuple(keep) for keep in keeps]
+        forks_at: dict[int, list[int]] = {}
+        for i, keep in enumerate(keeps):
+            for v in keep:
+                forks_at.setdefault(v, []).append(i)
+        results: dict[int, tuple[Potential, float]] = {}
+        waiting = set(range(len(keeps)))
+        while waiting and (v := path.peek()) is not None:
+            for i in forks_at.get(v, ()):
+                if i in waiting:
+                    waiting.remove(i)
+                    results[i] = finish(path.fork(keeps[i]), state, keeps[i])
+            if waiting:
+                state = eliminate(path.eliminate_next(), state)
+        for i in waiting:  # keeps the path never reached take its final factors
+            results[i] = finish(path, state, keeps[i])
+        self.messages = messages
+        return [results[i] for i in range(len(keeps))]
 
 
 def _sum_out(
@@ -280,8 +375,8 @@ def _sum_out(
     keep: Sequence[int],
     order: Sequence[int] | None = None,
 ) -> tuple[Potential, float]:
-    """The one-``keep`` case of :func:`_sum_out_each`."""
-    return _sum_out_each(model, evidence, (keep,), order)[0]
+    """One ``keep``'s table and log scale from a fresh :class:`_Elimination`."""
+    return _Elimination(model, order).tables(evidence, (keep,))[0]
 
 
 def _log_z(model: GraphicalModel) -> tuple[float, float]:

@@ -273,6 +273,11 @@ def factor_product(a: Potential, b: Potential, cards: Sequence[int]) -> Potentia
     """
     _check_scope(a, cards)
     _check_scope(b, cards)
+    return _product(a, b)
+
+
+def _product(a: Potential, b: Potential) -> Potential:
+    """:func:`factor_product` without the scope checks, for factors built from checked ones."""
     a_vars = set(a.scope)
     scope = a.scope + tuple(v for v in b.scope if v not in a_vars)
     return Potential._result(scope, _aligned(a, scope) * _aligned(b, scope))

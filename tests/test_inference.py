@@ -22,7 +22,7 @@ from margmap import (
     run_benchmark,
 )
 from margmap.generate import random_grid_model, random_model
-from margmap.inference import _sum_out, _sum_out_each
+from margmap.inference import _Elimination, _sum_out
 from margmap.uaiio import write_uai
 
 from conftest import (
@@ -84,7 +84,10 @@ class TestMinFillOrder:
 
     def test_matches_the_recount_everything_reference(self):
         rng = np.random.default_rng(62)
-        grids = [random_grid_model(r, c, 2, rng=rng) for r, c in [(4, 4), (5, 6), (6, 6), (3, 8)]]
+        # 9x9 has 81 variables, so the adjacency bitmasks cross a 64-bit machine word
+        grids = [
+            random_grid_model(r, c, 2, rng=rng) for r, c in [(4, 4), (5, 6), (6, 6), (3, 8), (9, 9)]
+        ]
         for model in differential_models(62) + grids:
             n = model.n_vars
             evidence = random_evidence(model, rng, max_size=4)
@@ -113,7 +116,7 @@ class TestSharedElimination:
                     # two multi-variable keeps that fork off the path at the same step
                     mid = len(path) // 2 - 1
                     keeps += [path[mid : mid + 2], (path[mid + 2], path[mid])]
-                shared = _sum_out_each(model, evidence, keeps, order)
+                shared = _Elimination(model, order).tables(evidence, keeps)
                 assert isinstance(shared, list) and len(shared) == len(keeps)
                 for keep, (table, log_scale) in zip(keeps, shared):
                     fresh, fresh_log_scale = _sum_out(model, evidence, keep, order)
@@ -124,6 +127,56 @@ class TestSharedElimination:
                     assert reference.scope == tuple(keep)
                     assert np.array_equal(table.values, reference.values)
                     assert log_scale == reference_log_scale
+
+    def test_state_carried_across_evidences_is_bit_identical_to_a_fresh_elimination(self):
+        rng = np.random.default_rng(63)
+        for model in differential_models(63):
+            for order in (None, tuple(int(v) for v in rng.permutation(model.n_vars))):
+                elimination = _Elimination(model, order)
+                previous = None
+                for evidence in _evidence_sequence(model, rng):
+                    before = list(elimination.restricted)
+                    free = [v for v in range(model.n_vars) if v not in evidence]
+                    keeps = [(v,) for v in free] + [()]
+                    shared = elimination.tables(evidence, keeps)
+                    for keep, (table, log_scale) in zip(keeps, shared):
+                        fresh, fresh_log_scale = _sum_out(model, evidence, keep, order)
+                        reference, reference_log_scale = reference_sum_out(model, evidence, keep, order)
+                        assert table.scope == fresh.scope == reference.scope == keep
+                        assert np.array_equal(table.values, fresh.values)
+                        assert np.array_equal(table.values, reference.values)
+                        assert log_scale == fresh_log_scale == reference_log_scale
+                    # a potential whose scope saw no evidence change keeps its restricted object
+                    for p, old, new in zip(model.potentials, before, elimination.restricted):
+                        if previous is not None and all(
+                            previous.get(v) == evidence.get(v) for v in p.scope
+                        ):
+                            assert new is old
+                    previous = evidence
+
+
+def _evidence_sequence(model, rng):
+    """Evidences one elimination object meets in turn.
+
+    Starting from none: add one variable at a time, as the greedy does;
+    change one observed state; drop one observed variable; observe nothing.
+    """
+    n = model.n_vars
+    evidence = {}
+    sequence = [{}]
+    for v in rng.permutation(n)[: min(3, n - 1)]:
+        evidence[int(v)] = int(rng.integers(model.cardinalities[v]))
+        sequence.append(dict(evidence))
+    changeable = [v for v in evidence if model.cardinalities[v] > 1]
+    if changeable:
+        v = changeable[0]
+        evidence[v] = (evidence[v] + 1) % model.cardinalities[v]
+        sequence.append(dict(evidence))
+    if evidence:
+        del evidence[next(iter(evidence))]
+        sequence.append(dict(evidence))
+    sequence.append({})
+    return sequence
 
 
 class TestPr:

@@ -63,6 +63,13 @@ class TestFactorProduct:
         with pytest.raises(ModelInconsistencyError):
             factor_product(a, b, (2, 2))
 
+    def test_cardinality_mismatch_rejected_on_either_operand(self):
+        good = Potential((0,), [1.0, 1.0])
+        wide = Potential((1,), [1.0, 1.0, 1.0])
+        for a, b in ((good, wide), (wide, good)):
+            with pytest.raises(ModelInconsistencyError, match="cardinality"):
+                factor_product(a, b, (2, 2))
+
     def test_commutative_and_associative_up_to_scope_order(self):
         rng = np.random.default_rng(11)
         cards = (2, 3, 2, 2)
