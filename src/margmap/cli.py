@@ -89,6 +89,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         config = json.loads(Path(args.config).read_text())
         if not isinstance(config, dict):
             raise ValueError(f"--config {args.config} must hold a JSON object")
+        unknown = sorted(set(config) - {"k", "q", "epsilon_grid", "seed", "oracle_cap"})
+        if unknown:
+            raise ValueError(f"--config {args.config} has unknown keys {unknown}")
     epsilons = args.epsilons if args.epsilons is not None else config.get("epsilon_grid")
     if epsilons is None:
         epsilons = [i / 20 for i in range(21)]

@@ -20,7 +20,6 @@ separate query. ``pr``, ``mar`` and the oracle use a fresh core per query.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections.abc import Iterable, Sequence
@@ -78,6 +77,8 @@ def min_fill_order(
     if not targets <= set(range(model.n_vars)):
         raise ValueError("elimination targets must be model variables")
     evidence = _variable_ids(evidence, "evidence variable")
+    if not set(evidence) <= set(range(model.n_vars)):
+        raise ValueError("evidence variables must be model variables")
     graph = _without(_interaction_graph(model), evidence)
     return tuple(iter(_MinFill(graph, targets).eliminate_next, None))
 
@@ -101,8 +102,8 @@ def _interaction_graph(model: GraphicalModel) -> list[int]:
 
 
 def _without(graph: list[int], variables: Iterable[int]) -> list[int]:
-    """``graph`` with ``variables`` removed, as after conditioning on them; other ids are ignored."""
-    dropped = _mask(v for v in variables if 0 <= v < len(graph))
+    """``graph`` with ``variables`` (vertices of it) removed, as after conditioning on them."""
+    dropped = _mask(variables)
     return [0 if dropped >> v & 1 else nbrs & ~dropped for v, nbrs in enumerate(graph)]
 
 
@@ -121,50 +122,39 @@ def _fill_count(adjacency: list[int], v: int) -> int:
 class _MinFill:
     """Min-fill elimination of ``targets`` on (a copy of) ``graph``, one vertex at a time.
 
-    The graph is a list of adjacency bitmasks and the targets not yet
-    eliminated are the bitmask ``remaining``. ``peek`` names the remaining
+    The graph is a list of adjacency bitmasks, and ``remaining`` lists the
+    targets not yet eliminated in id order. ``peek`` names the remaining
     target whose elimination adds the fewest fill edges, ties going to the
     lowest id, and ``eliminate_next`` removes it (``None`` once no target is
     left). Eliminating a vertex joins its neighbours into a clique, which
     changes the fill count only of those neighbours and of vertices adjacent
-    to two or more of them, so only those are recounted; a heap of
-    (fill count, id) entries, stale ones skipped, yields the next vertex.
-    ``fork(exclude)`` copies the state with ``exclude`` dropped from the
-    targets. Every vertex picked so far was the least (fill count, id) among
-    a superset of the copy's targets, so the copy goes on exactly as a fresh
-    stepper over its own targets would.
+    to two or more of them, so only those are recounted (non-targets too,
+    whose counts are never read). ``fork(exclude)`` copies the state with
+    ``exclude`` dropped from the targets. Every vertex picked so far was the
+    least (fill count, id) among a superset of the copy's targets, so the
+    copy goes on exactly as a fresh stepper over its own targets would.
     """
 
-    __slots__ = ("adjacency", "remaining", "fill", "heap")
+    __slots__ = ("adjacency", "remaining", "fill")
 
     def __init__(self, graph: list[int], targets: Iterable[int]):
-        targets = set(targets)
         self.adjacency = list(graph)
-        self.remaining = _mask(targets)
+        self.remaining = sorted(set(targets))
         self.fill = [0] * len(graph)
-        for v in targets:
+        for v in self.remaining:
             self.fill[v] = _fill_count(self.adjacency, v)
-        self.heap = [(self.fill[v], v) for v in targets]
-        heapq.heapify(self.heap)
 
     def peek(self) -> int | None:
-        heap, remaining, fill = self.heap, self.remaining, self.fill
-        while heap:
-            f, v = heap[0]
-            if remaining >> v & 1 and fill[v] == f:
-                return v
-            heapq.heappop(heap)
-        return None
+        return min(self.remaining, key=self.fill.__getitem__, default=None)
 
     def eliminate_next(self) -> int | None:
         best = self.peek()
         if best is None:
             return None
-        heapq.heappop(self.heap)
-        adjacency, fill = self.adjacency, self.fill
+        self.remaining.remove(best)
+        adjacency = self.adjacency
         nbrs = rest = adjacency[best]
         adjacency[best] = 0
-        self.remaining &= ~(1 << best)
         near = nbrs
         while rest:
             low = rest & -rest
@@ -172,25 +162,20 @@ class _MinFill:
             adjacency[a] = (adjacency[a] | nbrs) & ~low & ~(1 << best)
             near |= adjacency[a]
             rest ^= low
-        rest = near & self.remaining
-        while rest:
-            low = rest & -rest
+        while near:
+            low = near & -near
             u = low.bit_length() - 1
-            rest ^= low
-            if not nbrs & low and (adjacency[u] & nbrs).bit_count() < 2:
-                continue  # u kept its neighbours, and no new edge joins two of them
-            f = _fill_count(adjacency, u)
-            if f != fill[u]:
-                fill[u] = f
-                heapq.heappush(self.heap, (f, u))
+            near ^= low
+            if nbrs & low or (adjacency[u] & nbrs).bit_count() >= 2:  # else u's count stands
+                self.fill[u] = _fill_count(adjacency, u)
         return best
 
     def fork(self, exclude: Iterable[int]) -> _MinFill:
         twin = object.__new__(_MinFill)
+        exclude = set(exclude)
         twin.adjacency = list(self.adjacency)
-        twin.remaining = self.remaining & ~_mask(exclude)
+        twin.remaining = [v for v in self.remaining if v not in exclude]
         twin.fill = list(self.fill)
-        twin.heap = list(self.heap)
         return twin
 
 
@@ -216,12 +201,13 @@ class _Ordered:
         return twin
 
 
-# One elimination state: for each variable, the (sequence number, factor)
-# entries whose scope holds it; the entries of empty scope; the log scale.
-# Sequence numbers follow the factor list (restricted potentials in model
-# order, then messages in creation order), so sorting entries by them gives
-# that list's order. States are never changed in place, so forks share them.
-_State = tuple[list[tuple[tuple[int, Potential], ...]], tuple[tuple[int, Potential], ...], float]
+def _check_order(model: GraphicalModel, order: Sequence[int] | None) -> list[int] | None:
+    """``order`` as a list of ints; it must be ``None`` or a permutation of all model variables."""
+    if order is not None:
+        order = _variable_ids(order, "order entry")
+        if sorted(order) != list(range(model.n_vars)):
+            raise ValueError("order must be a permutation of all model variables")
+    return order
 
 
 class _Elimination:
@@ -243,7 +229,9 @@ class _Elimination:
     finishes on its own, while the path goes on for the other keeps and
     stops once each has forked. Up to the fork the path's order is the
     keep's own, so the factors held there are the ones a separate
-    elimination would hold.
+    elimination would hold. The path and each fork change their own lists of
+    held factors in place; a fork starts from one shallow copy of the path's
+    lists, whose entries are immutable tuples.
 
     State carries from one call to the next, which is what a greedy run
     needs: it adds one variable to the evidence per call. A potential is
@@ -260,12 +248,8 @@ class _Elimination:
     __slots__ = ("model", "order", "graph", "slices", "restricted", "messages")
 
     def __init__(self, model: GraphicalModel, order: Sequence[int] | None = None):
-        if order is not None:
-            order = _variable_ids(order, "order entry")
-            if sorted(order) != list(range(model.n_vars)):
-                raise ValueError("order must be a permutation of all model variables")
         self.model = model
-        self.order = order
+        self.order = _check_order(model, order)
         self.graph = _interaction_graph(model) if order is None else None
         self.slices: list[tuple[tuple[int, int], ...] | None] = [None] * len(model.potentials)
         self.restricted: list[Potential | None] = [None] * len(model.potentials)
@@ -293,11 +277,10 @@ class _Elimination:
         earlier, messages = self.messages, {}
         numbers = itertools.count(len(restricted))
 
-        def eliminate(v: int, state: _State) -> _State:
-            holders, scalars, log_scale = state
+        def eliminate(v: int, holders: list, scalars: list) -> float:
             bucket = holders[v]
             if not bucket:
-                return state
+                return 0.0
             factors = [f for _, f in bucket]
             key = (v, *map(id, factors))
             found = messages.get(key)
@@ -317,18 +300,16 @@ class _Elimination:
                 messages[key] = found
             out, log_peak, _ = found
             entry = (next(numbers), out)
-            holders = holders.copy()
             holders[v] = ()
             for u in out.scope:
                 holders[u] = tuple(e for e in holders[u] if e not in bucket) + (entry,)
             if not out.scope:
-                scalars += (entry,)
-            return holders, scalars, log_scale + log_peak
+                scalars.append(entry)
+            return log_peak
 
-        def finish(branch, state: _State, keep: tuple[int, ...]):
+        def finish(branch, holders: list, scalars: list, log_scale: float, keep: tuple[int, ...]):
             for v in iter(branch.eliminate_next, None):
-                state = eliminate(v, state)
-            holders, scalars, log_scale = state
+                log_scale += eliminate(v, holders, scalars)
             left = dict(scalars)
             for v in keep:
                 left.update(holders[v])
@@ -340,6 +321,11 @@ class _Elimination:
                 raise ValueError("table entries must be finite: a product of potentials overflowed")
             return Potential._result(keep, values), log_scale
 
+        # The path's state: for each variable, the (sequence number, factor)
+        # entries whose scope holds it; the entries of empty scope; the log
+        # scale. Sequence numbers follow the factor list (restricted potentials
+        # in model order, then messages in creation order), so sorting entries
+        # by them gives that list's order.
         held: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
         scalars = []
         for entry in enumerate(restricted):
@@ -347,7 +333,8 @@ class _Elimination:
                 held[v].append(entry)
             if not entry[1].scope:
                 scalars.append(entry)
-        state: _State = ([tuple(h) for h in held], tuple(scalars), 0.0)
+        holders = [tuple(h) for h in held]
+        log_scale = 0.0
 
         keeps = [tuple(keep) for keep in keeps]
         forks_at: dict[int, list[int]] = {}
@@ -360,11 +347,13 @@ class _Elimination:
             for i in forks_at.get(v, ()):
                 if i in waiting:
                     waiting.remove(i)
-                    results[i] = finish(path.fork(keeps[i]), state, keeps[i])
+                    results[i] = finish(
+                        path.fork(keeps[i]), holders.copy(), scalars.copy(), log_scale, keeps[i]
+                    )
             if waiting:
-                state = eliminate(path.eliminate_next(), state)
+                log_scale += eliminate(path.eliminate_next(), holders, scalars)
         for i in waiting:  # keeps the path never reached take its final factors
-            results[i] = finish(path, state, keeps[i])
+            results[i] = finish(path, holders, scalars, log_scale, keeps[i])
         self.messages = messages
         return [results[i] for i in range(len(keeps))]
 
@@ -408,10 +397,12 @@ def pr(
     both evaluated by variable elimination. A caller-supplied ``order``
     applies to the evidence-restricted sum only; the partition function
     always comes from a per-model cache computed under a min-fill order, so
-    results under different orders agree up to rounding. Empty evidence
-    gives exactly 1; structurally impossible evidence gives 0.
+    results under different orders agree up to rounding. ``order`` is
+    checked even when the evidence is empty. Empty evidence gives exactly 1;
+    structurally impossible evidence gives 0.
     """
     validate_evidence(model, evidence)
+    _check_order(model, order)
     if not evidence:
         return 1.0
     table, log_num = _sum_out(model, evidence, (), order)

@@ -170,11 +170,13 @@ def _shifted(model, offset):
 
 
 def differential_models(seed):
-    """100 small models of every shape an exact engine must handle bit for bit.
+    """105 small models of every shape an exact engine must handle bit for bit.
 
     Free-form and grid models, models with zero entries, two disconnected
-    components, cardinality-1 variables, and symmetric grids whose marginals
-    tie exactly.
+    components, cardinality-1 variables, symmetric grids whose marginals tie
+    exactly, and last, models of cardinality 8 to 10. numpy sums 8 or more
+    contiguous entries pairwise, so from that size on a message's last bits
+    depend on the memory layout of its bucket product.
     """
     rng = np.random.default_rng(seed)
     models = [random_model(int(rng.integers(3, 10)), rng=rng) for _ in range(30)]
@@ -205,6 +207,12 @@ def differential_models(seed):
             for p in grid.potentials
         )
         models.append(GraphicalModel(grid.cardinalities, symmetric))
+    for _ in range(3):
+        rows, cols, card = (int(x) for x in rng.integers((1, 2, 8), (3, 4, 11)))
+        models.append(random_grid_model(rows, cols, card, rng=rng, sigma=2.0))
+    for _ in range(2):
+        n = int(rng.integers(3, 6))
+        models.append(random_model(n, rng=rng, min_cardinality=8, max_cardinality=10))
     return models
 
 

@@ -170,7 +170,14 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "config",
-        [{"k": "2"}, {"seed": 1.5}, [1, 2], {"epsilon_grid": 5}, {"epsilon_grid": [None]}],
+        [
+            {"k": "2"},
+            {"seed": 1.5},
+            [1, 2],
+            {"epsilon_grid": 5},
+            {"epsilon_grid": [None]},
+            {"K": 2, "epsilons": [0.5], "qq": 3},
+        ],
     )
     def test_bad_config_is_a_clean_error(self, weather_file, tmp_path, capsys, config):
         path = tmp_path / "bench.json"
@@ -183,3 +190,12 @@ class TestBench:
             ]
         ) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_named(self, weather_file, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"k": 1, "epsilons": [0.5]}))
+        assert main(
+            ["bench", str(weather_file), "--config", str(path), "--out-prefix", str(tmp_path / "run")]
+        ) == 1
+        assert "'epsilons'" in capsys.readouterr().err
+        assert not (tmp_path / "run_instances.csv").exists()

@@ -71,6 +71,11 @@ class TestMinFillOrder:
         with pytest.raises(ValueError):
             min_fill_order(weather, {9})
 
+    @pytest.mark.parametrize("evidence", [[7], [2], [-1]])
+    def test_evidence_must_be_model_variables(self, weather, evidence):
+        with pytest.raises(ValueError, match="evidence variables must be model variables"):
+            min_fill_order(weather, [0], evidence=evidence)
+
     def test_pr_is_order_invariant(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
@@ -206,8 +211,11 @@ class TestPr:
         assert pr(model, {0: 1}) == 0.0
 
     def test_bad_order_rejected(self, weather):
-        with pytest.raises(ValueError, match="permutation"):
-            pr(weather, {1: 1}, order=(0,))
+        for evidence in ({1: 1}, {}):  # the empty evidence's shortcut must not skip the check
+            with pytest.raises(ValueError, match="permutation"):
+                pr(weather, evidence, order=(0,))
+            with pytest.raises(ValueError, match="must be an integer variable id"):
+                pr(weather, evidence, order=("x", None))
 
 
 class TestMar:
@@ -299,6 +307,7 @@ def test_non_integer_variable_ids_rejected_by_every_query(weather, bad):
         lambda: min_fill_order(weather, [bad]),
         lambda: min_fill_order(weather, [0], evidence=[bad]),
         lambda: pr(weather, {1: 1}, order=(0, bad)),
+        lambda: pr(weather, {}, order=(0, bad)),
         lambda: mar(weather, {}, 0, order=(0, bad)),
     ):
         with pytest.raises(ValueError, match="must be an integer variable id"):
