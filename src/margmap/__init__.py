@@ -1,7 +1,7 @@
 """Greedy marginal-guided MMAP inference for discrete graphical models.
 
 The package bundles a small exact-inference core (factor algebra, variable
-elimination, brute-force oracles), a UAI-format loader/writer, a greedy
+elimination, exact oracles), a UAI-format loader/writer, a greedy
 entropy-guided explainer that reduces joint most-probable-state queries to a
 quadratic number of single-variable marginals, and a benchmark harness that
 scores the heuristic against the exact solver on random instances.

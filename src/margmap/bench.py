@@ -3,10 +3,10 @@
 For each threshold in a grid and each seeded instance, the harness draws
 random evidence, runs the greedy explainer on every unobserved variable,
 treats whatever it explained as the target set, solves that same set exactly
-by brute force, and records exact-match and Hamming accuracy together with
-the time spent in marginal queries versus the exact solve. Instance RNG
-streams are derived from (master seed, instance index), so results do not
-depend on execution order.
+with the constrained-elimination oracle, and records exact-match and Hamming
+accuracy together with the time spent in marginal queries versus the exact
+solve. Instance RNG streams are derived from (master seed, instance index),
+so results do not depend on execution order.
 """
 
 from __future__ import annotations

@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("oracle", help="solve one instance exactly by brute force")
+    p = sub.add_parser("oracle", help="solve one instance exactly by constrained elimination")
     _add_query_arguments(p)
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=_cmd_oracle)

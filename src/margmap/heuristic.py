@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -90,6 +91,8 @@ def epsilon_mmap2mar(
     A step is committed only under a strict ``entropy < epsilon``, so
     ``epsilon=0`` explains nothing unless a marginal is exactly degenerate.
     """
+    if not isinstance(epsilon, Real) or isinstance(epsilon, bool):
+        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")

@@ -2,16 +2,18 @@
 
 ``pr`` and ``mar`` answer evidence-probability and single-variable marginal
 queries by sum-product elimination under a min-fill ordering (or any caller
-supplied ordering). ``brute_force_joint`` and ``brute_force_mmap`` enumerate
-the answers they are tested against and double as desk-scale exact solvers.
+supplied ordering). ``brute_force_joint`` enumerates the full joint table,
+and ``brute_force_mmap`` solves marginal MAP exactly by constrained
+elimination; both are the exact answers the greedy is tested against.
 
 Every elimination runs through one core, ``_Elimination``, which sums the
-model down to a list of tables, one per requested set of kept variables,
-under one evidence at a time. The greedy explainer keeps one per run and asks
-it for all candidates of a round at once: one elimination path over every
-free variable is ordered on a bitset min-fill graph and eliminated once, and
-each candidate forks off that path at the step where the path would
-eliminate it. Between rounds, a potential is restricted again only when the
+model down to the factors each requested set of kept variables holds, under
+one evidence at a time; ``_joined`` multiplies them into that set's table,
+and the oracle max-eliminates them instead. The greedy explainer keeps one
+core per run and asks it for all candidates of a round at once: one
+elimination path over every free variable is ordered on a bitset min-fill
+graph and eliminated once, and each candidate forks off that path at the
+step where the path would eliminate it. Between rounds, a potential is restricted again only when the
 evidence on its scope changed, and a message of the previous round is reused
 whenever a step meets the same factors in the same order, so mostly what the
 newly observed variable touches is redone. Each table is bit-identical to a
@@ -50,7 +52,11 @@ EliminationOrder = tuple[int, ...]
 
 
 class OracleTooLargeError(ValueError):
-    """A brute-force enumeration would exceed its joint-state cap."""
+    """An oracle's input exceeds its joint-state cap.
+
+    The cap counts the joint states of every variable for
+    ``brute_force_joint`` and of the explained set for ``brute_force_mmap``.
+    """
 
 
 @dataclass(frozen=True)
@@ -69,9 +75,9 @@ def min_fill_order(
     """Greedy min-fill ordering of ``eliminate`` over the interaction graph.
 
     Evidence variables, if given, are removed from the graph first, matching
-    the structure left after conditioning. At each step the variable whose
-    elimination adds the fewest fill edges is chosen, ties going to the
-    lowest variable id.
+    the structure left after conditioning; an observed variable cannot also
+    be eliminated. At each step the variable whose elimination adds the
+    fewest fill edges is chosen, ties going to the lowest variable id.
     """
     targets = set(_variable_ids(eliminate, "elimination target"))
     if not targets <= set(range(model.n_vars)):
@@ -79,6 +85,12 @@ def min_fill_order(
     evidence = _variable_ids(evidence, "evidence variable")
     if not set(evidence) <= set(range(model.n_vars)):
         raise ValueError("evidence variables must be model variables")
+    overlap = sorted(targets.intersection(evidence))
+    if overlap:
+        raise ValueError(
+            f"elimination targets and evidence overlap on variables {overlap}; "
+            "they must be disjoint"
+        )
     graph = _without(_interaction_graph(model), evidence)
     return tuple(iter(_MinFill(graph, targets).eliminate_next, None))
 
@@ -213,10 +225,13 @@ def _check_order(model: GraphicalModel, order: Sequence[int] | None) -> list[int
 class _Elimination:
     """Sum-product elimination of one model under a sequence of evidences.
 
-    ``tables(evidence, keeps)`` restricts the model to ``evidence`` and,
-    for each ``keep``, sums out every other free variable: it returns a
-    list in ``keeps`` order of (table over ``keep`` in that order, log
-    scale). Each intermediate is rescaled to max entry 1 so long
+    ``held(evidence, keeps)`` restricts the model to ``evidence`` and, for
+    each ``keep``, sums out every other free variable: it returns a list in
+    ``keeps`` order of (the factors left holding the keep's variables or no
+    variable, in sequence order, log scale). Every such factor's scope lies
+    inside the keep. ``tables(evidence, keeps)`` multiplies each keep's
+    factors into one table over ``keep`` in that order through
+    :func:`_joined`. Each message is rescaled to max entry 1 so long
     eliminations cannot underflow. ``order``, when given, must be a
     permutation of all model variables and its subsequence over the summed
     variables is used; otherwise the order is min-fill over the
@@ -267,6 +282,16 @@ class _Elimination:
     def tables(
         self, evidence: Evidence, keeps: Iterable[Sequence[int]]
     ) -> list[tuple[Potential, float]]:
+        keeps = [tuple(keep) for keep in keeps]
+        cards = self.model.cardinalities
+        return [
+            (_joined(factors, keep, cards), log_scale)
+            for keep, (factors, log_scale) in zip(keeps, self.held(evidence, keeps))
+        ]
+
+    def held(
+        self, evidence: Evidence, keeps: Iterable[Sequence[int]]
+    ) -> list[tuple[list[Potential], float]]:
         model, cards = self.model, self.model.cardinalities
         free = [v for v in range(model.n_vars) if v not in evidence]
         if self.order is None:
@@ -313,13 +338,7 @@ class _Elimination:
             left = dict(scalars)
             for v in keep:
                 left.update(holders[v])
-            values = np.ones([cards[v] for v in keep])
-            for _, f in sorted(left.items()):
-                aligned = f.values if f.scope == keep or not f.scope else _aligned(f, keep)
-                np.multiply(values, aligned, out=values)
-            if not np.all(np.isfinite(values)):
-                raise ValueError("table entries must be finite: a product of potentials overflowed")
-            return Potential._result(keep, values), log_scale
+            return [f for _, f in sorted(left.items())], log_scale
 
         # The path's state: for each variable, the (sequence number, factor)
         # entries whose scope holds it; the entries of empty scope; the log
@@ -341,7 +360,7 @@ class _Elimination:
         for i, keep in enumerate(keeps):
             for v in keep:
                 forks_at.setdefault(v, []).append(i)
-        results: dict[int, tuple[Potential, float]] = {}
+        results: dict[int, tuple[list[Potential], float]] = {}
         waiting = set(range(len(keeps)))
         while waiting and (v := path.peek()) is not None:
             for i in forks_at.get(v, ()):
@@ -356,6 +375,21 @@ class _Elimination:
             results[i] = finish(path, holders, scalars, log_scale, keeps[i])
         self.messages = messages
         return [results[i] for i in range(len(keeps))]
+
+
+def _joined(factors: Iterable[Potential], keep: tuple[int, ...], cards: Sequence[int]) -> Potential:
+    """The product of ``factors``, each with scope inside ``keep``, as a table over ``keep``."""
+    values = np.ones([cards[v] for v in keep])
+    for f in factors:
+        aligned = f.values if f.scope == keep or not f.scope else _aligned(f, keep)
+        np.multiply(values, aligned, out=values)
+    _check_finite(values)
+    return Potential._result(keep, values)
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("table entries must be finite: a product of potentials overflowed")
 
 
 def _sum_out(
@@ -479,26 +513,51 @@ def brute_force_mmap(
 ) -> MmapSolution:
     """Exact most probable joint state of ``explain`` given the evidence.
 
-    Sums out all other unobserved variables, scans every joint state of the
-    explained set, and returns the maximizer with its probability
+    Solves by constrained elimination (Park & Darwiche 2004): sums out every
+    other unobserved variable on the shared elimination core, then
+    max-eliminates the explained variables in decreasing id order, keeping
+    each step's first-max argmax table, and decodes the assignment in
+    increasing id order. Returns the maximizer with its probability
     P(x_M*, x_E). Ties break toward the lexicographically smallest
-    assignment in variable-id order.
+    assignment in variable-id order. Every table the max half builds has
+    its scope inside the explained set, and an explained set with more
+    than ``cap`` joint states still raises :class:`OracleTooLargeError`.
+    Evidence of probability zero gives the all-zero assignment with
+    probability 0; a model whose joint mass is zero raises
+    :class:`ZeroProbabilityEvidenceError`. The name is kept for API
+    stability; nothing is enumerated.
     """
     explain = _check_explain(model, evidence, explain)
-    shape = tuple(model.cardinalities[v] for v in explain)
-    states = math.prod(shape)
+    states = math.prod(model.cardinalities[v] for v in explain)
     if states > cap:
         raise OracleTooLargeError(f"{states} explained states exceed the cap of {cap}")
     if not explain:
         return MmapSolution({}, pr(model, evidence))
 
-    table, log_num = _sum_out(model, evidence, explain)
+    [(factors, log_num)] = _Elimination(model).held(evidence, (explain,))
+    traceback = []
+    for v in reversed(explain):
+        bucket = [f for f in factors if v in f.scope]
+        factors = [f for f in factors if v not in f.scope]
+        prod = bucket[0]
+        for f in bucket[1:]:
+            prod = _product(prod, f)
+        _check_finite(prod.values)
+        axis = prod.scope.index(v)
+        scope = prod.scope[:axis] + prod.scope[axis + 1 :]
+        traceback.append((v, scope, prod.values.argmax(axis=axis)))  # first max: lowest state
+        values = prod.values.max(axis=axis)
+        peak = float(values.max())
+        if peak > 0.0 and peak != 1.0:
+            values = values / peak
+            log_num += math.log(peak)
+        factors.append(Potential._result(scope, values))
+    peak = float(_joined(factors, (), model.cardinalities).values)  # factors left are scalars
     log_den, log_den_scale = _log_z(model)
-    flat = table.flat
-    best = int(np.argmax(flat))
-    assignment = dict(zip(explain, (int(s) for s in np.unravel_index(best, shape))))
-    peak = float(flat[best])
     if peak == 0.0:
-        return MmapSolution(dict(zip(explain, (0,) * len(explain))), 0.0)
+        return MmapSolution(dict.fromkeys(explain, 0), 0.0)
+    assignment: dict[int, int] = {}
+    for v, scope, argmax in reversed(traceback):
+        assignment[v] = int(argmax[tuple(assignment[u] for u in scope)])
     probability = math.exp(math.log(peak) - log_den + log_num - log_den_scale)
     return MmapSolution(assignment, probability)

@@ -221,6 +221,10 @@ def _variable_ids(ids: Iterable[int], what: str) -> list[VariableId]:
 
 def validate_evidence(model: GraphicalModel, evidence: Evidence) -> None:
     """Check that every observed variable and state is an integer that exists in the model."""
+    if not isinstance(evidence, Mapping):
+        raise ValueError(
+            f"evidence must map integer variables to integer states, got {evidence!r}"
+        )
     for v, s in evidence.items():
         if not (_is_integer(v) and _is_integer(s)):
             raise ValueError(

@@ -211,9 +211,10 @@ class TestEpsilonSemantics:
         assert full.explained == {0: 0, 1: 0}  # lowest-id, lowest-state ties
         assert [s.variable for s in full.steps] == [0, 1]
 
-    def test_epsilon_validated(self, weather):
+    @pytest.mark.parametrize("epsilon", [1.5, "0.5", True, None])
+    def test_epsilon_validated(self, weather, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
-            epsilon_mmap2mar(weather, [0, 1], epsilon=1.5)
+            epsilon_mmap2mar(weather, [0, 1], epsilon=epsilon)
 
 
 class TestAccounting:

@@ -1,6 +1,7 @@
 """Variable elimination, entropy, and the brute-force oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from conftest import (
     WEATHER_JOINT,
     differential_models,
     entropy_by_formula,
+    joint_by_enumeration,
     mar_by_enumeration,
     pr_by_enumeration,
     random_evidence,
@@ -76,6 +78,11 @@ class TestMinFillOrder:
         with pytest.raises(ValueError, match="evidence variables must be model variables"):
             min_fill_order(weather, [0], evidence=evidence)
 
+    def test_evidence_must_not_be_eliminated(self, weather):
+        with pytest.raises(ValueError, match="must be disjoint"):
+            min_fill_order(weather, [0, 1], evidence=[0])
+        assert min_fill_order(weather, [1], evidence=[0]) == (1,)
+
     def test_pr_is_order_invariant(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
@@ -97,7 +104,8 @@ class TestMinFillOrder:
             n = model.n_vars
             evidence = random_evidence(model, rng, max_size=4)
             size = int(rng.integers(0, n + 1))
-            eliminate = [int(v) for v in rng.choice(n, size=size, replace=False)]
+            drawn = rng.choice(n, size=size, replace=False)
+            eliminate = [int(v) for v in drawn if v not in evidence]  # targets must be unobserved
             assert min_fill_order(model, eliminate, evidence) == reference_min_fill_order(
                 model, eliminate, evidence
             )
@@ -288,7 +296,9 @@ class TestMar:
             mar(weather, {1: 1}, 1)
 
 
-@pytest.mark.parametrize("evidence", [{2: 0}, {0: 2}, {1.5: 0}, {0: 1.5}, {True: 0}, {0: False}])
+@pytest.mark.parametrize(
+    "evidence", [{2: 0}, {0: 2}, {1.5: 0}, {0: 1.5}, {True: 0}, {0: False}, [(1, 1)]]
+)
 def test_bad_evidence_rejected_by_every_query(weather, evidence):
     for query in (
         lambda: pr(weather, evidence),
@@ -441,6 +451,9 @@ class TestBruteForceMmap:
         )
         solution = brute_force_mmap(model, {}, {0, 1})
         assert solution.assignment == {0: 0, 1: 0}
+        # (0, 1) and (1, 0) tie; eliminating variable 0 first would pick (1, 0)
+        crossed = GraphicalModel((2, 2), (Potential((0, 1), [[0.0, 1.0], [1.0, 0.0]]),))
+        assert brute_force_mmap(crossed, {}, {0, 1}).assignment == {0: 0, 1: 1}
 
     def test_zero_probability_evidence(self):
         model = GraphicalModel(
@@ -450,6 +463,55 @@ class TestBruteForceMmap:
         solution = brute_force_mmap(model, {0: 1}, {1})
         assert solution.probability == 0.0
         assert solution.assignment == {1: 0}
+
+    def test_zero_total_mass_raises(self):
+        model = GraphicalModel(
+            (2, 2),
+            (Potential((0,), [0.0, 0.0]), Potential((0, 1), np.zeros((2, 2)))),
+        )
+        for evidence, explain in (({}, {0, 1}), ({1: 0}, {0})):
+            with pytest.raises(ZeroProbabilityEvidenceError):
+                brute_force_mmap(model, evidence, explain)
+
+    def test_max_messages_are_rescaled_so_tiny_tables_do_not_underflow(self):
+        # the unnormalized mass of any joint state is about 1e-360, below float64's range
+        n = 12
+        model = GraphicalModel(
+            (2,) * n, tuple(Potential((v,), [1e-30, 2e-30]) for v in range(n))
+        )
+        solution = brute_force_mmap(model, {}, range(n))
+        assert solution.assignment == dict.fromkeys(range(n), 1)
+        assert solution.probability == pytest.approx((2 / 3) ** n, rel=1e-12)
+
+    def test_matches_the_enumeration_on_the_differential_models(self):
+        rng = np.random.default_rng(33)
+        for model in differential_models(33):
+            if math.prod(model.cardinalities) > 1 << 16:
+                continue  # the pure-Python enumeration would take seconds
+            joint = joint_by_enumeration(model)
+            total = sum(joint.values())
+            for _ in range(3):
+                evidence = random_evidence(model, rng)
+                free = [v for v in range(model.n_vars) if v not in evidence]
+                size = int(rng.integers(1, len(free) + 1))
+                explain = sorted(int(v) for v in rng.choice(free, size=size, replace=False))
+                if total == 0.0:
+                    with pytest.raises(ZeroProbabilityEvidenceError):
+                        brute_force_mmap(model, evidence, explain)
+                    continue
+                observed = list(evidence.items())
+                mass = {}
+                for state, value in joint.items():
+                    if all(state[v] == s for v, s in observed):
+                        key = tuple(state[v] for v in explain)
+                        mass[key] = mass.get(key, 0.0) + value
+                best = max(mass.values())
+                # ties within rounding go to the lexicographically smallest state
+                expected = min(key for key, m in mass.items() if m >= best * (1 - 1e-12))
+                solution = brute_force_mmap(model, evidence, explain)
+                assert list(solution.assignment) == explain
+                assert tuple(solution.assignment.values()) == expected
+                assert solution.probability == pytest.approx(best / total, rel=1e-9, abs=0.0)
 
     def test_probability_consistent_with_pr(self):
         rng = np.random.default_rng(32)
