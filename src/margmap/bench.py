@@ -1,12 +1,12 @@
 """Benchmark harness: random instances, oracle comparison, trajectory files.
 
-For each threshold in a grid and each seeded instance, the harness draws
-random evidence, runs the greedy explainer on every unobserved variable,
-treats whatever it explained as the target set, solves that same set exactly
-with the constrained-elimination oracle, and records exact-match and Hamming
-accuracy together with the time spent in marginal queries versus the exact
-solve. Instance RNG streams are derived from (master seed, instance index),
-so results do not depend on execution order.
+Each seeded instance draws its random evidence once. For each threshold in
+a grid and each instance, the harness runs the greedy explainer on every
+unobserved variable, treats whatever it explained as the target set, solves
+that same set exactly with the constrained-elimination oracle, and records
+exact-match and Hamming accuracy together with the time spent in marginal
+queries versus the exact solve. Instance RNG streams are derived from
+(master seed, instance index), so results do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -155,12 +155,22 @@ def run_benchmark(
     points: list[TrajectoryPoint] = []
     results: list[InstanceResult] = []
     skipped: list[SkippedInstance] = []
+    # Each instance's evidence depends only on (seed, index): draw it once
+    # and meet every epsilon with it, a failed draw included.
+    draws: list[dict[int, int] | ZeroProbabilityEvidenceError] = []
+    for index in range(spec.q):
+        rng = np.random.default_rng([spec.seed, index])
+        try:
+            draws.append(generate_instance(model, spec.k, rng))
+        except ZeroProbabilityEvidenceError as err:
+            draws.append(err)
     for eps in spec.epsilon_grid:
         completed: list[InstanceResult] = []
-        for index in range(spec.q):
-            rng = np.random.default_rng([spec.seed, index])
+        for index, evidence in enumerate(draws):
+            if isinstance(evidence, ZeroProbabilityEvidenceError):
+                skipped.append(SkippedInstance(eps, index, str(evidence)))
+                continue
             try:
-                evidence = generate_instance(model, spec.k, rng)
                 explain = [v for v in explainable if v not in evidence]
                 if not explain:
                     skipped.append(
@@ -180,7 +190,7 @@ def run_benchmark(
                 InstanceResult(
                     epsilon=eps,
                     index=index,
-                    evidence=evidence,
+                    evidence=dict(evidence),
                     heuristic_assignment=dict(trace.explained),
                     exact_assignment=dict(exact.assignment),
                     exact_match=trace.explained == exact.assignment,

@@ -23,11 +23,12 @@ from .model import (
     Evidence,
     GraphicalModel,
     MassFunction,
+    Potential,
     ZeroProbabilityEvidenceError,
     _check_explain,
-    normalize,
+    _normalized,
 )
-from .inference import _Elimination, entropy, pr
+from .inference import _Elimination, _entropy, _over_z
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +49,9 @@ class ExplanationTrace:
     holds the target variables left when a threshold stopped the run (empty
     when the run went to completion). ``p_tilde`` is the joint probability of
     the explained states together with the input evidence, a lower bound on
-    the exact optimum over the same set. ``break_entropy`` is the entropy of
+    the exact optimum over the same set: P(evidence), exactly as
+    :func:`~margmap.inference.pr` gives it, times each committed state's
+    probability in its step's marginal. ``break_entropy`` is the entropy of
     the marginal that failed the threshold, when one did. ``mar_calls``
     counts the logical marginal queries, one per candidate per round
     (k(k+1)/2 for a full run over k targets), although each round computes
@@ -77,7 +80,7 @@ def mmap2mar(
     Issues exactly k(k+1)/2 marginal queries for k target variables. Entropy
     ties pick the lowest variable id; state ties pick the lowest state index.
     """
-    return _greedy(model, explain, evidence or {}, epsilon=None)
+    return _greedy(model, explain, {} if evidence is None else evidence, epsilon=None)
 
 
 def epsilon_mmap2mar(
@@ -96,7 +99,7 @@ def epsilon_mmap2mar(
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    return _greedy(model, explain, evidence or {}, epsilon=epsilon)
+    return _greedy(model, explain, {} if evidence is None else evidence, epsilon=epsilon)
 
 
 def _greedy(
@@ -105,6 +108,17 @@ def _greedy(
     evidence: Evidence,
     epsilon: float | None,
 ) -> ExplanationTrace:
+    """The greedy run behind :func:`mmap2mar` and :func:`epsilon_mmap2mar`.
+
+    One :class:`~margmap.inference._Elimination` serves the whole run. Each
+    round asks it for every candidate's table at once and scores each one
+    straight from its table, with the arithmetic of ``normalize`` and
+    ``entropy``; only the winner becomes a :class:`MassFunction`. Round 1
+    also asks for the empty keep when there is evidence: its table and log
+    scale are those of ``pr``'s own elimination, so P(evidence), the start
+    of p~, comes out bit-identical without a second elimination. The ratio
+    to the partition function is taken after the last round.
+    """
     targets = list(_check_explain(model, evidence, explain))
     if not targets:
         raise ValueError("explain set must be non-empty")
@@ -120,34 +134,46 @@ def _greedy(
     mar_seconds = 0.0
     break_entropy: float | None = None
     elimination = _Elimination(model)
+    empty_keep = [()] if evidence else []  # in round 1 only: P(evidence)'s grand sum
+    evidence_sum: tuple[Potential, float] | None = None
 
     while targets:
         start = time.perf_counter()
-        best: tuple[float, int, MassFunction] | None = None
-        tables = elimination.tables(working, [(v,) for v in targets])
+        best: tuple[float, int, np.ndarray] | None = None
+        tables = elimination.tables(working, [(v,) for v in targets] + empty_keep)
+        if empty_keep:
+            evidence_sum = tables.pop()
+            empty_keep = []
         for v, (table, _) in zip(targets, tables):
             try:
-                marginal = normalize(table)
+                probs = _normalized(table)
             except ZeroProbabilityEvidenceError as err:
                 raise ZeroProbabilityEvidenceError(
                     f"working evidence became impossible at step {len(steps) + 1} "
                     f"while scoring variable {v}"
                 ) from err
-            h = entropy(marginal)
+            h = _entropy(probs)
             if best is None or h < best[0]:  # ties keep the lowest variable id
-                best = (h, v, marginal)
+                best = (h, v, probs)
         mar_seconds += time.perf_counter() - start
         mar_calls += len(targets)
-        h, chosen, marginal = best
+        h, chosen, probs = best
         if epsilon is not None and not h < epsilon:
             break_entropy = h
             break
+        marginal = MassFunction(chosen, probs)
         state = int(np.argmax(marginal.probs))  # ties keep the lowest state index
         steps.append(ExplanationStep(chosen, state, h, marginal))
         working[chosen] = state
         targets.remove(chosen)
 
-    p_tilde = pr(model, evidence)
+    # The first ratio taken on a model also computes its log partition
+    # function, a full elimination: after the rounds, only the last round's
+    # messages are alive beside it.
+    p_tilde = 1.0
+    if evidence_sum is not None:
+        table, log_scale = evidence_sum
+        p_tilde = _over_z(model, float(table.values), log_scale)
     for s in steps:
         p_tilde *= float(s.marginal.probs[s.chosen_state])
 

@@ -13,11 +13,17 @@ and the oracle max-eliminates them instead. The greedy explainer keeps one
 core per run and asks it for all candidates of a round at once: one
 elimination path over every free variable is ordered on a bitset min-fill
 graph and eliminated once, and each candidate forks off that path at the
-step where the path would eliminate it. Between rounds, a potential is restricted again only when the
-evidence on its scope changed, and a message of the previous round is reused
-whenever a step meets the same factors in the same order, so mostly what the
-newly observed variable touches is redone. Each table is bit-identical to a
-separate query. ``pr``, ``mar`` and the oracle use a fresh core per query.
+step where the path would eliminate it. Between rounds, a potential is
+restricted again only when the evidence on its scope changed, and a message
+of the previous round is reused whenever a step meets the same factors in
+the same order, so mostly what the newly observed variable touches is
+redone. Each table is bit-identical to a separate query. ``pr``, ``mar`` and
+the oracle use a fresh core per query.
+
+Every bucket, summed (``_sum_message``) or maxed (``_max_message``), and
+every final table (``_joined``) is multiplied by one kernel,
+``model._chain``, which multiplies left to right into arrays and wraps only
+the result in a ``Potential``.
 """
 
 from __future__ import annotations
@@ -35,11 +41,9 @@ from .model import (
     MassFunction,
     Potential,
     ZeroProbabilityEvidenceError,
-    _aligned,
+    _chain,
     _check_explain,
-    _product,
     _variable_ids,
-    factor_marginalize,
     factor_product,
     factor_restrict,
     normalize,
@@ -141,10 +145,12 @@ class _MinFill:
     left). Eliminating a vertex joins its neighbours into a clique, which
     changes the fill count only of those neighbours and of vertices adjacent
     to two or more of them, so only those are recounted (non-targets too,
-    whose counts are never read). ``fork(exclude)`` copies the state with
-    ``exclude`` dropped from the targets. Every vertex picked so far was the
-    least (fill count, id) among a superset of the copy's targets, so the
-    copy goes on exactly as a fresh stepper over its own targets would.
+    whose counts are never read); ``eliminate_next`` recounts inline, with
+    the arithmetic of :func:`_fill_count`. ``fork(exclude)`` copies the
+    state with ``exclude`` dropped from the targets. Every vertex picked so
+    far was the least (fill count, id) among a superset of the copy's
+    targets, so the copy goes on exactly as a fresh stepper over its own
+    targets would.
     """
 
     __slots__ = ("adjacency", "remaining", "fill")
@@ -160,26 +166,35 @@ class _MinFill:
         return min(self.remaining, key=self.fill.__getitem__, default=None)
 
     def eliminate_next(self) -> int | None:
-        best = self.peek()
-        if best is None:
+        remaining, adjacency, fill = self.remaining, self.adjacency, self.fill
+        if not remaining:
             return None
-        self.remaining.remove(best)
-        adjacency = self.adjacency
+        best = min(remaining, key=fill.__getitem__)
+        remaining.remove(best)
         nbrs = rest = adjacency[best]
         adjacency[best] = 0
+        gone = 1 << best
         near = nbrs
         while rest:
             low = rest & -rest
             a = low.bit_length() - 1
-            adjacency[a] = (adjacency[a] | nbrs) & ~low & ~(1 << best)
-            near |= adjacency[a]
+            adjacency[a] = joined = (adjacency[a] | nbrs) & ~(low | gone)
+            near |= joined
             rest ^= low
         while near:
             low = near & -near
-            u = low.bit_length() - 1
             near ^= low
-            if nbrs & low or (adjacency[u] & nbrs).bit_count() >= 2:  # else u's count stands
-                self.fill[u] = _fill_count(adjacency, u)
+            u = low.bit_length() - 1
+            around = adjacency[u]
+            if nbrs & low or (around & nbrs).bit_count() >= 2:  # else u's count stands
+                d = around.bit_count()  # _fill_count(adjacency, u), inline
+                linked = 0
+                bits = around
+                while bits:
+                    bit = bits & -bits
+                    linked += (adjacency[bit.bit_length() - 1] & around).bit_count()
+                    bits ^= bit
+                fill[u] = d * (d - 1) // 2 - linked // 2
         return best
 
     def fork(self, exclude: Iterable[int]) -> _MinFill:
@@ -231,11 +246,13 @@ class _Elimination:
     variable, in sequence order, log scale). Every such factor's scope lies
     inside the keep. ``tables(evidence, keeps)`` multiplies each keep's
     factors into one table over ``keep`` in that order through
-    :func:`_joined`. Each message is rescaled to max entry 1 so long
-    eliminations cannot underflow. ``order``, when given, must be a
-    permutation of all model variables and its subsequence over the summed
-    variables is used; otherwise the order is min-fill over the
-    evidence-conditioned graph. A table that overflowed float64 on the way
+    :func:`_joined`. Each step computes its message with
+    :func:`_sum_message`, which multiplies the bucket left to right through
+    one :func:`_chain` call and wraps only the message; each message is
+    rescaled to max entry 1 so long eliminations cannot underflow.
+    ``order``, when given, must be a permutation of all model variables and
+    its subsequence over the summed variables is used; otherwise the order
+    is min-fill over the evidence-conditioned graph. A table that overflowed float64 on the way
     shows up as a non-finite entry and raises ``ValueError``.
 
     All ``keeps`` of one call share one elimination path: the order of every
@@ -268,7 +285,7 @@ class _Elimination:
         self.graph = _interaction_graph(model) if order is None else None
         self.slices: list[tuple[tuple[int, int], ...] | None] = [None] * len(model.potentials)
         self.restricted: list[Potential | None] = [None] * len(model.potentials)
-        self.messages: dict[tuple[int, ...], tuple[Potential, float, list[Potential]]] = {}
+        self.messages: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
 
     def _restrict(self, evidence: Evidence) -> list[Potential]:
         cards, restricted, slices = self.model.cardinalities, self.restricted, self.slices
@@ -292,7 +309,7 @@ class _Elimination:
     def held(
         self, evidence: Evidence, keeps: Iterable[Sequence[int]]
     ) -> list[tuple[list[Potential], float]]:
-        model, cards = self.model, self.model.cardinalities
+        model = self.model
         free = [v for v in range(model.n_vars) if v not in evidence]
         if self.order is None:
             path = _MinFill(_without(self.graph, evidence), free)
@@ -306,28 +323,18 @@ class _Elimination:
             bucket = holders[v]
             if not bucket:
                 return 0.0
-            factors = [f for _, f in bucket]
-            key = (v, *map(id, factors))
+            key = (v, *[id(f) for _, f in bucket])
             found = messages.get(key)
             if found is None:
                 found = earlier.pop(key, None)
                 if found is None:
-                    prod = factors[0]
-                    for f in factors[1:]:
-                        prod = _product(prod, f)
-                    out = factor_marginalize(prod, {v}, cards)
-                    peak = float(out.values.max())
-                    log_peak = 0.0
-                    if peak > 0.0 and peak != 1.0:
-                        out = Potential._result(out.scope, out.values / peak)
-                        log_peak = math.log(peak)
-                    found = (out, log_peak, factors)
+                    found = (*_sum_message([f for _, f in bucket], v), bucket)
                 messages[key] = found
             out, log_peak, _ = found
             entry = (next(numbers), out)
             holders[v] = ()
             for u in out.scope:
-                holders[u] = tuple(e for e in holders[u] if e not in bucket) + (entry,)
+                holders[u] = (*[e for e in holders[u] if e not in bucket], entry)
             if not out.scope:
                 scalars.append(entry)
             return log_peak
@@ -377,12 +384,48 @@ class _Elimination:
         return [results[i] for i in range(len(keeps))]
 
 
+def _sum_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float]:
+    """Sum ``v`` out of the product of ``bucket``: the message, rescaled, and its log scale.
+
+    The bucket's factors are multiplied left to right by :func:`_chain`, ``v``'s
+    axis is summed, and the sum is divided by its largest entry (when that is
+    neither 0 nor 1), whose log is returned.
+    """
+    first = bucket[0]
+    scope, values = _chain(first.scope, first.values, bucket[1:])
+    axis = scope.index(v)
+    return _rescaled(scope[:axis] + scope[axis + 1 :], values.sum(axis=axis))
+
+
+def _max_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float, np.ndarray]:
+    """Max ``v`` out of the product of ``bucket``, as :func:`_sum_message` sums it out.
+
+    Also returns the argmax table over the message's scope, which holds the
+    first maximizing state of ``v``, so ties go to the lowest state. A
+    product that overflowed raises ``ValueError``.
+    """
+    first = bucket[0]
+    scope, values = _chain(first.scope, first.values, bucket[1:])
+    _check_finite(values)
+    axis = scope.index(v)
+    message, log_peak = _rescaled(scope[:axis] + scope[axis + 1 :], values.max(axis=axis))
+    return message, log_peak, values.argmax(axis=axis)
+
+
+def _rescaled(scope: tuple[int, ...], values: np.ndarray) -> tuple[Potential, float]:
+    """``values`` over ``scope`` divided by its largest entry, and the log of that divisor.
+
+    A largest entry of 0 or 1 divides nothing and gives log 0.
+    """
+    peak = float(values.max())
+    if peak > 0.0 and peak != 1.0:
+        return Potential._result(scope, values / peak), math.log(peak)
+    return Potential._result(scope, values), 0.0
+
+
 def _joined(factors: Iterable[Potential], keep: tuple[int, ...], cards: Sequence[int]) -> Potential:
     """The product of ``factors``, each with scope inside ``keep``, as a table over ``keep``."""
-    values = np.ones([cards[v] for v in keep])
-    for f in factors:
-        aligned = f.values if f.scope == keep or not f.scope else _aligned(f, keep)
-        np.multiply(values, aligned, out=values)
+    _, values = _chain(keep, np.ones([cards[v] for v in keep]), factors)
     _check_finite(values)
     return Potential._result(keep, values)
 
@@ -440,11 +483,20 @@ def pr(
     if not evidence:
         return 1.0
     table, log_num = _sum_out(model, evidence, (), order)
-    num = float(table.values)
-    if num == 0.0:
+    return _over_z(model, float(table.values), log_num)
+
+
+def _over_z(model: GraphicalModel, mass: float, log_scale: float) -> float:
+    """``mass * exp(log_scale)`` divided by the model's partition function.
+
+    The ratio is taken in log space, exp(log mass - log Z + the log scales),
+    so neither factor has to fit in a float64 by itself. Zero mass gives 0
+    without computing Z.
+    """
+    if mass == 0.0:
         return 0.0
     log_den, log_den_scale = _log_z(model)
-    return math.exp(math.log(num) - log_den + log_num - log_den_scale)
+    return math.exp(math.log(mass) - log_den + log_scale - log_den_scale)
 
 
 def mar(
@@ -477,10 +529,15 @@ def entropy(mass: MassFunction) -> float:
     degenerate gives 0; 0 log 0 is taken as 0 and a one-state variable has
     entropy 0.
     """
-    k = mass.cardinality
+    return _entropy(mass.probs)
+
+
+def _entropy(probs: np.ndarray) -> float:
+    """:func:`entropy` of a mass function's probabilities, without the :class:`MassFunction`."""
+    k = probs.size
     if k <= 1:
         return 0.0
-    p = mass.probs[mass.probs > 0.0]
+    p = probs[probs > 0.0]
     h = float(-(p * np.log(p)).sum() / math.log(k))
     return min(max(h, 0.0), 1.0)
 
@@ -539,25 +596,16 @@ def brute_force_mmap(
     for v in reversed(explain):
         bucket = [f for f in factors if v in f.scope]
         factors = [f for f in factors if v not in f.scope]
-        prod = bucket[0]
-        for f in bucket[1:]:
-            prod = _product(prod, f)
-        _check_finite(prod.values)
-        axis = prod.scope.index(v)
-        scope = prod.scope[:axis] + prod.scope[axis + 1 :]
-        traceback.append((v, scope, prod.values.argmax(axis=axis)))  # first max: lowest state
-        values = prod.values.max(axis=axis)
-        peak = float(values.max())
-        if peak > 0.0 and peak != 1.0:
-            values = values / peak
-            log_num += math.log(peak)
-        factors.append(Potential._result(scope, values))
+        message, log_peak, argmax = _max_message(bucket, v)
+        traceback.append((v, message.scope, argmax))
+        factors.append(message)
+        log_num += log_peak
     peak = float(_joined(factors, (), model.cardinalities).values)  # factors left are scalars
-    log_den, log_den_scale = _log_z(model)
+    _log_z(model)  # a model of zero mass raises even when the evidence has mass zero
     if peak == 0.0:
         return MmapSolution(dict.fromkeys(explain, 0), 0.0)
     assignment: dict[int, int] = {}
     for v, scope, argmax in reversed(traceback):
         assignment[v] = int(argmax[tuple(assignment[u] for u in scope)])
-    probability = math.exp(math.log(peak) - log_den + log_num - log_den_scale)
+    probability = _over_z(model, peak, log_num)
     return MmapSolution(assignment, probability)

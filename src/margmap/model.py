@@ -262,14 +262,6 @@ def _check_explain(
     return explain
 
 
-def _aligned(p: Potential, scope: tuple[int, ...]) -> np.ndarray:
-    """View of p.values broadcastable over the axes of ``scope``."""
-    pos = {v: i for i, v in enumerate(p.scope)}
-    arr = p.values.transpose([pos[v] for v in scope if v in pos])
-    axes = iter(arr.shape)
-    return arr.reshape(tuple(next(axes) if v in pos else 1 for v in scope))
-
-
 def factor_product(a: Potential, b: Potential, cards: Sequence[int]) -> Potential:
     """Multiply two potentials over the ordered union of their scopes.
 
@@ -277,14 +269,39 @@ def factor_product(a: Potential, b: Potential, cards: Sequence[int]) -> Potentia
     """
     _check_scope(a, cards)
     _check_scope(b, cards)
-    return _product(a, b)
+    return Potential._result(*_chain(a.scope, a.values, (b,)))
 
 
-def _product(a: Potential, b: Potential) -> Potential:
-    """:func:`factor_product` without the scope checks, for factors built from checked ones."""
-    a_vars = set(a.scope)
-    scope = a.scope + tuple(v for v in b.scope if v not in a_vars)
-    return Potential._result(scope, _aligned(a, scope) * _aligned(b, scope))
+def _chain(
+    scope: tuple[VariableId, ...], values: np.ndarray, factors: Iterable[Potential]
+) -> tuple[tuple[VariableId, ...], np.ndarray]:
+    """Multiply a table over ``scope`` by each of ``factors``, left to right.
+
+    Returns the product's scope and values. The scope is ``scope`` followed by
+    each factor's variables not seen before, in order, so the running
+    product's scope is always a prefix of the next one and it only gains
+    trailing unit axes; each factor is transposed and reshaped once to
+    broadcast against it. No intermediate is wrapped in a :class:`Potential`,
+    and each step multiplies the same two arrays a pairwise
+    :func:`factor_product` of the running product and the factor would, so
+    the values and their memory layout are those of the pairwise chain. The
+    factors are trusted: built from checked potentials.
+    """
+    for f in factors:
+        f_scope = f.scope
+        if f_scope == scope or not f_scope:
+            values = values * f.values
+            continue
+        new = [u for u in f_scope if u not in scope]
+        if new:
+            values = values.reshape(values.shape + (1,) * len(new))
+            scope += tuple(new)
+        f_values = f.values.transpose([f_scope.index(u) for u in scope if u in f_scope])
+        if len(f_scope) < len(scope):
+            axes = iter(f_values.shape)
+            f_values = f_values.reshape([next(axes) if u in f_scope else 1 for u in scope])
+        values = values * f_values
+    return scope, values
 
 
 def factor_marginalize(
@@ -324,9 +341,14 @@ def normalize(p: Potential) -> MassFunction:
     """Normalize a single-variable potential into a mass function."""
     if len(p.scope) != 1:
         raise ValueError(f"normalize expects a single-variable potential, got scope {p.scope}")
+    return MassFunction(p.scope[0], _normalized(p))
+
+
+def _normalized(p: Potential) -> np.ndarray:
+    """:func:`normalize`'s probabilities, without the scope check or the :class:`MassFunction`."""
     total = float(p.values.sum())
     if total <= 0.0:
         raise ZeroProbabilityEvidenceError(
             f"mass over variable {p.scope[0]} is zero: the conditioning event has probability 0"
         )
-    return MassFunction(p.scope[0], np.clip(p.values / total, 0.0, 1.0))
+    return np.clip(p.values / total, 0.0, 1.0)

@@ -127,6 +127,18 @@ def _small_spec(tmp_path, **overrides):
     return BenchmarkSpec(**defaults)
 
 
+def _count_draws(monkeypatch):
+    """Record each call ``run_benchmark`` makes to ``generate_instance``."""
+    drawn = []
+
+    def counting(*args, **kwargs):
+        drawn.append(args)
+        return generate_instance(*args, **kwargs)
+
+    monkeypatch.setattr("margmap.bench.generate_instance", counting)
+    return drawn
+
+
 class TestRunBenchmark:
     def test_epsilon_zero_explains_nothing(self, tmp_path):
         points, results, skipped = run_benchmark(_small_spec(tmp_path))
@@ -217,6 +229,30 @@ class TestRunBenchmark:
     def test_k_must_leave_free_variables(self, tmp_path):
         with pytest.raises(ValueError, match="k"):
             run_benchmark(_small_spec(tmp_path, k=5))
+
+    def test_evidence_is_drawn_once_per_instance(self, tmp_path, monkeypatch):
+        drawn = _count_draws(monkeypatch)
+        spec = _small_spec(tmp_path, q=3)
+        _, results, _ = run_benchmark(spec)
+        assert len(spec.epsilon_grid) > 1
+        assert len(drawn) == spec.q  # not q times the grid size
+        assert [(r.epsilon, r.index) for r in results] == [
+            (e, i) for e in spec.epsilon_grid for i in range(spec.q)
+        ]
+
+    def test_failed_draws_are_skipped_at_every_epsilon_in_order(self, tmp_path, monkeypatch):
+        # every state of every variable has probability zero, so no draw succeeds
+        model = GraphicalModel((2, 2), (Potential((0, 1), np.zeros((2, 2))),))
+        path = tmp_path / "zero.uai"
+        path.write_text(write_uai(model))
+        drawn = _count_draws(monkeypatch)
+        spec = BenchmarkSpec(path, k=1, q=2, epsilon_grid=(0.5, 1.0), seed=0)
+        points, results, skipped = run_benchmark(spec)
+        assert not points and not results
+        assert len(drawn) == spec.q
+        assert [(s.epsilon, s.index) for s in skipped] == [(0.5, 0), (0.5, 1), (1.0, 0), (1.0, 1)]
+        reason = "no evidence with positive probability found in 100 draws"
+        assert all(s.reason == reason for s in skipped)
 
 
 class TestWeatherBench:

@@ -16,6 +16,9 @@ from margmap import (
     brute_force_joint,
     brute_force_mmap,
     entropy,
+    epsilon_mmap2mar,
+    factor_marginalize,
+    factor_product,
     mar,
     min_fill_order,
     mmap2mar,
@@ -23,7 +26,7 @@ from margmap import (
     run_benchmark,
 )
 from margmap.generate import random_grid_model, random_model
-from margmap.inference import _Elimination, _sum_out
+from margmap.inference import _Elimination, _max_message, _sum_message, _sum_out
 from margmap.uaiio import write_uai
 
 from conftest import (
@@ -168,6 +171,76 @@ class TestSharedElimination:
                     previous = evidence
 
 
+class TestBucketKernel:
+    """The one-pass bucket kernel against a chain of the public pairwise factor ops."""
+
+    @staticmethod
+    def _buckets():
+        """Random buckets: permuted scopes, shared variables, scalar and single factors.
+
+        Every third bucket draws cardinalities 8 to 10, where numpy sums a
+        message's entries pairwise, so its last bits depend on the memory
+        layout of the bucket's product.
+        """
+        rng = np.random.default_rng(81)
+        for i in range(600):
+            n = int(rng.integers(1, 5))
+            low, high = (8, 11) if i % 3 == 0 else (1, 5)
+            cards = tuple(int(c) for c in rng.integers(low, high, size=n))
+            v = int(rng.integers(n))
+            size = 1 if i % 7 == 0 else int(rng.integers(2, 5))
+            bucket = []
+            for j in range(size):
+                scope = [int(u) for u in rng.permutation(n)[: int(rng.integers(0, n + 1))]]
+                if j == 0 and v not in scope:
+                    scope.insert(int(rng.integers(len(scope) + 1)), v)
+                shape = tuple(cards[u] for u in scope)
+                bucket.append(Potential(tuple(scope), rng.uniform(0.1, 2.0, size=shape)))
+            yield cards, bucket, v
+
+    @staticmethod
+    def _chain_product(bucket, cards):
+        product = bucket[0]
+        for f in bucket[1:]:
+            product = factor_product(product, f, cards)
+        return product
+
+    @staticmethod
+    def _rescale(values):
+        peak = float(values.max())
+        if peak > 0.0 and peak != 1.0:
+            return values / peak, math.log(peak)
+        return values, 0.0
+
+    def test_sum_message_matches_the_pairwise_chain(self):
+        seen = set()
+        for cards, bucket, v in self._buckets():
+            product = self._chain_product(bucket, cards)
+            summed = factor_marginalize(product, {v}, cards)
+            values, log_peak = self._rescale(summed.values)
+            message, message_log_peak = _sum_message(bucket, v)
+            assert message.scope == summed.scope
+            assert np.array_equal(message.values, values)
+            assert message_log_peak == log_peak
+            seen.update(
+                ("one factor" if len(bucket) == 1 else "several factors",
+                 "wide" if max(cards) >= 8 else "narrow")
+            )
+            seen.update("scalar factor" for f in bucket if not f.scope)
+        assert seen == {"one factor", "several factors", "wide", "narrow", "scalar factor"}
+
+    def test_max_message_matches_the_pairwise_chain(self):
+        for cards, bucket, v in self._buckets():
+            product = self._chain_product(bucket, cards)
+            axis = product.scope.index(v)
+            values, log_peak = self._rescale(product.values.max(axis=axis))
+            message, message_log_peak, argmax = _max_message(bucket, v)
+            assert message.scope == product.scope[:axis] + product.scope[axis + 1 :]
+            assert np.array_equal(message.values, values)
+            assert message_log_peak == log_peak
+            assert np.array_equal(argmax, product.values.argmax(axis=axis))
+
+
 def _evidence_sequence(model, rng):
     """Evidences one elimination object meets in turn.
 
@@ -297,7 +370,7 @@ class TestMar:
 
 
 @pytest.mark.parametrize(
-    "evidence", [{2: 0}, {0: 2}, {1.5: 0}, {0: 1.5}, {True: 0}, {0: False}, [(1, 1)]]
+    "evidence", [{2: 0}, {0: 2}, {1.5: 0}, {0: 1.5}, {True: 0}, {0: False}, [(1, 1)], [], ()]
 )
 def test_bad_evidence_rejected_by_every_query(weather, evidence):
     for query in (
@@ -306,6 +379,16 @@ def test_bad_evidence_rejected_by_every_query(weather, evidence):
         lambda: mmap2mar(weather, [1 if 0 in evidence else 0], evidence),
     ):
         with pytest.raises(ValueError, match="out of range|integer"):
+            query()
+
+
+@pytest.mark.parametrize("evidence", [0, False])
+def test_falsy_non_mapping_evidence_rejected_by_the_greedy(weather, evidence):
+    for query in (
+        lambda: mmap2mar(weather, [1], evidence),
+        lambda: epsilon_mmap2mar(weather, [1], evidence, epsilon=0.5),
+    ):
+        with pytest.raises(ValueError, match="integer"):
             query()
 
 
