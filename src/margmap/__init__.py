@@ -51,7 +51,7 @@ from .bench import (
     read_dat,
     run_benchmark,
 )
-from .generate import random_chain_model, random_grid_model, random_model
+from .generate import random_grid_model, random_model
 from .uaiio import (
     UaiParseError,
     parse_evid,
@@ -99,7 +99,6 @@ __all__ = [
     "parse_evid",
     "parse_uai",
     "pr",
-    "random_chain_model",
     "random_grid_model",
     "random_model",
     "read_dat",

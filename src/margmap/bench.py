@@ -14,20 +14,23 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .model import GraphicalModel, ZeroProbabilityEvidenceError
+from .model import GraphicalModel, ZeroProbabilityEvidenceError, _is_integer
 from .inference import DEFAULT_ORACLE_CAP, OracleTooLargeError, brute_force_mmap, pr
-from .heuristic import epsilon_mmap2mar
+from .heuristic import _check_epsilon, _explainable, epsilon_mmap2mar
 from .uaiio import parse_uai
 
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """One benchmark configuration: model, evidence size, instance count, thresholds."""
+    """One benchmark configuration: model, evidence size, instance count, thresholds.
+
+    Checked on construction: each threshold by the greedy's own epsilon rule,
+    the grid strictly increasing; k, q and oracle_cap integers >= 1, seed >= 0.
+    """
 
     model_path: str | Path
     k: int
@@ -38,29 +41,19 @@ class BenchmarkSpec:
 
     def __post_init__(self) -> None:
         grid = self.epsilon_grid
-        if (
-            isinstance(grid, str)
-            or not isinstance(grid, Sequence)
-            or not all(isinstance(e, Real) and not isinstance(e, bool) for e in grid)
-        ):
+        if isinstance(grid, str) or not isinstance(grid, Sequence):
             raise ValueError(f"epsilon_grid must be a sequence of numbers, got {grid!r}")
-        grid = tuple(float(e) for e in grid)
+        grid = tuple(_check_epsilon(e) for e in grid)
         if not grid:
             raise ValueError("epsilon_grid must be non-empty")
-        if any(not 0.0 <= e <= 1.0 for e in grid):
-            raise ValueError("epsilon values must lie in [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("epsilon_grid must be strictly increasing")
-        for name in ("k", "q", "seed", "oracle_cap"):
+        for name, least in (("k", 1), ("q", 1), ("seed", 0), ("oracle_cap", 1)):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         object.__setattr__(self, "epsilon_grid", grid)
 
 
@@ -150,33 +143,30 @@ def run_benchmark(
     overflows, propagates and stops the run.
     """
     model = parse_uai(Path(spec.model_path).read_text())
-    explainable = [v for v in range(model.n_vars) if model.cardinalities[v] >= 2]
 
     points: list[TrajectoryPoint] = []
     results: list[InstanceResult] = []
     skipped: list[SkippedInstance] = []
-    # Each instance's evidence depends only on (seed, index): draw it once
-    # and meet every epsilon with it, a failed draw included.
-    draws: list[dict[int, int] | ZeroProbabilityEvidenceError] = []
+    # An instance's evidence and explain set depend only on (seed, index): draw them
+    # once for every epsilon, keeping a failed draw or an empty set as a skip reason.
+    draws: list[tuple[dict[int, int], list[int]] | str] = []
     for index in range(spec.q):
         rng = np.random.default_rng([spec.seed, index])
         try:
-            draws.append(generate_instance(model, spec.k, rng))
+            evidence = generate_instance(model, spec.k, rng)
         except ZeroProbabilityEvidenceError as err:
-            draws.append(err)
+            draws.append(str(err))
+            continue
+        explain = _explainable(model, evidence)
+        draws.append((evidence, explain) if explain else "no explainable variables left unobserved")
     for eps in spec.epsilon_grid:
         completed: list[InstanceResult] = []
-        for index, evidence in enumerate(draws):
-            if isinstance(evidence, ZeroProbabilityEvidenceError):
-                skipped.append(SkippedInstance(eps, index, str(evidence)))
+        for index, draw in enumerate(draws):
+            if isinstance(draw, str):
+                skipped.append(SkippedInstance(eps, index, draw))
                 continue
+            evidence, explain = draw
             try:
-                explain = [v for v in explainable if v not in evidence]
-                if not explain:
-                    skipped.append(
-                        SkippedInstance(eps, index, "no explainable variables left unobserved")
-                    )
-                    continue
                 trace = epsilon_mmap2mar(model, explain, evidence, epsilon=eps)
                 start = time.perf_counter()
                 exact = brute_force_mmap(

@@ -11,30 +11,19 @@ import numpy as np
 
 from .model import GraphicalModel
 from .inference import DEFAULT_ORACLE_CAP, brute_force_mmap
-from .heuristic import epsilon_mmap2mar, mmap2mar
+from .heuristic import _explainable, epsilon_mmap2mar, mmap2mar
 from .bench import BenchmarkSpec, emit_dat, run_benchmark
 from .generate import random_grid_model
 from .uaiio import parse_evid, parse_uai, write_uai
 
 
-def _load_model(path: str) -> GraphicalModel:
-    return parse_uai(Path(path).read_text())
-
-
-def _load_evidence(path: str | None) -> dict[int, int]:
-    return {} if path is None else parse_evid(Path(path).read_text())
-
-
-def _explain_set(
-    model: GraphicalModel, evidence: dict[int, int], args: argparse.Namespace
-) -> list[int]:
+def _load_query(args: argparse.Namespace) -> tuple[GraphicalModel, dict[int, int], list[int]]:
+    """The model, evidence and explain set named by a ``solve`` or ``oracle`` command line."""
+    model = parse_uai(Path(args.model).read_text())
+    evidence = {} if args.evidence is None else parse_evid(Path(args.evidence).read_text())
     if args.all_unobserved:
-        return [
-            v
-            for v in range(model.n_vars)
-            if v not in evidence and model.cardinalities[v] >= 2
-        ]
-    return [int(v) for v in args.explain.split(",") if v.strip() != ""]
+        return model, evidence, _explainable(model, evidence)
+    return model, evidence, [int(v) for v in args.explain.split(",") if v.strip() != ""]
 
 
 def _format_assignment(assignment: dict[int, int]) -> str:
@@ -44,9 +33,7 @@ def _format_assignment(assignment: dict[int, int]) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    evidence = _load_evidence(args.evidence)
-    explain = _explain_set(model, evidence, args)
+    model, evidence, explain = _load_query(args)
     if args.epsilon is None:
         trace = mmap2mar(model, explain, evidence)
     else:
@@ -72,9 +59,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    evidence = _load_evidence(args.evidence)
-    explain = _explain_set(model, evidence, args)
+    model, evidence, explain = _load_query(args)
     solution = brute_force_mmap(model, evidence, explain, cap=args.oracle_cap)
     print(f"model: {args.model} ({model.n_vars} variables)")
     print(f"evidence: {_format_assignment(evidence)}")
@@ -84,31 +69,28 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    config = {}
+    # a flag that is set beats the config file, which beats the default
+    settings = {
+        "k": 1,
+        "q": 100,
+        "epsilon_grid": [i / 20 for i in range(21)],
+        "seed": 0,
+        "oracle_cap": DEFAULT_ORACLE_CAP,
+    }
     if args.config:
         config = json.loads(Path(args.config).read_text())
         if not isinstance(config, dict):
             raise ValueError(f"--config {args.config} must hold a JSON object")
-        unknown = sorted(set(config) - {"k", "q", "epsilon_grid", "seed", "oracle_cap"})
+        unknown = sorted(set(config) - set(settings))
         if unknown:
             raise ValueError(f"--config {args.config} has unknown keys {unknown}")
-    epsilons = args.epsilons if args.epsilons is not None else config.get("epsilon_grid")
-    if epsilons is None:
-        epsilons = [i / 20 for i in range(21)]
-    elif isinstance(epsilons, str):
-        epsilons = [float(e) for e in epsilons.split(",")]
-    spec = BenchmarkSpec(
-        model_path=args.model,
-        k=args.k if args.k is not None else config.get("k", 1),
-        q=args.q if args.q is not None else config.get("q", 100),
-        epsilon_grid=epsilons,
-        seed=args.seed if args.seed is not None else config.get("seed", 0),
-        oracle_cap=(
-            args.oracle_cap
-            if args.oracle_cap is not None
-            else config.get("oracle_cap", DEFAULT_ORACLE_CAP)
-        ),
-    )
+        settings.update(config)
+    for key in settings:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    if isinstance(settings["epsilon_grid"], str):
+        settings["epsilon_grid"] = [float(e) for e in settings["epsilon_grid"].split(",")]
+    spec = BenchmarkSpec(model_path=args.model, **settings)
     points, results, skipped = run_benchmark(spec)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -189,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with k/q/epsilon_grid/seed/oracle_cap defaults")
     p.add_argument("--k", type=int, help="number of evidence variables per instance")
     p.add_argument("--q", type=int, help="instances per epsilon")
-    p.add_argument("--epsilons", help="comma-separated increasing thresholds in [0, 1]")
+    p.add_argument(
+        "--epsilons", dest="epsilon_grid", help="comma-separated increasing thresholds in [0, 1]"
+    )
     p.add_argument("--seed", type=int, help="master seed (echoed in output headers)")
     p.add_argument("--oracle-cap", type=int)
     p.add_argument(

@@ -1,4 +1,4 @@
-"""Random desk-scale model generators: grids, chains, and free-form scopes."""
+"""Random desk-scale model generators: grids and free-form scopes."""
 
 from __future__ import annotations
 
@@ -52,13 +52,6 @@ def random_grid_model(
                     )
                 )
     return GraphicalModel(cards, tuple(potentials))
-
-
-def random_chain_model(
-    n: int, cardinality: int = 2, *, rng: np.random.Generator, sigma: float = 1.0
-) -> GraphicalModel:
-    """Chain MRF over n variables; a 1-row grid."""
-    return random_grid_model(1, n, cardinality, rng=rng, sigma=sigma)
 
 
 def random_model(

@@ -94,12 +94,23 @@ def epsilon_mmap2mar(
     A step is committed only under a strict ``entropy < epsilon``, so
     ``epsilon=0`` explains nothing unless a marginal is exactly degenerate.
     """
+    epsilon = _check_epsilon(epsilon)
+    return _greedy(model, explain, {} if evidence is None else evidence, epsilon=epsilon)
+
+
+def _check_epsilon(epsilon: object) -> float:
+    """``epsilon`` as a float; it must be a real number, not a bool, in [0, 1]."""
     if not isinstance(epsilon, Real) or isinstance(epsilon, bool):
         raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    return _greedy(model, explain, {} if evidence is None else evidence, epsilon=epsilon)
+    return epsilon
+
+
+def _explainable(model: GraphicalModel, evidence: Evidence) -> list[int]:
+    """The variables the greedy can explain under ``evidence``: unobserved, with 2+ states."""
+    return [v for v in range(model.n_vars) if v not in evidence and model.cardinalities[v] >= 2]
 
 
 def _greedy(

@@ -321,8 +321,6 @@ class _Elimination:
 
         def eliminate(v: int, holders: list, scalars: list) -> float:
             bucket = holders[v]
-            if not bucket:
-                return 0.0
             key = (v, *[id(f) for _, f in bucket])
             found = messages.get(key)
             if found is None:
@@ -475,12 +473,13 @@ def pr(
     applies to the evidence-restricted sum only; the partition function
     always comes from a per-model cache computed under a min-fill order, so
     results under different orders agree up to rounding. ``order`` is
-    checked even when the evidence is empty. Empty evidence gives exactly 1;
-    structurally impossible evidence gives 0.
+    checked once: by the elimination, or here when the evidence is empty
+    and nothing is eliminated. Empty evidence gives exactly 1; structurally
+    impossible evidence gives 0.
     """
     validate_evidence(model, evidence)
-    _check_order(model, order)
     if not evidence:
+        _check_order(model, order)
         return 1.0
     table, log_num = _sum_out(model, evidence, (), order)
     return _over_z(model, float(table.values), log_num)
@@ -579,17 +578,17 @@ def brute_force_mmap(
     assignment in variable-id order. Every table the max half builds has
     its scope inside the explained set, and an explained set with more
     than ``cap`` joint states still raises :class:`OracleTooLargeError`.
+    An empty explanation takes the same path with nothing to max out, so
+    its probability is P(x_E), bit for bit as :func:`pr` gives it.
     Evidence of probability zero gives the all-zero assignment with
     probability 0; a model whose joint mass is zero raises
-    :class:`ZeroProbabilityEvidenceError`. The name is kept for API
-    stability; nothing is enumerated.
+    :class:`ZeroProbabilityEvidenceError`, whatever the explanation. The
+    name is kept for API stability; nothing is enumerated.
     """
     explain = _check_explain(model, evidence, explain)
     states = math.prod(model.cardinalities[v] for v in explain)
     if states > cap:
         raise OracleTooLargeError(f"{states} explained states exceed the cap of {cap}")
-    if not explain:
-        return MmapSolution({}, pr(model, evidence))
 
     [(factors, log_num)] = _Elimination(model).held(evidence, (explain,))
     traceback = []

@@ -19,7 +19,7 @@ from margmap import (
     run_benchmark,
 )
 from margmap.bench import CSV_HEADER
-from margmap.generate import random_chain_model
+from margmap.generate import random_grid_model, random_model
 from margmap.uaiio import write_uai
 
 # chi-square 0.999 quantile at 3 degrees of freedom
@@ -79,6 +79,20 @@ class TestGenerateInstance:
         assert pr(model, evidence) > 0.0
 
 
+class TestRandomModels:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda rng: random_grid_model(0, 3, rng=rng), "rows and cols"),
+            (lambda rng: random_grid_model(2, 2, 1, rng=rng), "cardinality"),
+            (lambda rng: random_model(0, rng=rng), "n_vars"),
+        ],
+    )
+    def test_degenerate_sizes_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make(np.random.default_rng(0))
+
+
 class TestHammingSimilarity:
     def test_identical(self):
         assert hamming_similarity({1: 0, 2: 1}, {1: 0, 2: 1}) == 1.0
@@ -114,10 +128,25 @@ class TestBenchmarkSpec:
         with pytest.raises(ValueError, match="q"):
             BenchmarkSpec(tmp_path / "m.uai", k=1, q=0, epsilon_grid=(0.5,), seed=0)
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"epsilon_grid": ()}, "non-empty"),
+            ({"k": 0}, "k must be >= 1"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"oracle_cap": 0}, "oracle_cap must be >= 1"),
+            ({"oracle_cap": -5}, "oracle_cap must be >= 1"),
+        ],
+    )
+    def test_out_of_range_field_is_named(self, tmp_path, override, message):
+        fields = dict(model_path=tmp_path / "m.uai", k=1, q=1, epsilon_grid=(0.5,), seed=0)
+        with pytest.raises(ValueError, match=message):
+            BenchmarkSpec(**{**fields, **override})
+
 
 def _small_spec(tmp_path, **overrides):
     rng = np.random.default_rng(9)
-    model = random_chain_model(5, 2, rng=rng)
+    model = random_grid_model(1, 5, 2, rng=rng)
     path = tmp_path / "chain.uai"
     path.write_text(write_uai(model))
     defaults = dict(

@@ -1,6 +1,8 @@
 """Command-line front end: the solve/oracle/bench/gen subcommands."""
 
+import csv
 import json
+import re
 
 import pytest
 
@@ -177,6 +179,7 @@ class TestBench:
             {"epsilon_grid": 5},
             {"epsilon_grid": [None]},
             {"K": 2, "epsilons": [0.5], "qq": 3},
+            {"oracle_cap": 0},
         ],
     )
     def test_bad_config_is_a_clean_error(self, weather_file, tmp_path, capsys, config):
@@ -190,6 +193,35 @@ class TestBench:
             ]
         ) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_skips_reach_stderr_and_leave_no_rows(self, weather_file, tmp_path, capsys):
+        # a cap of 1 joint state refuses every non-empty explanation; at
+        # epsilon 0 nothing is explained, so only epsilon 1 has skips
+        prefix = tmp_path / "run"
+        code = main(
+            [
+                "bench", str(weather_file),
+                "--k", "1",
+                "--q", "8",
+                "--epsilons", "0,1",
+                "--oracle-cap", "1",
+                "--out-prefix", str(prefix),
+            ]
+        )
+        assert code == 0
+        err_lines = capsys.readouterr().err.splitlines()
+        pattern = r"skipped: epsilon=(\S+) instance=(\d+): .*cap.*"
+        skips = [re.fullmatch(pattern, line) for line in err_lines]
+        assert skips and all(skips)
+        skipped = {(float(m[1]), int(m[2])) for m in skips}
+        assert len(skipped) == len(skips)
+        assert {e for e, _ in skipped} == {1.0}
+        lines = (tmp_path / "run_instances.csv").read_text().splitlines()
+        rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+        completed = {(float(r["epsilon"]), int(r["seed_index"])) for r in rows}
+        assert len(completed) == len(rows)
+        assert not completed & skipped
+        assert completed | skipped == {(e, i) for e in (0.0, 1.0) for i in range(8)}
 
     def test_unknown_config_key_is_named(self, weather_file, tmp_path, capsys):
         path = tmp_path / "bench.json"

@@ -467,6 +467,11 @@ class TestBruteForceJoint:
         model = GraphicalModel((2,), (Potential((0,), [1.0, 1.0]),))
         np.testing.assert_allclose(brute_force_joint(model).values, [0.5, 0.5], atol=1e-15)
 
+    def test_zero_total_mass_raises(self):
+        model = GraphicalModel((2, 2), (Potential((0, 1), np.zeros((2, 2))),))
+        with pytest.raises(ZeroProbabilityEvidenceError):
+            brute_force_joint(model)
+
     def test_sums_to_one_on_random_models(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
@@ -552,7 +557,7 @@ class TestBruteForceMmap:
             (2, 2),
             (Potential((0,), [0.0, 0.0]), Potential((0, 1), np.zeros((2, 2)))),
         )
-        for evidence, explain in (({}, {0, 1}), ({1: 0}, {0})):
+        for evidence, explain in (({}, {0, 1}), ({1: 0}, {0}), ({}, set()), ({1: 0}, set())):
             with pytest.raises(ZeroProbabilityEvidenceError):
                 brute_force_mmap(model, evidence, explain)
 

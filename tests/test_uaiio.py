@@ -68,6 +68,17 @@ class TestParseUai:
         with pytest.raises(UaiParseError, match="negative table value"):
             parse_uai(bad)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("\n2 2\n", "\n2 0\n", "cardinality of variable 1 must be >= 1"),
+            ("0.875", "nan", "entry 3 of table 1 must be finite"),
+        ],
+    )
+    def test_out_of_range_number_rejected(self, old, new, message):
+        with pytest.raises(UaiParseError, match=message):
+            parse_uai(WEATHER_TEXT.replace(old, new, 1))
+
     def test_scope_variable_out_of_range_rejected(self):
         bad = WEATHER_TEXT.replace("2 0 1", "2 0 7", 1)
         with pytest.raises(UaiParseError, match="out of range"):
