@@ -5,8 +5,13 @@ a grid and each instance, the harness runs the greedy explainer on every
 unobserved variable, treats whatever it explained as the target set, solves
 that same set exactly with the constrained-elimination oracle, and records
 exact-match and Hamming accuracy together with the time spent in marginal
-queries versus the exact solve. Instance RNG streams are derived from
-(master seed, instance index), so results do not depend on execution order.
+queries versus the exact solve. Instances run one at a time over the whole
+grid. Every threshold's run scores the same rounds until its threshold
+stops it, so the instance's runs share one log of greedy rounds and score
+each round once, and each distinct explained set is solved once. Rows
+still come out in (threshold, instance) order, and the timing columns stay
+per-row costs. Instance RNG streams are derived from (master seed, instance
+index), so results do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -19,8 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .model import GraphicalModel, ZeroProbabilityEvidenceError, _is_integer
-from .inference import DEFAULT_ORACLE_CAP, OracleTooLargeError, brute_force_mmap, pr
-from .heuristic import _check_epsilon, _explainable, epsilon_mmap2mar
+from .inference import (
+    DEFAULT_ORACLE_CAP,
+    MmapSolution,
+    OracleTooLargeError,
+    brute_force_mmap,
+    pr,
+)
+from .heuristic import _check_epsilon, _explainable, _sharing_rounds, epsilon_mmap2mar
 from .uaiio import parse_uai
 
 
@@ -135,6 +146,16 @@ def run_benchmark(
 ) -> tuple[list[TrajectoryPoint], list[InstanceResult], list[SkippedInstance]]:
     """Run the full grid of (epsilon, instance) evaluations for a spec.
 
+    Instances run one at a time, each over the whole grid, but results,
+    skips and trajectory points come out in (epsilon, index) order. Each
+    instance's greedy runs share one :func:`~margmap.heuristic._sharing_rounds`
+    scope, so its rounds are scored once across the grid, and each distinct
+    explained set is solved by the oracle once. ``t_mar`` and ``t_mmap`` are
+    per-row costs: the seconds of that row's own greedy run (replayed rounds
+    count the time they took when first scored) and of its oracle solve (a
+    reused solve repeats its seconds), so their sums can exceed the run's
+    wall time.
+
     An instance is skipped, with its reason recorded, only for a domain
     failure: no evidence with positive probability could be drawn, the
     working evidence became impossible during the greedy run, the explained
@@ -143,56 +164,67 @@ def run_benchmark(
     overflows, propagates and stops the run.
     """
     model = parse_uai(Path(spec.model_path).read_text())
+    grid = spec.epsilon_grid
+
+    # outcomes[i][index]: the row, or the skip, of (grid[i], instance index)
+    outcomes: list[list[InstanceResult | SkippedInstance]] = [[] for _ in grid]
+    for index in range(spec.q):
+        # An instance's evidence and explain set depend only on (seed, index).
+        rng = np.random.default_rng([spec.seed, index])
+        skip = None
+        try:
+            evidence = generate_instance(model, spec.k, rng)
+        except ZeroProbabilityEvidenceError as err:
+            skip = str(err)
+        else:
+            explain = _explainable(model, evidence)
+            if not explain:
+                skip = "no explainable variables left unobserved"
+        if skip is not None:
+            for eps, row in zip(grid, outcomes):
+                row.append(SkippedInstance(eps, index, skip))
+            continue
+        # the oracle's solution and seconds under each explained set met so far
+        solved: dict[frozenset[int], tuple[MmapSolution, float]] = {}
+        with _sharing_rounds():
+            for eps, row in zip(grid, outcomes):
+                try:
+                    trace = epsilon_mmap2mar(model, explain, evidence, epsilon=eps)
+                    explained = frozenset(trace.explained)
+                    if explained not in solved:
+                        start = time.perf_counter()
+                        exact = brute_force_mmap(
+                            model, evidence, trace.explained, cap=spec.oracle_cap
+                        )
+                        solved[explained] = (exact, time.perf_counter() - start)
+                except (ZeroProbabilityEvidenceError, OracleTooLargeError) as err:
+                    row.append(SkippedInstance(eps, index, str(err)))
+                    continue
+                exact, t_mmap = solved[explained]
+                row.append(
+                    InstanceResult(
+                        epsilon=eps,
+                        index=index,
+                        evidence=dict(evidence),
+                        heuristic_assignment=dict(trace.explained),
+                        exact_assignment=dict(exact.assignment),
+                        exact_match=trace.explained == exact.assignment,
+                        hamming_similarity=hamming_similarity(
+                            trace.explained, exact.assignment
+                        ),
+                        confidence=trace.confidence,
+                        explained_fraction=len(trace.explained) / len(explain),
+                        t_mar=trace.mar_seconds,
+                        t_mmap=t_mmap,
+                    )
+                )
 
     points: list[TrajectoryPoint] = []
     results: list[InstanceResult] = []
     skipped: list[SkippedInstance] = []
-    # An instance's evidence and explain set depend only on (seed, index): draw them
-    # once for every epsilon, keeping a failed draw or an empty set as a skip reason.
-    draws: list[tuple[dict[int, int], list[int]] | str] = []
-    for index in range(spec.q):
-        rng = np.random.default_rng([spec.seed, index])
-        try:
-            evidence = generate_instance(model, spec.k, rng)
-        except ZeroProbabilityEvidenceError as err:
-            draws.append(str(err))
-            continue
-        explain = _explainable(model, evidence)
-        draws.append((evidence, explain) if explain else "no explainable variables left unobserved")
-    for eps in spec.epsilon_grid:
-        completed: list[InstanceResult] = []
-        for index, draw in enumerate(draws):
-            if isinstance(draw, str):
-                skipped.append(SkippedInstance(eps, index, draw))
-                continue
-            evidence, explain = draw
-            try:
-                trace = epsilon_mmap2mar(model, explain, evidence, epsilon=eps)
-                start = time.perf_counter()
-                exact = brute_force_mmap(
-                    model, evidence, trace.explained, cap=spec.oracle_cap
-                )
-                t_mmap = time.perf_counter() - start
-            except (ZeroProbabilityEvidenceError, OracleTooLargeError) as err:
-                skipped.append(SkippedInstance(eps, index, str(err)))
-                continue
-            completed.append(
-                InstanceResult(
-                    epsilon=eps,
-                    index=index,
-                    evidence=dict(evidence),
-                    heuristic_assignment=dict(trace.explained),
-                    exact_assignment=dict(exact.assignment),
-                    exact_match=trace.explained == exact.assignment,
-                    hamming_similarity=hamming_similarity(
-                        trace.explained, exact.assignment
-                    ),
-                    confidence=trace.confidence,
-                    explained_fraction=len(trace.explained) / len(explain),
-                    t_mar=trace.mar_seconds,
-                    t_mmap=t_mmap,
-                )
-            )
+    for eps, row in zip(grid, outcomes):
+        completed = [r for r in row if isinstance(r, InstanceResult)]
+        skipped.extend(r for r in row if isinstance(r, SkippedInstance))
         results.extend(completed)
         if completed:
             points.append(

@@ -110,6 +110,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{p.epsilon:.4f}  {p.exact_match_rate:.4f}  "
             f"{p.mean_hamming:.4f}  {p.mean_explained_fraction:.4f}"
         )
+    # sums of per-row run costs: a round shared across the grid counts in every row
     total_mar = sum(r.t_mar for r in results)
     total_mmap = sum(r.t_mmap for r in results)
     print(f"t_mar total = {total_mar:.3f}s  t_mmap total = {total_mmap:.3f}s")

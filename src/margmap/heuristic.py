@@ -13,7 +13,9 @@ the explanation's confidence score.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from numbers import Real
 
@@ -56,7 +58,10 @@ class ExplanationTrace:
     counts the logical marginal queries, one per candidate per round
     (k(k+1)/2 for a full run over k targets), although each round computes
     its candidates' marginals in one shared elimination; ``mar_seconds`` is
-    the time spent scoring rounds, entropies included.
+    the time spent scoring this run's rounds, entropies included. Inside
+    :func:`_sharing_rounds`, a round an earlier call already scored is
+    replayed, not scored again, and still adds the seconds it took when it
+    was scored, so ``mar_seconds`` is the cost of this run, not wall time.
     """
 
     steps: tuple[ExplanationStep, ...]
@@ -113,6 +118,48 @@ def _explainable(model: GraphicalModel, evidence: Evidence) -> list[int]:
     return [v for v in range(model.n_vars) if v not in evidence and model.cardinalities[v] >= 2]
 
 
+class _RoundLog:
+    """The rounds scored so far for one (model, evidence, target list).
+
+    ``rounds`` holds, per scored round in order, the winning step (entropy,
+    variable, state and marginal) and the round's seconds; ``elimination``
+    has run exactly those rounds, so it goes on with the next one as a fresh
+    run would; ``evidence_sum`` is round 1's P(evidence) table and log scale,
+    kept when there is evidence.
+    """
+
+    __slots__ = ("elimination", "evidence_sum", "rounds")
+
+    def __init__(self, model: GraphicalModel):
+        self.elimination = _Elimination(model)
+        self.evidence_sum: tuple[Potential, float] | None = None
+        self.rounds: list[tuple[ExplanationStep, float]] = []
+
+
+_round_logs: ContextVar[dict[tuple, _RoundLog] | None] = ContextVar("_round_logs", default=None)
+
+
+@contextmanager
+def _sharing_rounds() -> Iterator[None]:
+    """A scope in which greedy runs on the same inputs score each round once.
+
+    Inside it, :func:`mmap2mar` and :func:`epsilon_mmap2mar` keep a
+    :class:`_RoundLog` per (model, evidence items, target list), each as the
+    caller passed it. A call replays the logged rounds until its epsilon
+    stops it and scores, and logs, only the rounds past them, so every
+    threshold of one instance costs one full run's rounds. Each call returns
+    the trace a fresh call would, bit for bit, apart from ``mar_seconds``. A
+    call that raises leaves no log behind it if it made a new one. Outside
+    any scope each call keeps its rounds to itself. ``run_benchmark`` opens
+    one scope per instance.
+    """
+    token = _round_logs.set({})
+    try:
+        yield
+    finally:
+        _round_logs.reset(token)
+
+
 def _greedy(
     model: GraphicalModel,
     explain: Iterable[int],
@@ -121,15 +168,20 @@ def _greedy(
 ) -> ExplanationTrace:
     """The greedy run behind :func:`mmap2mar` and :func:`epsilon_mmap2mar`.
 
-    One :class:`~margmap.inference._Elimination` serves the whole run. Each
-    round asks it for every candidate's table at once and scores each one
-    straight from its table, with the arithmetic of ``normalize`` and
-    ``entropy``; only the winner becomes a :class:`MassFunction`. Round 1
-    also asks for the empty keep when there is evidence: its table and log
-    scale are those of ``pr``'s own elimination, so P(evidence), the start
-    of p~, comes out bit-identical without a second elimination. The ratio
-    to the partition function is taken after the last round.
+    The run reads its rounds from a :class:`_RoundLog`: the one kept under
+    its inputs in an open :func:`_sharing_rounds` scope, or a new one. It
+    replays each logged round until epsilon stops it, and scores a round only
+    past the logged ones. Scoring asks the log's
+    :class:`~margmap.inference._Elimination` for every candidate's table at
+    once and scores each one straight from its table, with the arithmetic of
+    ``normalize`` and ``entropy``; only the winner becomes a
+    :class:`MassFunction`. Round 1 also asks for the empty keep when there is
+    evidence: its table and log scale are those of ``pr``'s own elimination,
+    so P(evidence), the start of p~, comes out bit-identical without a second
+    elimination. The ratio to the partition function is taken after the last
+    round.
     """
+    explain = tuple(explain)
     targets = list(_check_explain(model, evidence, explain))
     if not targets:
         raise ValueError("explain set must be non-empty")
@@ -139,56 +191,44 @@ def _greedy(
             f"variables {degenerate} have cardinality 1 and cannot be explained"
         )
 
+    logs = _round_logs.get()
+    # the log holds the model (in its elimination), so the id stays the model's
+    key = (id(model), tuple(evidence.items()), explain)
+    log = logs.get(key) if logs is not None else None
+    if log is None:
+        log = _RoundLog(model)
     working = dict(evidence)
     steps: list[ExplanationStep] = []
     mar_calls = 0
     mar_seconds = 0.0
     break_entropy: float | None = None
-    elimination = _Elimination(model)
-    empty_keep = [()] if evidence else []  # in round 1 only: P(evidence)'s grand sum
-    evidence_sum: tuple[Potential, float] | None = None
 
     while targets:
-        start = time.perf_counter()
-        best: tuple[float, int, np.ndarray] | None = None
-        tables = elimination.tables(working, [(v,) for v in targets] + empty_keep)
-        if empty_keep:
-            evidence_sum = tables.pop()
-            empty_keep = []
-        for v, (table, _) in zip(targets, tables):
-            try:
-                probs = _normalized(table)
-            except ZeroProbabilityEvidenceError as err:
-                raise ZeroProbabilityEvidenceError(
-                    f"working evidence became impossible at step {len(steps) + 1} "
-                    f"while scoring variable {v}"
-                ) from err
-            h = _entropy(probs)
-            if best is None or h < best[0]:  # ties keep the lowest variable id
-                best = (h, v, probs)
-        mar_seconds += time.perf_counter() - start
+        if len(steps) == len(log.rounds):
+            log.rounds.append(_score_round(log, working, targets))
+        step, seconds = log.rounds[len(steps)]
+        mar_seconds += seconds
         mar_calls += len(targets)
-        h, chosen, probs = best
-        if epsilon is not None and not h < epsilon:
-            break_entropy = h
+        if epsilon is not None and not step.entropy_at_selection < epsilon:
+            break_entropy = step.entropy_at_selection
             break
-        marginal = MassFunction(chosen, probs)
-        state = int(np.argmax(marginal.probs))  # ties keep the lowest state index
-        steps.append(ExplanationStep(chosen, state, h, marginal))
-        working[chosen] = state
-        targets.remove(chosen)
+        steps.append(step)
+        working[step.variable] = step.chosen_state
+        targets.remove(step.variable)
+    if logs is not None:
+        logs[key] = log
 
     # The first ratio taken on a model also computes its log partition
     # function, a full elimination: after the rounds, only the last round's
     # messages are alive beside it.
     p_tilde = 1.0
-    if evidence_sum is not None:
-        table, log_scale = evidence_sum
+    if log.evidence_sum is not None:
+        table, log_scale = log.evidence_sum
         p_tilde = _over_z(model, float(table.values), log_scale)
     for s in steps:
         p_tilde *= float(s.marginal.probs[s.chosen_state])
 
-    trace = ExplanationTrace(
+    return ExplanationTrace(
         steps=tuple(steps),
         explained={s.variable: s.chosen_state for s in steps},
         unexplained=frozenset(targets),
@@ -199,4 +239,34 @@ def _greedy(
         mar_calls=mar_calls,
         mar_seconds=mar_seconds,
     )
-    return trace
+
+
+def _score_round(
+    log: _RoundLog, working: Evidence, targets: list[int]
+) -> tuple[ExplanationStep, float]:
+    """Score the round after ``log``'s: the least entropic target's step, and the seconds taken.
+
+    Round 1 (nothing logged yet) also keeps P(evidence)'s grand sum on the log.
+    """
+    start = time.perf_counter()
+    best: tuple[float, int, np.ndarray] | None = None
+    empty_keep = [()] if working and not log.rounds else []
+    tables = log.elimination.tables(working, [(v,) for v in targets] + empty_keep)
+    if empty_keep:
+        log.evidence_sum = tables.pop()
+    for v, (table, _) in zip(targets, tables):
+        try:
+            probs = _normalized(table)
+        except ZeroProbabilityEvidenceError as err:
+            raise ZeroProbabilityEvidenceError(
+                f"working evidence became impossible at step {len(log.rounds) + 1} "
+                f"while scoring variable {v}"
+            ) from err
+        h = _entropy(probs)
+        if best is None or h < best[0]:  # ties keep the lowest variable id
+            best = (h, v, probs)
+    seconds = time.perf_counter() - start
+    h, chosen, probs = best
+    marginal = MassFunction(chosen, probs)
+    state = int(np.argmax(marginal.probs))  # ties keep the lowest state index
+    return ExplanationStep(chosen, state, h, marginal), seconds

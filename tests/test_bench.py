@@ -1,6 +1,8 @@
 """Benchmark harness: instance generation, metrics, aggregation, and data files."""
 
 import csv
+import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,19 @@ import pytest
 from margmap import (
     BenchmarkSpec,
     GraphicalModel,
+    InstanceResult,
+    OracleTooLargeError,
     Potential,
+    SkippedInstance,
     TrajectoryPoint,
     ZeroProbabilityEvidenceError,
+    bench,
+    brute_force_mmap,
     emit_dat,
+    epsilon_mmap2mar,
     generate_instance,
     hamming_similarity,
+    parse_uai,
     pr,
     read_dat,
     run_benchmark,
@@ -168,6 +177,83 @@ def _count_draws(monkeypatch):
     return drawn
 
 
+def _fail_draw(monkeypatch, spec, index):
+    """Make every draw of instance ``index`` through ``margmap.bench`` fail."""
+    doomed = np.random.default_rng([spec.seed, index]).bit_generator.state
+
+    def drawing(model, k, rng, **kwargs):
+        if rng.bit_generator.state == doomed:
+            raise ZeroProbabilityEvidenceError(f"no evidence drawn for instance {index}")
+        return generate_instance(model, k, rng, **kwargs)
+
+    monkeypatch.setattr("margmap.bench.generate_instance", drawing)
+
+
+def _reference_benchmark(spec):
+    """``run_benchmark`` as a plain loop: epsilon outside, each instance drawn and solved anew."""
+    model = parse_uai(Path(spec.model_path).read_text())
+    points, results, skipped = [], [], []
+    for eps in spec.epsilon_grid:
+        completed = []
+        for index in range(spec.q):
+            try:
+                evidence = bench.generate_instance(
+                    model, spec.k, np.random.default_rng([spec.seed, index])
+                )
+            except ZeroProbabilityEvidenceError as err:
+                skipped.append(SkippedInstance(eps, index, str(err)))
+                continue
+            explain = [
+                v for v in range(model.n_vars)
+                if v not in evidence and model.cardinalities[v] >= 2
+            ]
+            if not explain:
+                skipped.append(SkippedInstance(eps, index, "no explainable variables left unobserved"))
+                continue
+            try:
+                trace = epsilon_mmap2mar(model, explain, evidence, epsilon=eps)
+                exact = brute_force_mmap(model, evidence, trace.explained, cap=spec.oracle_cap)
+            except (ZeroProbabilityEvidenceError, OracleTooLargeError) as err:
+                skipped.append(SkippedInstance(eps, index, str(err)))
+                continue
+            completed.append(
+                InstanceResult(
+                    eps, index, dict(evidence), dict(trace.explained), dict(exact.assignment),
+                    trace.explained == exact.assignment,
+                    hamming_similarity(trace.explained, exact.assignment),
+                    trace.confidence, len(trace.explained) / len(explain),
+                    t_mar=trace.mar_seconds, t_mmap=0.0,
+                )
+            )
+        results.extend(completed)
+        if completed:
+            n = len(completed)
+            points.append(
+                TrajectoryPoint(
+                    eps,
+                    float(sum(r.exact_match for r in completed) / n),
+                    float(sum(r.hamming_similarity for r in completed) / n),
+                    float(sum(r.explained_fraction for r in completed) / n),
+                )
+            )
+    return points, results, skipped
+
+
+def _untimed(results):
+    return [dataclasses.replace(r, t_mar=0.0, t_mmap=0.0) for r in results]
+
+
+def _emitted(tmp_path, name, points, results):
+    """The three output files' text, with the t_* columns cut from the CSV."""
+    paths = {key: tmp_path / f"{name}_{key}" for key in ("match", "hamming", "csv")}
+    emit_dat(
+        points, results, match_path=paths["match"], hamming_path=paths["hamming"],
+        csv_path=paths["csv"], seed=0,
+    )
+    rows = [row[:6] for row in csv.reader(paths["csv"].read_text().splitlines())]
+    return paths["match"].read_text(), paths["hamming"].read_text(), rows
+
+
 class TestRunBenchmark:
     def test_epsilon_zero_explains_nothing(self, tmp_path):
         points, results, skipped = run_benchmark(_small_spec(tmp_path))
@@ -282,6 +368,45 @@ class TestRunBenchmark:
         assert [(s.epsilon, s.index) for s in skipped] == [(0.5, 0), (0.5, 1), (1.0, 0), (1.0, 1)]
         reason = "no evidence with positive probability found in 100 draws"
         assert all(s.reason == reason for s in skipped)
+
+
+    def test_oracle_solves_each_distinct_explained_set_once(self, tmp_path, monkeypatch):
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return brute_force_mmap(*args, **kwargs)
+
+        monkeypatch.setattr("margmap.bench.brute_force_mmap", counting)
+        spec = _small_spec(tmp_path)
+        points, results, skipped = run_benchmark(spec)
+        assert not skipped
+        distinct = {(r.index, frozenset(r.heuristic_assignment)) for r in results}
+        assert len(solves) == len(distinct) < len(results)
+        monkeypatch.undo()
+        reference = _reference_benchmark(spec)
+        assert _emitted(tmp_path, "shared", points, results) == _emitted(
+            tmp_path, "reference", *reference[:2]
+        )
+
+    def test_instance_loop_matches_an_epsilon_outer_reference(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "grid.uai"
+        path.write_text(write_uai(random_grid_model(3, 3, 3, rng=rng, sigma=2.0)))
+        spec = BenchmarkSpec(
+            path, k=1, q=6, epsilon_grid=(0.0, 0.3, 0.6, 0.9, 1.0), seed=4, oracle_cap=27
+        )
+        _fail_draw(monkeypatch, spec, 2)
+        points, results, skipped = run_benchmark(spec)
+        ref_points, ref_results, ref_skipped = _reference_benchmark(spec)
+        assert points == ref_points
+        assert _untimed(results) == _untimed(ref_results)
+        assert skipped == ref_skipped
+        reasons = {s.reason for s in skipped}
+        assert "no evidence drawn for instance 2" in reasons
+        assert any("exceed the cap" in r for r in reasons)
+        assert len(results) + len(skipped) == spec.q * len(spec.epsilon_grid)
+        assert len({r.index for r in results}) == spec.q - 1
 
 
 class TestWeatherBench:

@@ -15,6 +15,8 @@ from margmap import (
     pr,
 )
 from margmap.generate import random_model
+from margmap.heuristic import _round_logs, _sharing_rounds
+from margmap.inference import _Elimination
 
 from conftest import differential_models, entropy_by_formula, random_evidence
 
@@ -326,6 +328,134 @@ class TestSharedRounds:
                 assert trace.mar_calls == calls
                 compared += 1
         assert compared >= 150
+
+
+def _count_tables(monkeypatch):
+    """Count the rounds scored: one ``_Elimination.tables`` call each.
+
+    A model's first p~ also computes its partition function with one more
+    call, so count only on a model that has already answered a query.
+    """
+    calls = []
+    tables = _Elimination.tables
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return tables(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Elimination, "tables", counting)
+    return calls
+
+
+def _assert_same_trace(a, b):
+    """Every field equal, bit for bit, apart from ``mar_seconds``."""
+    assert [(s.variable, s.chosen_state, s.entropy_at_selection) for s in a.steps] == [
+        (s.variable, s.chosen_state, s.entropy_at_selection) for s in b.steps
+    ]
+    for x, y in zip(a.steps, b.steps):
+        assert x.marginal.variable == y.marginal.variable
+        assert np.array_equal(x.marginal.probs, y.marginal.probs)
+    assert a.explained == b.explained
+    assert a.unexplained == b.unexplained
+    assert a.p_tilde == b.p_tilde
+    assert a.confidence == b.confidence
+    assert a.epsilon == b.epsilon
+    assert a.break_entropy == b.break_entropy
+    assert a.mar_calls == b.mar_calls
+
+
+def _explainable_instances(seed):
+    """(model, evidence, targets) on every fifth differential model, with random evidence."""
+    rng = np.random.default_rng(seed)
+    for model in differential_models(seed)[::5]:
+        evidence = random_evidence(model, rng)
+        targets = [
+            v for v in range(model.n_vars) if v not in evidence and model.cardinalities[v] >= 2
+        ]
+        if targets:
+            yield model, evidence, targets
+
+
+class TestRoundLog:
+    def test_every_epsilon_order_gives_the_fresh_traces(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        grid = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 1.0]
+        compared = 0
+        for model, evidence, targets in _explainable_instances(81):
+            try:
+                fresh = {e: epsilon_mmap2mar(model, targets, evidence, epsilon=e) for e in grid}
+            except ZeroProbabilityEvidenceError:
+                continue
+            fresh[None] = mmap2mar(model, targets, evidence)
+            for order in (grid, grid[::-1], list(rng.permutation(grid))):
+                scored = _count_tables(monkeypatch)
+                with _sharing_rounds():
+                    for e in order:
+                        _assert_same_trace(
+                            epsilon_mmap2mar(model, targets, evidence, epsilon=float(e)),
+                            fresh[float(e)],
+                        )
+                    _assert_same_trace(mmap2mar(model, targets, evidence), fresh[None])
+                monkeypatch.undo()
+                assert len(scored) == len(targets)  # one full run's rounds, each scored once
+                compared += 1
+        assert compared >= 45
+
+    def test_replayed_rounds_count_their_first_seconds(self):
+        model, evidence, targets = next(_explainable_instances(82))
+        with _sharing_rounds():
+            first = mmap2mar(model, targets, evidence)
+            again = mmap2mar(model, targets, evidence)
+        assert again.mar_seconds == first.mar_seconds > 0.0
+
+    def test_no_scope_keeps_no_rounds(self, monkeypatch):
+        model, evidence, targets = next(_explainable_instances(83))
+        fresh = mmap2mar(model, targets, evidence)
+        scored = _count_tables(monkeypatch)
+        a = mmap2mar(model, targets, evidence)
+        b = mmap2mar(model, targets, evidence)
+        assert len(scored) == 2 * len(targets)
+        _assert_same_trace(a, fresh)
+        _assert_same_trace(b, fresh)
+        assert _round_logs.get() is None
+
+    def test_other_evidence_or_target_order_misses_the_log(self, monkeypatch):
+        model, evidence, targets = next(
+            (m, e, t) for m, e, t in _explainable_instances(84) if len(t) >= 2 and e
+        )
+        observed, state = next(iter(evidence.items()))
+        other = {**evidence, observed: (state + 1) % model.cardinalities[observed]}
+        mmap2mar(model, targets, evidence)
+        scored = _count_tables(monkeypatch)
+        with _sharing_rounds():
+            mmap2mar(model, targets, evidence)
+            assert len(scored) == len(targets)
+            mmap2mar(model, targets, evidence)
+            assert len(scored) == len(targets)  # the same inputs hit
+            try:
+                mmap2mar(model, targets, other)
+            except ZeroProbabilityEvidenceError:
+                assert len(scored) == len(targets) + 1
+            else:
+                assert len(scored) == 2 * len(targets)
+            before = len(scored)
+            mmap2mar(model, targets[::-1], evidence)
+            assert len(scored) == before + len(targets)
+
+    def test_a_failed_call_logs_nothing_and_fails_again_alike(self, monkeypatch):
+        model = GraphicalModel(
+            (2, 2, 2),
+            (Potential((0,), [1.0, 0.0]), Potential((0, 1, 2), np.ones((2, 2, 2)))),
+        )
+        scored = _count_tables(monkeypatch)
+        with _sharing_rounds():
+            with pytest.raises(ZeroProbabilityEvidenceError) as first:
+                epsilon_mmap2mar(model, [1, 2], {0: 1}, epsilon=0.5)
+            assert _round_logs.get() == {}
+            with pytest.raises(ZeroProbabilityEvidenceError) as again:
+                mmap2mar(model, [1, 2], {0: 1})
+        assert str(again.value) == str(first.value)
+        assert len(scored) == 2  # the repeat scored its round anew
 
 
 class TestContractErrors:
