@@ -8,22 +8,24 @@ elimination; both are the exact answers the greedy is tested against.
 
 Every elimination runs through one core, ``_Elimination``, which sums the
 model down to the factors each requested set of kept variables holds, under
-one evidence at a time; ``_joined`` multiplies them into that set's table,
+one evidence at a time; ``tables`` multiplies them into each set's table,
 and the oracle max-eliminates them instead. The greedy explainer keeps one
-core per run and asks it for all candidates of a round at once: one
-elimination path over every free variable is ordered on a bitset min-fill
-graph and eliminated once, and each candidate forks off that path at the
-step where the path would eliminate it. Between rounds, a potential is
-restricted again only when the evidence on its scope changed, and a message
-of the previous round is reused whenever a step meets the same factors in
-the same order, so mostly what the newly observed variable touches is
-redone. Each table is bit-identical to a separate query. ``pr``, ``mar`` and
-the oracle use a fresh core per query.
+core per run and asks it for all candidates of a round at once: one path
+over every free variable is ordered by min-fill, on bitsets with fill
+counts updated per step, and eliminated once; each candidate forks off it
+where the path would eliminate it. The fully observed potentials are held
+once per round, and the round's tables of one shape are multiplied as one
+matrix. Between rounds, a potential is restricted again only when the
+evidence on its scope changed, and a message of the previous round is
+reused whenever a step meets the same factors in the same order, so mostly
+what the newly observed variable touches is redone. Each table is
+bit-identical to a separate query. ``pr``, ``mar`` and the oracle use a
+fresh core per query.
 
 Every bucket, summed (``_sum_message``) or maxed (``_max_message``), and
-every final table (``_joined``) is multiplied by one kernel,
-``model._chain``, which multiplies left to right into arrays and wraps only
-the result in a ``Potential``.
+every final table (``_joined``, or a row of ``tables``' matrix with the
+same multiplies) is multiplied by ``model._chain``'s arithmetic: left to
+right into arrays, wrapping only the result in a ``Potential``.
 """
 
 from __future__ import annotations
@@ -139,18 +141,18 @@ class _MinFill:
     """Min-fill elimination of ``targets`` on (a copy of) ``graph``, one vertex at a time.
 
     The graph is a list of adjacency bitmasks, and ``remaining`` lists the
-    targets not yet eliminated in id order. ``peek`` names the remaining
-    target whose elimination adds the fewest fill edges, ties going to the
-    lowest id, and ``eliminate_next`` removes it (``None`` once no target is
-    left). Eliminating a vertex joins its neighbours into a clique, which
-    changes the fill count only of those neighbours and of vertices adjacent
-    to two or more of them, so only those are recounted (non-targets too,
-    whose counts are never read); ``eliminate_next`` recounts inline, with
-    the arithmetic of :func:`_fill_count`. ``fork(exclude)`` copies the
-    state with ``exclude`` dropped from the targets. Every vertex picked so
-    far was the least (fill count, id) among a superset of the copy's
-    targets, so the copy goes on exactly as a fresh stepper over its own
-    targets would.
+    targets not yet eliminated in id order; ``fill[v]`` is
+    :func:`_fill_count` of each vertex, targets or not (0 once removed).
+    ``peek`` names the remaining target of least (fill count, id), and
+    ``eliminate_next`` removes it (``None`` once none is left) and updates
+    the counts: removing x lowers each neighbour's count by its neighbours
+    outside x's closed neighbourhood, then each missing edge a-b among x's
+    neighbours, added in turn, raises a's count by a's neighbours not
+    adjacent to b (and b's likewise) and lowers their common neighbours' by
+    one. ``fork(exclude)`` copies the state with ``exclude`` dropped from
+    the targets. Every vertex picked so far was the least (fill count, id)
+    among a superset of the copy's targets, so the copy goes on exactly as
+    a fresh stepper over its own targets would.
     """
 
     __slots__ = ("adjacency", "remaining", "fill")
@@ -158,9 +160,7 @@ class _MinFill:
     def __init__(self, graph: list[int], targets: Iterable[int]):
         self.adjacency = list(graph)
         self.remaining = sorted(set(targets))
-        self.fill = [0] * len(graph)
-        for v in self.remaining:
-            self.fill[v] = _fill_count(self.adjacency, v)
+        self.fill = [_fill_count(self.adjacency, v) for v in range(len(graph))]
 
     def peek(self) -> int | None:
         return min(self.remaining, key=self.fill.__getitem__, default=None)
@@ -172,29 +172,35 @@ class _MinFill:
         best = min(remaining, key=fill.__getitem__)
         remaining.remove(best)
         nbrs = rest = adjacency[best]
-        adjacency[best] = 0
+        adjacency[best] = fill[best] = 0
         gone = 1 << best
-        near = nbrs
+        closed = nbrs | gone
         while rest:
             low = rest & -rest
             a = low.bit_length() - 1
-            adjacency[a] = joined = (adjacency[a] | nbrs) & ~(low | gone)
-            near |= joined
+            adjacency[a] ^= gone
+            fill[a] -= (adjacency[a] & ~closed).bit_count()
             rest ^= low
-        while near:
-            low = near & -near
-            near ^= low
-            u = low.bit_length() - 1
-            around = adjacency[u]
-            if nbrs & low or (around & nbrs).bit_count() >= 2:  # else u's count stands
-                d = around.bit_count()  # _fill_count(adjacency, u), inline
-                linked = 0
-                bits = around
-                while bits:
-                    bit = bits & -bits
-                    linked += (adjacency[bit.bit_length() - 1] & around).bit_count()
-                    bits ^= bit
-                fill[u] = d * (d - 1) // 2 - linked // 2
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            missing = rest & ~adjacency[a]  # the fill edges a-b with b above a
+            while missing:
+                bit = missing & -missing
+                missing ^= bit
+                b = bit.bit_length() - 1
+                around_a, around_b = adjacency[a], adjacency[b]
+                fill[a] += (around_a & ~around_b).bit_count()
+                fill[b] += (around_b & ~around_a).bit_count()
+                common = around_a & around_b
+                while common:
+                    c = common & -common
+                    fill[c.bit_length() - 1] -= 1
+                    common ^= c
+                adjacency[a] = around_a | bit
+                adjacency[b] = around_b | low
         return best
 
     def fork(self, exclude: Iterable[int]) -> _MinFill:
@@ -240,20 +246,15 @@ def _check_order(model: GraphicalModel, order: Sequence[int] | None) -> list[int
 class _Elimination:
     """Sum-product elimination of one model under a sequence of evidences.
 
-    ``held(evidence, keeps)`` restricts the model to ``evidence`` and, for
-    each ``keep``, sums out every other free variable: it returns a list in
-    ``keeps`` order of (the factors left holding the keep's variables or no
-    variable, in sequence order, log scale). Every such factor's scope lies
-    inside the keep. ``tables(evidence, keeps)`` multiplies each keep's
-    factors into one table over ``keep`` in that order through
-    :func:`_joined`. Each step computes its message with
+    ``held`` and ``tables`` answer one evidence and a list of ``keeps``, sets
+    of kept variables. Each step computes its message with
     :func:`_sum_message`, which multiplies the bucket left to right through
     one :func:`_chain` call and wraps only the message; each message is
     rescaled to max entry 1 so long eliminations cannot underflow.
     ``order``, when given, must be a permutation of all model variables and
     its subsequence over the summed variables is used; otherwise the order
-    is min-fill over the evidence-conditioned graph. A table that overflowed float64 on the way
-    shows up as a non-finite entry and raises ``ValueError``.
+    is min-fill over the evidence-conditioned graph. A table that overflowed
+    float64 on the way shows up as a non-finite entry and raises ``ValueError``.
 
     All ``keeps`` of one call share one elimination path: the order of every
     free variable, walked once. When the path's next variable lies in a
@@ -299,16 +300,55 @@ class _Elimination:
     def tables(
         self, evidence: Evidence, keeps: Iterable[Sequence[int]]
     ) -> list[tuple[Potential, float]]:
+        """Each keep's table over ``keep`` and log scale, in ``keeps`` order.
+
+        The keeps of one table shape are multiplied as one (keeps x states)
+        matrix of ones, walking their factors in sequence order: a scalar
+        that every keep holds multiplies the whole matrix once, any other
+        factor only the rows of the keeps that hold it. Each entry so gets
+        the multiplies :func:`_joined` would give it, in the same order, and
+        each table is a read-only row of its matrix.
+        """
         keeps = [tuple(keep) for keep in keeps]
         cards = self.model.cardinalities
-        return [
-            (_joined(factors, keep, cards), log_scale)
-            for keep, (factors, log_scale) in zip(keeps, self.held(evidence, keeps))
-        ]
+        observed, held = self.held(evidence, keeps)
+        rows_of: dict[tuple[int, ...], list[int]] = {}  # the keeps of each table shape
+        for i, keep in enumerate(keeps):
+            rows_of.setdefault(tuple(cards[v] for v in keep), []).append(i)
+        tables: list = [None] * len(keeps)
+        for shape, rows in rows_of.items():
+            matrix = np.ones((len(rows), *shape))
+            factors, holding = dict(observed), {}
+            for row, i in enumerate(rows):
+                factors.update(held[i][0])
+                for n in held[i][0]:
+                    holding.setdefault(n, []).append(row)
+            for n in sorted(factors):
+                f, at = factors[n], holding.get(n)
+                if at is None or (len(at) == len(rows) and not f.scope):
+                    matrix *= f.values
+                    continue
+                for row in at:
+                    keep = keeps[rows[row]]
+                    if f.scope == keep or not f.scope:
+                        matrix[row] *= f.values
+                    else:
+                        matrix[row] = _chain(keep, matrix[row], (f,))[1]
+            _check_finite(matrix)
+            matrix.setflags(write=False)
+            for row, i in enumerate(rows):
+                tables[i] = (Potential._result(keeps[i], matrix[row, ...]), held[i][1])
+        return tables
 
     def held(
         self, evidence: Evidence, keeps: Iterable[Sequence[int]]
-    ) -> list[tuple[list[Potential], float]]:
+    ) -> tuple[dict[int, Potential], list[tuple[dict[int, Potential], float]]]:
+        """Restrict to ``evidence`` and, per ``keep``, sum out every other free variable.
+
+        Returns the fully observed potentials, held once for all keeps, and
+        per keep (its other factors, log scale); both map sequence numbers to
+        factors, and a keep's factors, scoped inside it, are the two in order.
+        """
         model = self.model
         free = [v for v in range(model.n_vars) if v not in evidence]
         if self.order is None:
@@ -343,20 +383,19 @@ class _Elimination:
             left = dict(scalars)
             for v in keep:
                 left.update(holders[v])
-            return [f for _, f in sorted(left.items())], log_scale
+            return left, log_scale
 
         # The path's state: for each variable, the (sequence number, factor)
-        # entries whose scope holds it; the entries of empty scope; the log
+        # entries whose scope holds it; the messages of empty scope; the log
         # scale. Sequence numbers follow the factor list (restricted potentials
         # in model order, then messages in creation order), so sorting entries
         # by them gives that list's order.
         held: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
-        scalars = []
+        scalars: list[tuple[int, Potential]] = []
+        observed = {n: p for n, p in enumerate(restricted) if not p.scope}
         for entry in enumerate(restricted):
             for v in entry[1].scope:
                 held[v].append(entry)
-            if not entry[1].scope:
-                scalars.append(entry)
         holders = [tuple(h) for h in held]
         log_scale = 0.0
 
@@ -379,7 +418,7 @@ class _Elimination:
         for i in waiting:  # keeps the path never reached take its final factors
             results[i] = finish(path, holders, scalars, log_scale, keeps[i])
         self.messages = messages
-        return [results[i] for i in range(len(keeps))]
+        return observed, [results[i] for i in range(len(keeps))]
 
 
 def _sum_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float]:
@@ -590,7 +629,8 @@ def brute_force_mmap(
     if states > cap:
         raise OracleTooLargeError(f"{states} explained states exceed the cap of {cap}")
 
-    [(factors, log_num)] = _Elimination(model).held(evidence, (explain,))
+    observed, [(held, log_num)] = _Elimination(model).held(evidence, (explain,))
+    factors = [f for _, f in sorted({**observed, **held}.items())]
     traceback = []
     for v in reversed(explain):
         bucket = [f for f in factors if v in f.scope]

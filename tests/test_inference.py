@@ -26,7 +26,16 @@ from margmap import (
     run_benchmark,
 )
 from margmap.generate import random_grid_model, random_model
-from margmap.inference import _Elimination, _max_message, _sum_message, _sum_out
+from margmap.inference import (
+    _Elimination,
+    _fill_count,
+    _joined,
+    _max_message,
+    _MinFill,
+    _sum_message,
+    _sum_out,
+    _without,
+)
 from margmap.uaiio import write_uai
 
 from conftest import (
@@ -114,6 +123,39 @@ class TestMinFillOrder:
             )
             assert min_fill_order(model, range(n)) == reference_min_fill_order(model, range(n))
 
+    def test_fill_counts_stay_those_of_a_recount_on_the_path_and_its_forks(self):
+        rng = np.random.default_rng(64)
+
+        def check(stepper):
+            for v in stepper.remaining:
+                assert stepper.fill[v] == _fill_count(stepper.adjacency, v)
+
+        for _ in range(60):
+            # up to 90 vertices, so the adjacency bitmasks cross a 64-bit machine word
+            n = int(rng.integers(1, 91))
+            edges = np.triu(rng.random((n, n)) < rng.uniform(0.02, 0.3), 1)
+            graph = [0] * n
+            for a, b in zip(*np.nonzero(edges)):
+                graph[a] |= 1 << int(b)
+                graph[b] |= 1 << int(a)
+            drawn = rng.choice(n, size=int(rng.integers(0, n // 4 + 1)), replace=False)
+            observed = [int(v) for v in drawn]
+            free = [v for v in range(n) if v not in observed]
+            # the free vertices left out stay in the graph as non-targets
+            targets = [v for v in free if rng.random() < 0.8]
+            path = _MinFill(_without(graph, observed), targets)
+            check(path)
+            while path.remaining:
+                if rng.random() < 0.2:
+                    size = int(rng.integers(0, len(path.remaining) + 1))
+                    dropped = rng.choice(path.remaining, size=size, replace=False)
+                    fork = path.fork(int(v) for v in dropped)
+                    check(fork)
+                    while fork.eliminate_next() is not None:
+                        check(fork)
+                path.eliminate_next()
+                check(path)
+
 
 class TestSharedElimination:
     def test_each_table_is_bit_identical_to_a_fresh_elimination(self):
@@ -169,6 +211,51 @@ class TestSharedElimination:
                         ):
                             assert new is old
                     previous = evidence
+
+
+    def test_one_product_matrix_per_call_gives_each_table_bit_for_bit(self):
+        rng = np.random.default_rng(65)
+        for model in differential_models(65):
+            cards = model.cardinalities
+            # one evidence on its own, then a sequence carried across calls
+            for evidences in ([random_evidence(model, rng)], _evidence_sequence(model, rng)):
+                elimination, twin = _Elimination(model), _Elimination(model)
+                for evidence in evidences:
+                    free = [v for v in range(model.n_vars) if v not in evidence]
+                    # single variables of mixed cardinalities, one of them twice, and the empty keep
+                    keeps = [(v,) for v in free] + [(free[0],), ()]
+                    tables = elimination.tables(evidence, keeps)
+                    observed, held = twin.held(evidence, keeps)
+                    for keep, (table, log_scale), (entries, held_scale) in zip(keeps, tables, held):
+                        factors = [f for _, f in sorted({**observed, **entries}.items())]
+                        fresh, fresh_log_scale = _sum_out(model, evidence, keep)
+                        assert table.scope == keep
+                        assert table.values.shape == tuple(cards[v] for v in keep)
+                        joined = _joined(factors, keep, cards)
+                        assert table.values.tobytes() == joined.values.tobytes()
+                        assert table.values.tobytes() == fresh.values.tobytes()
+                        assert log_scale == held_scale == fresh_log_scale
+                        assert not table.values.flags.writeable
+                        with pytest.raises(ValueError, match="read-only"):
+                            table.values[...] = 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_product_matrix_raises(self):
+        model = GraphicalModel(
+            (2, 2, 3),
+            (
+                Potential((0, 1), np.full((2, 2), 1e200)),
+                Potential((1,), [1e200, 1e200]),
+                Potential((2,), [1.0, 2.0, 3.0]),
+            ),
+        )
+        message = "table entries must be finite: a product of potentials overflowed"
+        # under {0: 0}, keep (1,)'s own two factors multiply to 1e400; the other keeps
+        # sum variable 1 out of that product on the way
+        for keeps in ([(1,)], [(2,), (1,), (1,), ()], [()]):
+            with pytest.raises(ValueError) as raised:
+                _Elimination(model).tables({0: 0}, keeps)
+            assert str(raised.value) == message
 
 
 class TestBucketKernel:
