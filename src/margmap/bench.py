@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GraphicalModel, ZeroProbabilityEvidenceError, _is_integer
+from .model import GraphicalModel, ZeroProbabilityEvidenceError, _check_integer
 from .inference import (
     DEFAULT_ORACLE_CAP,
     MmapSolution,
@@ -60,11 +60,7 @@ class BenchmarkSpec:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("epsilon_grid must be strictly increasing")
         for name, least in (("k", 1), ("q", 1), ("seed", 0), ("oracle_cap", 1)):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            _check_integer(getattr(self, name), name, least)
         object.__setattr__(self, "epsilon_grid", grid)
 
 

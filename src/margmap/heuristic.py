@@ -182,7 +182,8 @@ def _greedy(
     round.
     """
     explain = tuple(explain)
-    targets = list(_check_explain(model, evidence, explain))
+    evidence, targets = _check_explain(model, evidence, explain)
+    targets = list(targets)
     if not targets:
         raise ValueError("explain set must be non-empty")
     degenerate = [v for v in targets if model.cardinalities[v] < 2]

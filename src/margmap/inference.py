@@ -1,9 +1,10 @@
 """Exact inference by variable elimination, plus brute-force ground-truth oracles.
 
 ``pr`` and ``mar`` answer evidence-probability and single-variable marginal
-queries by sum-product elimination under a min-fill ordering (or any caller
-supplied ordering). ``brute_force_joint`` enumerates the full joint table,
-and ``brute_force_mmap`` solves marginal MAP exactly by constrained
+queries by sum-product elimination under a min-fill ordering, or under a
+caller's ordering: a fixed priority on the same stepper, with no fill work.
+``brute_force_joint`` enumerates the full joint table, and
+``brute_force_mmap`` solves marginal MAP exactly by constrained
 elimination; both are the exact answers the greedy is tested against.
 
 Every elimination runs through one core, ``_Elimination``, which sums the
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ from .model import (
     ZeroProbabilityEvidenceError,
     _chain,
     _check_explain,
+    _check_integer,
     _variable_ids,
     factor_product,
     factor_restrict,
@@ -141,36 +143,43 @@ class _MinFill:
     """Min-fill elimination of ``targets`` on (a copy of) ``graph``, one vertex at a time.
 
     The graph is a list of adjacency bitmasks, and ``remaining`` lists the
-    targets not yet eliminated in id order; ``fill[v]`` is
-    :func:`_fill_count` of each vertex, targets or not (0 once removed).
-    ``peek`` names the remaining target of least (fill count, id), and
-    ``eliminate_next`` removes it (``None`` once none is left) and updates
-    the counts: removing x lowers each neighbour's count by its neighbours
-    outside x's closed neighbourhood, then each missing edge a-b among x's
-    neighbours, added in turn, raises a's count by a's neighbours not
-    adjacent to b (and b's likewise) and lowers their common neighbours' by
-    one. ``fork(exclude)`` copies the state with ``exclude`` dropped from
-    the targets. Every vertex picked so far was the least (fill count, id)
-    among a superset of the copy's targets, so the copy goes on exactly as
-    a fresh stepper over its own targets would.
+    targets not yet eliminated, sorted by ``rank`` (a sort key; id order when
+    it is ``None``); ``fill[v]`` is :func:`_fill_count` of each vertex,
+    targets or not (0 once removed). ``peek`` names the first remaining
+    target of least fill count, and ``eliminate_next`` removes it (``None``
+    once none is left) and updates the counts: removing x lowers each
+    neighbour's count by its neighbours outside x's closed neighbourhood,
+    then each missing edge a-b among x's neighbours, added in turn, raises
+    a's count by a's neighbours not adjacent to b (and b's likewise) and
+    lowers their common neighbours' by one. ``fork(exclude)`` copies the
+    state with ``exclude`` dropped from the targets. Every vertex picked so
+    far was the least (fill count, rank) among a superset of the copy's
+    targets, so the copy goes on exactly as a fresh stepper over its own
+    targets would.
+
+    A caller's order is a fixed priority on the same stepper: its rank on an
+    edgeless graph, where every fill count is 0 and stays 0, so the targets
+    come out in the order's sequence and no fill work is done.
     """
 
     __slots__ = ("adjacency", "remaining", "fill")
 
-    def __init__(self, graph: list[int], targets: Iterable[int]):
+    def __init__(self, graph: list[int], targets: Iterable[int], rank: Callable | None = None):
         self.adjacency = list(graph)
-        self.remaining = sorted(set(targets))
-        self.fill = [_fill_count(self.adjacency, v) for v in range(len(graph))]
+        self.remaining = sorted(set(targets), key=rank)
+        # a vertex without neighbours adds no fill, so an edgeless graph costs no counting
+        self.fill = [nbrs and _fill_count(self.adjacency, v) for v, nbrs in enumerate(graph)]
 
     def peek(self) -> int | None:
+        if self.remaining and not self.fill[self.remaining[0]]:
+            return self.remaining[0]  # no count is below 0, so no later target beats it
         return min(self.remaining, key=self.fill.__getitem__, default=None)
 
     def eliminate_next(self) -> int | None:
-        remaining, adjacency, fill = self.remaining, self.adjacency, self.fill
-        if not remaining:
+        if (best := self.peek()) is None:
             return None
-        best = min(remaining, key=fill.__getitem__)
-        remaining.remove(best)
+        adjacency, fill = self.adjacency, self.fill
+        self.remaining.remove(best)
         nbrs = rest = adjacency[best]
         adjacency[best] = fill[best] = 0
         gone = 1 << best
@@ -212,35 +221,17 @@ class _MinFill:
         return twin
 
 
-class _Ordered:
-    """A caller's order restricted to ``targets``, stepped like :class:`_MinFill`."""
+def _rank(model: GraphicalModel, order: Sequence[int] | None) -> Callable[[int], int] | None:
+    """Each variable's place in ``order``, as a sort key; ``None`` stays ``None``.
 
-    __slots__ = ("ahead",)
-
-    def __init__(self, order: Iterable[int], targets: Iterable[int]):
-        targets = set(targets)
-        self.ahead = [v for v in order if v in targets][::-1]  # next vertex last
-
-    def peek(self) -> int | None:
-        return self.ahead[-1] if self.ahead else None
-
-    def eliminate_next(self) -> int | None:
-        return self.ahead.pop() if self.ahead else None
-
-    def fork(self, exclude: Iterable[int]) -> _Ordered:
-        twin = object.__new__(_Ordered)
-        exclude = set(exclude)
-        twin.ahead = [v for v in self.ahead if v not in exclude]
-        return twin
-
-
-def _check_order(model: GraphicalModel, order: Sequence[int] | None) -> list[int] | None:
-    """``order`` as a list of ints; it must be ``None`` or a permutation of all model variables."""
-    if order is not None:
-        order = _variable_ids(order, "order entry")
-        if sorted(order) != list(range(model.n_vars)):
-            raise ValueError("order must be a permutation of all model variables")
-    return order
+    ``order`` must be ``None`` or a permutation of all model variables.
+    """
+    if order is None:
+        return None
+    order = _variable_ids(order, "order entry")
+    if sorted(order) != list(range(model.n_vars)):
+        raise ValueError("order must be a permutation of all model variables")
+    return {v: i for i, v in enumerate(order)}.__getitem__
 
 
 class _Elimination:
@@ -250,11 +241,13 @@ class _Elimination:
     of kept variables. Each step computes its message with
     :func:`_sum_message`, which multiplies the bucket left to right through
     one :func:`_chain` call and wraps only the message; each message is
-    rescaled to max entry 1 so long eliminations cannot underflow.
-    ``order``, when given, must be a permutation of all model variables and
-    its subsequence over the summed variables is used; otherwise the order
-    is min-fill over the evidence-conditioned graph. A table that overflowed
-    float64 on the way shows up as a non-finite entry and raises ``ValueError``.
+    rescaled to max entry 1 so long eliminations cannot underflow. The
+    order is that of one :class:`_MinFill` stepper over the free variables:
+    min-fill on the evidence-conditioned graph, or, when ``order`` (a
+    permutation of all model variables) is given, that order's subsequence,
+    as the stepper's rank on an edgeless graph, where every fill count is 0
+    and stays 0. A table that overflowed float64 on the way shows up as a
+    non-finite entry and raises ``ValueError``.
 
     All ``keeps`` of one call share one elimination path: the order of every
     free variable, walked once. When the path's next variable lies in a
@@ -278,12 +271,12 @@ class _Elimination:
     bit-identical to the one a fresh elimination would give.
     """
 
-    __slots__ = ("model", "order", "graph", "slices", "restricted", "messages")
+    __slots__ = ("model", "rank", "graph", "slices", "restricted", "messages")
 
     def __init__(self, model: GraphicalModel, order: Sequence[int] | None = None):
         self.model = model
-        self.order = _check_order(model, order)
-        self.graph = _interaction_graph(model) if order is None else None
+        self.rank = _rank(model, order)
+        self.graph = _interaction_graph(model) if self.rank is None else [0] * model.n_vars
         self.slices: list[tuple[tuple[int, int], ...] | None] = [None] * len(model.potentials)
         self.restricted: list[Potential | None] = [None] * len(model.potentials)
         self.messages: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
@@ -329,11 +322,7 @@ class _Elimination:
                     matrix *= f.values
                     continue
                 for row in at:
-                    keep = keeps[rows[row]]
-                    if f.scope == keep or not f.scope:
-                        matrix[row] *= f.values
-                    else:
-                        matrix[row] = _chain(keep, matrix[row], (f,))[1]
+                    matrix[row] = _chain(keeps[rows[row]], matrix[row], (f,))[1]
             _check_finite(matrix)
             matrix.setflags(write=False)
             for row, i in enumerate(rows):
@@ -341,7 +330,7 @@ class _Elimination:
         return tables
 
     def held(
-        self, evidence: Evidence, keeps: Iterable[Sequence[int]]
+        self, evidence: Evidence, keeps: Sequence[tuple[int, ...]]
     ) -> tuple[dict[int, Potential], list[tuple[dict[int, Potential], float]]]:
         """Restrict to ``evidence`` and, per ``keep``, sum out every other free variable.
 
@@ -351,10 +340,7 @@ class _Elimination:
         """
         model = self.model
         free = [v for v in range(model.n_vars) if v not in evidence]
-        if self.order is None:
-            path = _MinFill(_without(self.graph, evidence), free)
-        else:
-            path = _Ordered(self.order, free)
+        path = _MinFill(_without(self.graph, evidence), free, self.rank)
         restricted = self._restrict(evidence)
         earlier, messages = self.messages, {}
         numbers = itertools.count(len(restricted))
@@ -399,7 +385,6 @@ class _Elimination:
         holders = [tuple(h) for h in held]
         log_scale = 0.0
 
-        keeps = [tuple(keep) for keep in keeps]
         forks_at: dict[int, list[int]] = {}
         for i, keep in enumerate(keeps):
             for v in keep:
@@ -509,16 +494,17 @@ def pr(
 
     The ratio of the evidence-restricted grand sum to the partition function,
     both evaluated by variable elimination. A caller-supplied ``order``
-    applies to the evidence-restricted sum only; the partition function
-    always comes from a per-model cache computed under a min-fill order, so
-    results under different orders agree up to rounding. ``order`` is
-    checked once: by the elimination, or here when the evidence is empty
-    and nothing is eliminated. Empty evidence gives exactly 1; structurally
-    impossible evidence gives 0.
+    applies to the evidence-restricted sum only, as a fixed priority on the
+    same elimination stepper, which then does no fill work; the partition
+    function always comes from a per-model cache computed under a min-fill
+    order, so results under different orders agree up to rounding.
+    ``order`` is checked once: by the elimination, or here when the
+    evidence is empty and nothing is eliminated. Empty evidence gives
+    exactly 1; structurally impossible evidence gives 0.
     """
-    validate_evidence(model, evidence)
+    evidence = validate_evidence(model, evidence)
     if not evidence:
-        _check_order(model, order)
+        _rank(model, order)
         return 1.0
     table, log_num = _sum_out(model, evidence, (), order)
     return _over_z(model, float(table.values), log_num)
@@ -550,13 +536,13 @@ def mar(
     to one evidence-probability query per state of X followed by
     normalization.
     """
-    (variable,) = _check_explain(model, evidence, (variable,))
+    evidence, (variable,) = _check_explain(model, evidence, (variable,))
     table, _ = _sum_out(model, evidence, (variable,), order)
     try:
         return normalize(table)
     except ZeroProbabilityEvidenceError:
         raise ZeroProbabilityEvidenceError(
-            f"evidence {dict(evidence)} has probability zero"
+            f"evidence {evidence} has probability zero"
         ) from None
 
 
@@ -584,6 +570,7 @@ def brute_force_joint(
     model: GraphicalModel, *, cap: int = DEFAULT_ORACLE_CAP
 ) -> Potential:
     """The normalized joint table over all variables, by full enumeration."""
+    _check_integer(cap, "cap", 1)
     cards = model.cardinalities
     states = math.prod(cards)
     if states > cap:
@@ -624,7 +611,8 @@ def brute_force_mmap(
     :class:`ZeroProbabilityEvidenceError`, whatever the explanation. The
     name is kept for API stability; nothing is enumerated.
     """
-    explain = _check_explain(model, evidence, explain)
+    _check_integer(cap, "cap", 1)
+    evidence, explain = _check_explain(model, evidence, explain)
     states = math.prod(model.cardinalities[v] for v in explain)
     if states > cap:
         raise OracleTooLargeError(f"{states} explained states exceed the cap of {cap}")

@@ -219,8 +219,20 @@ def _variable_ids(ids: Iterable[int], what: str) -> list[VariableId]:
     return out
 
 
-def validate_evidence(model: GraphicalModel, evidence: Evidence) -> None:
-    """Check that every observed variable and state is an integer that exists in the model."""
+def _check_integer(value: object, name: str, least: int) -> None:
+    """``value`` must be an integer, not a ``bool``, and at least ``least``; else ``ValueError``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def validate_evidence(model: GraphicalModel, evidence: Evidence) -> dict[VariableId, int]:
+    """Check that every observed variable and state is an integer that exists in the model.
+
+    Returns the evidence as a new ``{int: int}`` dict, numpy integers made
+    Python ints, for the queries to pass on.
+    """
     if not isinstance(evidence, Mapping):
         raise ValueError(
             f"evidence must map integer variables to integer states, got {evidence!r}"
@@ -237,16 +249,19 @@ def validate_evidence(model: GraphicalModel, evidence: Evidence) -> None:
                 f"state {s} out of range for variable {v} "
                 f"(cardinality {model.cardinalities[v]})"
             )
+    return {int(v): int(s) for v, s in evidence.items()}
 
 
 def _check_explain(
     model: GraphicalModel, evidence: Evidence, explain: Iterable[int]
-) -> tuple[VariableId, ...]:
-    """Validate the evidence and an explain set; return the distinct explain ids, sorted.
+) -> tuple[dict[VariableId, int], tuple[VariableId, ...]]:
+    """Validate the evidence and an explain set.
 
-    Explain ids must be model variables and must not be observed in the evidence.
+    Returns the evidence as :func:`validate_evidence` does and the distinct
+    explain ids, sorted. Explain ids must be model variables and must not be
+    observed in the evidence.
     """
-    validate_evidence(model, evidence)
+    evidence = validate_evidence(model, evidence)
     explain = tuple(sorted(set(_variable_ids(explain, "explain variable"))))
     outside = [v for v in explain if not 0 <= v < model.n_vars]
     if outside:
@@ -259,7 +274,7 @@ def _check_explain(
             f"explain set and evidence overlap on observed variables {overlap}; "
             "they must be disjoint"
         )
-    return explain
+    return evidence, explain
 
 
 def factor_product(a: Potential, b: Potential, cards: Sequence[int]) -> Potential:

@@ -68,6 +68,10 @@ class TestOracle:
         assert "assignment: X0=1 X1=1" in out
         assert "p* = 0.35" in out
 
+    def test_cap_below_one_is_a_clean_error(self, weather_file, capsys):
+        assert main(["oracle", str(weather_file), "--explain", "0,1", "--oracle-cap", "0"]) == 1
+        assert capsys.readouterr().err == "error: cap must be >= 1, got 0\n"
+
 
 class TestGen:
     def test_grid_structure(self, tmp_path, capsys):

@@ -125,10 +125,37 @@ class TestMinFillOrder:
 
     def test_fill_counts_stay_those_of_a_recount_on_the_path_and_its_forks(self):
         rng = np.random.default_rng(64)
+        order_rng = np.random.default_rng(65)  # the min-fill walks keep their own draws
 
         def check(stepper):
             for v in stepper.remaining:
                 assert stepper.fill[v] == _fill_count(stepper.adjacency, v)
+
+        def untouched(stepper):
+            assert not any(stepper.adjacency) and not any(stepper.fill)
+
+        def walk(path, rng, check):
+            """Step ``path`` to its end, forking at random steps, checking after every step.
+
+            Returns the path's picks and, per fork, how many picks came before
+            it, the targets it dropped and its own picks.
+            """
+            check(path)
+            picks, forks = [], []
+            while path.remaining:
+                if rng.random() < 0.2:
+                    size = int(rng.integers(0, len(path.remaining) + 1))
+                    dropped = {int(v) for v in rng.choice(path.remaining, size=size, replace=False)}
+                    fork = path.fork(dropped)
+                    check(fork)
+                    taken = []
+                    while (v := fork.eliminate_next()) is not None:
+                        taken.append(v)
+                        check(fork)
+                    forks.append((len(picks), dropped, taken))
+                picks.append(path.eliminate_next())
+                check(path)
+            return picks, forks
 
         for _ in range(60):
             # up to 90 vertices, so the adjacency bitmasks cross a 64-bit machine word
@@ -143,18 +170,17 @@ class TestMinFillOrder:
             free = [v for v in range(n) if v not in observed]
             # the free vertices left out stay in the graph as non-targets
             targets = [v for v in free if rng.random() < 0.8]
-            path = _MinFill(_without(graph, observed), targets)
-            check(path)
-            while path.remaining:
-                if rng.random() < 0.2:
-                    size = int(rng.integers(0, len(path.remaining) + 1))
-                    dropped = rng.choice(path.remaining, size=size, replace=False)
-                    fork = path.fork(int(v) for v in dropped)
-                    check(fork)
-                    while fork.eliminate_next() is not None:
-                        check(fork)
-                path.eliminate_next()
-                check(path)
+            walk(_MinFill(_without(graph, observed), targets), rng, check)
+
+            # a caller's order: its rank on the edgeless graph an ordered elimination steps
+            order = [int(v) for v in order_rng.permutation(n)]
+            sequence = [v for v in order if v in targets]
+            rank = {v: i for i, v in enumerate(order)}.__getitem__
+            ordered = _MinFill(_without([0] * n, observed), targets, rank)
+            picks, forks = walk(ordered, order_rng, untouched)
+            assert picks == sequence
+            for before, dropped, taken in forks:
+                assert taken == [v for v in sequence[before:] if v not in dropped]
 
 
 class TestSharedElimination:
@@ -496,6 +522,19 @@ def test_non_integer_variable_ids_rejected_by_every_query(weather, bad):
 
 def test_numpy_integer_variable_ids_accepted(weather):
     one = np.int64(1)
+    # an observed variable with free neighbours puts its id into the graph's bitmasks
+    grid = random_grid_model(3, 3, 2, rng=np.random.default_rng(0))
+    evidence = {np.int64(4): np.int64(1), np.int32(0): np.int8(0)}
+    plain = {4: 1, 0: 0}
+    assert pr(grid, evidence) == pr(grid, plain)
+    np.testing.assert_array_equal(mar(grid, evidence, 1).probs, mar(grid, plain, 1).probs)
+    assert brute_force_mmap(grid, evidence, [1, 2]) == brute_force_mmap(grid, plain, [1, 2])
+    for greedy in (mmap2mar, lambda *args: epsilon_mmap2mar(*args, epsilon=0.9)):
+        got, want = greedy(grid, [1, 2, 8], evidence), greedy(grid, [1, 2, 8], plain)
+        assert (got.explained, got.p_tilde, got.confidence) == (
+            want.explained, want.p_tilde, want.confidence
+        )
+        assert [s.marginal for s in got.steps] == [s.marginal for s in want.steps]
     np.testing.assert_array_equal(mar(weather, {}, one).probs, mar(weather, {}, 1).probs)
     assert brute_force_mmap(weather, {}, [one]) == brute_force_mmap(weather, {}, [1])
     assert mmap2mar(weather, np.array([0, 1])).explained == mmap2mar(weather, [0, 1]).explained
@@ -544,6 +583,15 @@ class TestEntropy:
             assert entropy(MassFunction(0, probs)) < 1.0 - 1e-12
 
 
+# each raised before any work, as a plain ValueError rather than OracleTooLargeError
+CAP_ERRORS = [
+    (0, "cap must be >= 1, got 0"),
+    (-5, "cap must be >= 1, got -5"),
+    (True, "cap must be an integer, got True"),
+    (2.5, "cap must be an integer, got 2.5"),
+]
+
+
 class TestBruteForceJoint:
     def test_weather_joint(self, weather):
         joint = brute_force_joint(weather)
@@ -573,6 +621,12 @@ class TestBruteForceJoint:
         )
         with pytest.raises(OracleTooLargeError):
             brute_force_joint(model)
+
+    @pytest.mark.parametrize("cap, message", CAP_ERRORS)
+    def test_cap_must_be_an_integer_of_at_least_one(self, weather, cap, message):
+        with pytest.raises(ValueError, match=message) as raised:
+            brute_force_joint(weather, cap=cap)
+        assert not isinstance(raised.value, OracleTooLargeError)
 
 
 class TestBruteForceMmap:
@@ -706,6 +760,13 @@ class TestBruteForceMmap:
         )
         with pytest.raises(OracleTooLargeError):
             brute_force_mmap(model, {}, set(range(n)))
+
+    @pytest.mark.parametrize("cap, message", CAP_ERRORS)
+    def test_cap_must_be_an_integer_of_at_least_one(self, weather, cap, message):
+        for explain in ([], [0], [0, 1]):
+            with pytest.raises(ValueError, match=message) as raised:
+                brute_force_mmap(weather, {}, explain, cap=cap)
+            assert not isinstance(raised.value, OracleTooLargeError)
 
     def test_overlap_with_evidence_rejected(self, weather):
         with pytest.raises(ValueError, match="disjoint"):
