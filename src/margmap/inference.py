@@ -23,10 +23,16 @@ what the newly observed variable touches is redone. Each table is
 bit-identical to a separate query. ``pr``, ``mar`` and the oracle use a
 fresh core per query.
 
-Every bucket, summed (``_sum_message``) or maxed (``_max_message``), and
-every final table (``_joined``, or a row of ``tables``' matrix with the
-same multiplies) is multiplied by ``model._chain``'s arithmetic: left to
-right into arrays, wrapping only the result in a ``Potential``.
+Every maxed bucket (``_max_message``), every summed one (``_sum_message``)
+whose product would hold fewer than ``_MATMUL_ENTRIES`` entries, and every
+final table (``_joined``, or a row of ``tables``' matrix with the same
+multiplies) is multiplied by ``model._chain``'s arithmetic: left to right
+into arrays, wrapping only the result in a ``Potential``. A summed bucket
+of that size or more is never multiplied out: its factors but the largest
+are chained, and one batched ``np.matmul`` sums the variable out against
+the largest (``_contracted``), so the last bits of those messages follow
+the BLAS build. Which kernel runs depends on the bucket alone, so fresh and
+shared eliminations still agree bit for bit.
 """
 
 from __future__ import annotations
@@ -55,6 +61,13 @@ from .model import (
 )
 
 DEFAULT_ORACLE_CAP = 1 << 22
+
+# A summed bucket whose product would hold this many entries or more is not
+# built but summed out by one matrix product (``_contracted``), several times
+# faster from this size on. Smaller buckets keep the product's arithmetic and
+# so their bits: every bucket of a binary grid up to 10x10 and of a ternary
+# 4x4 grid is below it.
+_MATMUL_ENTRIES = 1 << 16
 
 EliminationOrder = tuple[int, ...]
 
@@ -147,7 +160,8 @@ class _MinFill:
     it is ``None``); ``fill[v]`` is :func:`_fill_count` of each vertex,
     targets or not (0 once removed). ``peek`` names the first remaining
     target of least fill count, and ``eliminate_next`` removes it (``None``
-    once none is left) and updates the counts: removing x lowers each
+    once none is left); ``remove`` takes out the target ``peek`` named,
+    without scanning again. Either updates the counts: removing x lowers each
     neighbour's count by its neighbours outside x's closed neighbourhood,
     then each missing edge a-b among x's neighbours, added in turn, raises
     a's count by a's neighbours not adjacent to b (and b's likewise) and
@@ -176,8 +190,11 @@ class _MinFill:
         return min(self.remaining, key=self.fill.__getitem__, default=None)
 
     def eliminate_next(self) -> int | None:
-        if (best := self.peek()) is None:
-            return None
+        if (best := self.peek()) is not None:
+            self.remove(best)
+        return best
+
+    def remove(self, best: int) -> None:
         adjacency, fill = self.adjacency, self.fill
         self.remaining.remove(best)
         nbrs = rest = adjacency[best]
@@ -210,7 +227,6 @@ class _MinFill:
                     common ^= c
                 adjacency[a] = around_a | bit
                 adjacency[b] = around_b | low
-        return best
 
     def fork(self, exclude: Iterable[int]) -> _MinFill:
         twin = object.__new__(_MinFill)
@@ -240,8 +256,9 @@ class _Elimination:
     ``held`` and ``tables`` answer one evidence and a list of ``keeps``, sets
     of kept variables. Each step computes its message with
     :func:`_sum_message`, which multiplies the bucket left to right through
-    one :func:`_chain` call and wraps only the message; each message is
-    rescaled to max entry 1 so long eliminations cannot underflow. The
+    one :func:`_chain` call, or for a large bucket chains all but its largest
+    factor into one matrix product, and wraps only the message; each message
+    is rescaled to max entry 1 so long eliminations cannot underflow. The
     order is that of one :class:`_MinFill` stepper over the free variables:
     min-fill on the evidence-conditioned graph, or, when ``order`` (a
     permutation of all model variables) is given, that order's subsequence,
@@ -399,7 +416,8 @@ class _Elimination:
                         path.fork(keeps[i]), holders.copy(), scalars.copy(), log_scale, keeps[i]
                     )
             if waiting:
-                log_scale += eliminate(path.eliminate_next(), holders, scalars)
+                path.remove(v)
+                log_scale += eliminate(v, holders, scalars)
         for i in waiting:  # keeps the path never reached take its final factors
             results[i] = finish(path, holders, scalars, log_scale, keeps[i])
         self.messages = messages
@@ -409,14 +427,54 @@ class _Elimination:
 def _sum_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float]:
     """Sum ``v`` out of the product of ``bucket``: the message, rescaled, and its log scale.
 
-    The bucket's factors are multiplied left to right by :func:`_chain`, ``v``'s
-    axis is summed, and the sum is divided by its largest entry (when that is
-    neither 0 nor 1), whose log is returned.
+    A product of fewer than ``_MATMUL_ENTRIES`` entries is built: the bucket's
+    factors are multiplied left to right by :func:`_chain` and ``v``'s axis is
+    summed. A larger one is never built; :func:`_contracted` sums ``v`` out
+    by one matrix product instead. Either sum is divided by its largest entry
+    (when that is neither 0 nor 1), whose log is returned.
     """
+    # the factors' sizes multiplied bound the product's size, and are cheaper to take
+    if len(bucket) > 1 and math.prod([f.values.size for f in bucket]) >= _MATMUL_ENTRIES:
+        cards: dict[int, int] = {}
+        for f in bucket:
+            cards.update(zip(f.scope, f.values.shape))
+        if math.prod(cards.values()) >= _MATMUL_ENTRIES:
+            return _rescaled(*_contracted(bucket, v, cards))
     first = bucket[0]
     scope, values = _chain(first.scope, first.values, bucket[1:])
     axis = scope.index(v)
     return _rescaled(scope[:axis] + scope[axis + 1 :], values.sum(axis=axis))
+
+
+def _contracted(
+    bucket: Sequence[Potential], v: int, cards: dict[int, int]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Sum ``v`` out of the product of ``bucket`` by one batched ``np.matmul``.
+
+    The largest factor (the first of that size) stays as it is; the others
+    are multiplied left to right by :func:`_chain`. The variables other
+    than ``v`` fall in three groups: those of both sides, in the largest
+    factor's order; the rest's own; the largest factor's own. With the rest
+    laid out as (shared, own, ``v``) and the largest factor as (shared,
+    ``v``, own), each group flattened to one axis, the matrix product sums
+    ``v`` out. Returns the sum's scope, which is the three groups in that
+    order, and its values. The sum's last bits follow the BLAS build's order
+    of additions.
+    """
+    i = max(range(len(bucket)), key=lambda j: bucket[j].values.size)
+    large, rest = bucket[i], [*bucket[:i], *bucket[i + 1 :]]
+    scope, values = _chain(rest[0].scope, rest[0].values, rest[1:])
+    shared = [u for u in large.scope if u != v and u in scope]
+    own = [u for u in scope if u not in large.scope]
+    large_own = [u for u in large.scope if u not in scope]
+    groups = [math.prod([cards[u] for u in g]) for g in (shared, own, large_own)]
+    left = values.transpose([scope.index(u) for u in (*shared, *own, v)])
+    right = large.values.transpose([large.scope.index(u) for u in (*shared, v, *large_own)])
+    product = np.matmul(
+        left.reshape(groups[0], groups[1], cards[v]), right.reshape(groups[0], cards[v], groups[2])
+    )
+    out = (*shared, *own, *large_own)
+    return out, product.reshape([cards[u] for u in out])
 
 
 def _max_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float, np.ndarray]:

@@ -135,7 +135,8 @@ def reference_sum_out(model, evidence, keep, order=None):
     under the reference min-fill order when ``order`` is None. Restricts
     every potential, multiplies each bucket left to right, rescales each
     message to max entry 1, and multiplies what is left onto a table of ones
-    over ``keep``; returns the table and its log scale.
+    over ``keep``; returns the table, its log scale and the entries of the
+    largest bucket product (0 when nothing is summed).
     """
     cards = model.cardinalities
     summed = [v for v in range(model.n_vars) if v not in evidence and v not in keep]
@@ -145,6 +146,7 @@ def reference_sum_out(model, evidence, keep, order=None):
         steps = [v for v in order if v in summed]
     factors = [factor_restrict(p, evidence, cards) for p in model.potentials]
     log_scale = 0.0
+    largest = 0
     for v in steps:
         bucket = [f for f in factors if v in f.scope]
         if not bucket:
@@ -153,6 +155,7 @@ def reference_sum_out(model, evidence, keep, order=None):
         prod = bucket[0]
         for f in bucket[1:]:
             prod = factor_product(prod, f, cards)
+        largest = max(largest, prod.values.size)
         out = factor_marginalize(prod, {v}, cards)
         peak = float(out.values.max())
         if peak > 0.0 and peak != 1.0:
@@ -162,7 +165,7 @@ def reference_sum_out(model, evidence, keep, order=None):
     table = Potential(tuple(keep), np.ones([cards[v] for v in keep]))
     for f in factors:
         table = factor_product(table, f, cards)
-    return table, log_scale
+    return table, log_scale, largest
 
 
 def _shifted(model, offset):
@@ -176,7 +179,10 @@ def differential_models(seed):
     components, cardinality-1 variables, symmetric grids whose marginals tie
     exactly, and last, models of cardinality 8 to 10. numpy sums 8 or more
     contiguous entries pairwise, so from that size on a message's last bits
-    depend on the memory layout of its bucket product.
+    depend on the memory layout of its bucket product. Some buckets of the
+    last two models, with up to 10^5 entries, reach the size from which the
+    engine sums a bucket out by a matrix product instead of building it, so
+    there its messages agree with the pairwise factor ops only to rounding.
     """
     rng = np.random.default_rng(seed)
     models = [random_model(int(rng.integers(3, 10)), rng=rng) for _ in range(30)]

@@ -25,8 +25,10 @@ from margmap import (
     pr,
     run_benchmark,
 )
+from margmap import inference
 from margmap.generate import random_grid_model, random_model
 from margmap.inference import (
+    _MATMUL_ENTRIES,
     _Elimination,
     _fill_count,
     _joined,
@@ -183,6 +185,24 @@ class TestMinFillOrder:
                 assert taken == [v for v in sequence[before:] if v not in dropped]
 
 
+def _check_against_reference(table, log_scale, reference, reference_log_scale, largest):
+    """The engine's table and log scale against ``reference_sum_out``'s.
+
+    Bit for bit when every bucket product of the elimination has fewer than
+    ``_MATMUL_ENTRIES`` entries, the ones the engine builds as the reference
+    does. From that size on the engine sums by a matrix product, whose
+    additions run in the BLAS build's order, so there they agree within
+    1e-12 relative. Returns which of the two held.
+    """
+    if largest < _MATMUL_ENTRIES:
+        assert np.array_equal(table.values, reference.values)
+        assert log_scale == reference_log_scale
+        return "product"
+    np.testing.assert_allclose(table.values, reference.values, rtol=1e-12, atol=0.0)
+    assert log_scale == pytest.approx(reference_log_scale, rel=1e-12, abs=1e-12)
+    return "matmul"
+
+
 class TestSharedElimination:
     def test_each_table_is_bit_identical_to_a_fresh_elimination(self):
         rng = np.random.default_rng(61)
@@ -207,13 +227,13 @@ class TestSharedElimination:
                     assert table.scope == fresh.scope == tuple(keep)
                     assert np.array_equal(table.values, fresh.values)
                     assert log_scale == fresh_log_scale
-                    reference, reference_log_scale = reference_sum_out(model, evidence, keep, order)
-                    assert reference.scope == tuple(keep)
-                    assert np.array_equal(table.values, reference.values)
-                    assert log_scale == reference_log_scale
+                    reference = reference_sum_out(model, evidence, keep, order)
+                    assert reference[0].scope == tuple(keep)
+                    _check_against_reference(table, log_scale, *reference)
 
     def test_state_carried_across_evidences_is_bit_identical_to_a_fresh_elimination(self):
         rng = np.random.default_rng(63)
+        kernels = set()
         for model in differential_models(63):
             for order in (None, tuple(int(v) for v in rng.permutation(model.n_vars))):
                 elimination = _Elimination(model, order)
@@ -225,11 +245,11 @@ class TestSharedElimination:
                     shared = elimination.tables(evidence, keeps)
                     for keep, (table, log_scale) in zip(keeps, shared):
                         fresh, fresh_log_scale = _sum_out(model, evidence, keep, order)
-                        reference, reference_log_scale = reference_sum_out(model, evidence, keep, order)
-                        assert table.scope == fresh.scope == reference.scope == keep
+                        reference = reference_sum_out(model, evidence, keep, order)
+                        assert table.scope == fresh.scope == reference[0].scope == keep
                         assert np.array_equal(table.values, fresh.values)
-                        assert np.array_equal(table.values, reference.values)
-                        assert log_scale == fresh_log_scale == reference_log_scale
+                        assert log_scale == fresh_log_scale
+                        kernels.add(_check_against_reference(table, log_scale, *reference))
                     # a potential whose scope saw no evidence change keeps its restricted object
                     for p, old, new in zip(model.potentials, before, elimination.restricted):
                         if previous is not None and all(
@@ -237,7 +257,7 @@ class TestSharedElimination:
                         ):
                             assert new is old
                     previous = evidence
-
+        assert kernels == {"product", "matmul"}
 
     def test_one_product_matrix_per_call_gives_each_table_bit_for_bit(self):
         rng = np.random.default_rng(65)
@@ -352,6 +372,68 @@ class TestBucketKernel:
             assert np.array_equal(message.values, values)
             assert message_log_peak == log_peak
             assert np.array_equal(argmax, product.values.argmax(axis=axis))
+
+
+class TestMatmulKernel:
+    """Buckets of ``_MATMUL_ENTRIES`` entries or more, summed out by one matrix product."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        kernel = inference._contracted
+
+        def counted(bucket, v, cards):
+            calls.append(v)
+            return kernel(bucket, v, cards)
+
+        monkeypatch.setattr(inference, "_contracted", counted)
+        return calls
+
+    def test_every_pair_of_ten_state_variables_matches_the_joint(self, monkeypatch):
+        # a pairwise factor between every two of 5 variables: eliminating the
+        # first one multiplies all 5, a bucket of 10^5 entries, like the joint
+        rng = np.random.default_rng(91)
+        cards = (10,) * 5
+        pairs = itertools.combinations(range(5), 2)
+        model = GraphicalModel(
+            cards, tuple(Potential(p, rng.uniform(0.1, 2.0, size=(10, 10))) for p in pairs)
+        )
+        calls = self._count_calls(monkeypatch)
+        joint = brute_force_joint(model)
+        for v in range(5):
+            expected = factor_marginalize(joint, set(range(5)) - {v}, cards).values
+            np.testing.assert_allclose(mar(model, {}, v).probs, expected, rtol=1e-12, atol=0.0)
+        assert calls
+        expected = float(joint.values[:, 3, :, :, 7].sum())
+        assert pr(model, {1: 3, 4: 7}) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_wide_grid_matches_the_reference_and_stays_below_the_oracle(self, monkeypatch):
+        model = random_grid_model(4, 4, 12, rng=np.random.default_rng(92), sigma=1.0)
+        calls = self._count_calls(monkeypatch)
+        for v in range(16):
+            # unobserved, every keep's min-fill elimination has a bucket of 12^5 entries
+            reference, _, largest = reference_sum_out(model, {}, (v,))
+            assert largest >= _MATMUL_ENTRIES
+            expected = reference.values / reference.values.sum()
+            np.testing.assert_allclose(mar(model, {}, v).probs, expected, rtol=1e-12, atol=0.0)
+        assert len(calls) >= 16
+        evidence, targets = {5: 3}, [0, 10, 15]
+        trace = mmap2mar(model, targets, evidence)
+        exact = brute_force_mmap(model, evidence, targets)
+        assert trace.p_tilde <= exact.probability * (1 + 1e-12)
+
+    @pytest.mark.parametrize("rows, cols, card", [(10, 10, 2), (6, 6, 2), (4, 4, 3)])
+    def test_binary_and_ternary_grids_keep_every_bucket_below_it(self, rows, cols, card):
+        # the 10x10 and 6x6 binary and 4x4 ternary grids of CI and the benchmark:
+        # their largest min-fill bucket, from scopes alone, is built and summed
+        model = random_grid_model(rows, cols, card, rng=np.random.default_rng(0))
+        scopes = [set(p.scope) for p in model.potentials]
+        largest = 0
+        for v in min_fill_order(model, range(model.n_vars)):
+            joined = set().union(*[s for s in scopes if v in s])
+            largest = max(largest, card ** len(joined))
+            scopes = [s for s in scopes if v not in s] + [joined - {v}]
+        assert largest < _MATMUL_ENTRIES
 
 
 def _evidence_sequence(model, rng):
