@@ -24,7 +24,6 @@ from .model import (
 )
 from .inference import (
     DEFAULT_ORACLE_CAP,
-    EliminationOrder,
     MmapSolution,
     OracleTooLargeError,
     brute_force_joint,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchmarkSpec",
     "DEFAULT_ORACLE_CAP",
-    "EliminationOrder",
     "Evidence",
     "ExplanationStep",
     "ExplanationTrace",

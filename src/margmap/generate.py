@@ -60,29 +60,25 @@ def random_model(
     rng: np.random.Generator,
     min_cardinality: int = 2,
     max_cardinality: int = 4,
-    n_factors: int | None = None,
-    max_scope: int = 3,
-    low: float = 0.1,
-    high: float = 1.0,
 ) -> GraphicalModel:
     """Free-form random model with strictly positive uniform tables.
 
-    Draws random scopes of size 1..max_scope, then adds a unary potential for
-    any variable the drawn scopes left uncovered.
+    Draws ``n_vars`` potentials, each over a random scope of 1 to 3 distinct
+    variables (at most ``n_vars``) with entries uniform in [0.1, 1), then
+    adds a unary potential with entries from the same range for any variable
+    the drawn scopes left uncovered.
     """
     if n_vars < 1:
         raise ValueError("n_vars must be >= 1")
     cards = tuple(int(c) for c in rng.integers(min_cardinality, max_cardinality + 1, n_vars))
-    if n_factors is None:
-        n_factors = n_vars
     potentials = []
     covered: set[int] = set()
-    for _ in range(n_factors):
-        size = int(rng.integers(1, min(max_scope, n_vars) + 1))
+    for _ in range(n_vars):
+        size = int(rng.integers(1, min(3, n_vars) + 1))
         scope = tuple(int(v) for v in rng.choice(n_vars, size=size, replace=False))
         shape = tuple(cards[v] for v in scope)
-        potentials.append(Potential(scope, rng.uniform(low, high, shape)))
+        potentials.append(Potential(scope, rng.uniform(0.1, 1.0, shape)))
         covered.update(scope)
     for v in sorted(set(range(n_vars)) - covered):
-        potentials.append(Potential((v,), rng.uniform(low, high, (cards[v],))))
+        potentials.append(Potential((v,), rng.uniform(0.1, 1.0, (cards[v],))))
     return GraphicalModel(cards, tuple(potentials))

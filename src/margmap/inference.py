@@ -69,9 +69,6 @@ DEFAULT_ORACLE_CAP = 1 << 22
 # 4x4 grid is below it.
 _MATMUL_ENTRIES = 1 << 16
 
-EliminationOrder = tuple[int, ...]
-
-
 class OracleTooLargeError(ValueError):
     """An oracle's input exceeds its joint-state cap.
 
@@ -92,7 +89,7 @@ def min_fill_order(
     model: GraphicalModel,
     eliminate: Iterable[int],
     evidence: Iterable[int] = (),
-) -> EliminationOrder:
+) -> tuple[int, ...]:
     """Greedy min-fill ordering of ``eliminate`` over the interaction graph.
 
     Evidence variables, if given, are removed from the graph first, matching
@@ -529,7 +526,9 @@ def _log_z(model: GraphicalModel) -> tuple[float, float]:
     """The log partition function as (log of the summed-out table, its log scale).
 
     Computed once per model under a min-fill order and kept on the instance;
-    the model is immutable, so the stored value never goes stale.
+    the model is immutable, so the stored value never goes stale. A model
+    whose joint mass is zero raises :class:`ZeroProbabilityEvidenceError`:
+    ``pr``, the greedy's p~ and the oracle all come through here.
     """
     cached = vars(model).get("_log_z")
     if cached is None:
@@ -557,12 +556,15 @@ def pr(
     function always comes from a per-model cache computed under a min-fill
     order, so results under different orders agree up to rounding.
     ``order`` is checked once: by the elimination, or here when the
-    evidence is empty and nothing is eliminated. Empty evidence gives
-    exactly 1; structurally impossible evidence gives 0.
+    evidence is empty and nothing is eliminated. A model whose joint mass
+    is zero raises :class:`ZeroProbabilityEvidenceError`, as every query
+    does, with or without evidence. On a model with mass, empty evidence
+    gives exactly 1 and structurally impossible evidence gives 0.
     """
     evidence = validate_evidence(model, evidence)
     if not evidence:
         _rank(model, order)
+        _log_z(model)
         return 1.0
     table, log_num = _sum_out(model, evidence, (), order)
     return _over_z(model, float(table.values), log_num)
@@ -572,12 +574,14 @@ def _over_z(model: GraphicalModel, mass: float, log_scale: float) -> float:
     """``mass * exp(log_scale)`` divided by the model's partition function.
 
     The ratio is taken in log space, exp(log mass - log Z + the log scales),
-    so neither factor has to fit in a float64 by itself. Zero mass gives 0
-    without computing Z.
+    so neither factor has to fit in a float64 by itself. Z comes first: a
+    model whose joint mass is zero raises
+    :class:`ZeroProbabilityEvidenceError` from :func:`_log_z`, whatever
+    ``mass``. On a model with mass, zero ``mass`` gives 0.
     """
+    log_den, log_den_scale = _log_z(model)
     if mass == 0.0:
         return 0.0
-    log_den, log_den_scale = _log_z(model)
     return math.exp(math.log(mass) - log_den + log_scale - log_den_scale)
 
 
@@ -664,10 +668,11 @@ def brute_force_mmap(
     than ``cap`` joint states still raises :class:`OracleTooLargeError`.
     An empty explanation takes the same path with nothing to max out, so
     its probability is P(x_E), bit for bit as :func:`pr` gives it.
-    Evidence of probability zero gives the all-zero assignment with
-    probability 0; a model whose joint mass is zero raises
-    :class:`ZeroProbabilityEvidenceError`, whatever the explanation. The
-    name is kept for API stability; nothing is enumerated.
+    A model whose joint mass is zero raises
+    :class:`ZeroProbabilityEvidenceError`, whatever the evidence and the
+    explanation; on a model with mass, evidence of probability zero gives
+    the all-zero assignment with probability 0. The name is kept for API
+    stability; nothing is enumerated.
     """
     _check_integer(cap, "cap", 1)
     evidence, explain = _check_explain(model, evidence, explain)
@@ -686,11 +691,10 @@ def brute_force_mmap(
         factors.append(message)
         log_num += log_peak
     peak = float(_joined(factors, (), model.cardinalities).values)  # factors left are scalars
-    _log_z(model)  # a model of zero mass raises even when the evidence has mass zero
+    probability = _over_z(model, peak, log_num)
     if peak == 0.0:
-        return MmapSolution(dict.fromkeys(explain, 0), 0.0)
+        return MmapSolution(dict.fromkeys(explain, 0), probability)
     assignment: dict[int, int] = {}
     for v, scope, argmax in reversed(traceback):
         assignment[v] = int(argmax[tuple(assignment[u] for u in scope)])
-    probability = _over_z(model, peak, log_num)
     return MmapSolution(assignment, probability)

@@ -107,10 +107,6 @@ class Potential:
         """The table flattened in C order (last scope variable fastest)."""
         return self.values.reshape(-1)
 
-    @property
-    def cardinalities(self) -> tuple[int, ...]:
-        return self.values.shape
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Potential):
             return NotImplemented
@@ -135,10 +131,6 @@ class MassFunction:
         probs.setflags(write=False)
         object.__setattr__(self, "variable", int(self.variable))
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def cardinality(self) -> int:
-        return self.probs.size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MassFunction):
@@ -176,10 +168,6 @@ class GraphicalModel:
     @property
     def n_vars(self) -> int:
         return len(self.cardinalities)
-
-    @property
-    def max_cardinality(self) -> int:
-        return max(self.cardinalities)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphicalModel):

@@ -356,7 +356,7 @@ class TestRunBenchmark:
         ]
 
     def test_failed_draws_are_skipped_at_every_epsilon_in_order(self, tmp_path, monkeypatch):
-        # every state of every variable has probability zero, so no draw succeeds
+        # the model's joint mass is zero, so the first draw's pr raises
         model = GraphicalModel((2, 2), (Potential((0, 1), np.zeros((2, 2))),))
         path = tmp_path / "zero.uai"
         path.write_text(write_uai(model))
@@ -366,7 +366,7 @@ class TestRunBenchmark:
         assert not points and not results
         assert len(drawn) == spec.q
         assert [(s.epsilon, s.index) for s in skipped] == [(0.5, 0), (0.5, 1), (1.0, 0), (1.0, 1)]
-        reason = "no evidence with positive probability found in 100 draws"
+        reason = "the model's joint mass is identically zero"
         assert all(s.reason == reason for s in skipped)
 
 
@@ -482,6 +482,11 @@ class TestEmitDat:
         hamming = read_dat(tmp_path / "h.dat")
         assert match == [(p.epsilon, p.exact_match_rate) for p in points]
         assert hamming == [(p.epsilon, p.mean_hamming) for p in points]
+
+    def test_reader_skips_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "m.dat"
+        path.write_text("# header\n\n0.5 0.25\n\n1.0 0.75\n")
+        assert read_dat(path) == [(0.5, 0.25), (1.0, 0.75)]
 
     def test_csv_contents(self, tmp_path):
         points, results, _ = run_benchmark(_small_spec(tmp_path))

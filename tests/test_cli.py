@@ -88,7 +88,7 @@ class TestGen:
         ) == 0
         model = parse_uai(out_path.read_text())
         assert model.n_vars == 12
-        assert model.max_cardinality == 3
+        assert max(model.cardinalities) == 3
         # 12 unary potentials plus 3*3 + 2*4 = 17 edges
         assert len(model.potentials) == 12 + 17
 

@@ -494,6 +494,34 @@ class TestPr:
                 pr(weather, evidence, order=("x", None))
 
 
+class TestZeroMassModel:
+    """Every query raises on a model whose joint mass is zero, with or without evidence.
+
+    Both oracles' cases are in TestBruteForceJoint and TestBruteForceMmap.
+    """
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            pytest.param(lambda m: pr(m, {}), id="pr-empty"),
+            pytest.param(lambda m: pr(m, {0: 1}), id="pr-evidence"),
+            pytest.param(lambda m: mar(m, {}, 0), id="mar-empty"),
+            pytest.param(lambda m: mar(m, {1: 0}, 0), id="mar-evidence"),
+            pytest.param(lambda m: mmap2mar(m, [0, 1], {}), id="mmap2mar-empty"),
+            pytest.param(lambda m: mmap2mar(m, [0], {1: 0}), id="mmap2mar-evidence"),
+            pytest.param(lambda m: epsilon_mmap2mar(m, [0, 1], {}, epsilon=0.5), id="epsilon-empty"),
+            pytest.param(
+                lambda m: epsilon_mmap2mar(m, [0], {1: 0}, epsilon=0.5), id="epsilon-evidence"
+            ),
+        ],
+    )
+    def test_every_query_raises(self, query):
+        # a fresh model each time, so no earlier query has filled its partition function
+        model = GraphicalModel((2, 2), (Potential((0, 1), np.zeros((2, 2))),))
+        with pytest.raises(ZeroProbabilityEvidenceError):
+            query(model)
+
+
 class TestMar:
     def test_weather_prior_marginals(self, weather):
         np.testing.assert_allclose(mar(weather, {}, 0).probs, [0.60, 0.40], atol=1e-12)

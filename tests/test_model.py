@@ -211,6 +211,10 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="finite"):
             Potential((0,), [np.nan, 0.5])
 
+    def test_negative_scope_id_rejected(self):
+        with pytest.raises(ValueError, match=r"negative variable id in scope \(-1,\)"):
+            Potential((-1,), [0.5, 0.5])
+
     def test_duplicate_scope_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Potential((0, 0), np.ones((2, 2)))
@@ -242,6 +246,14 @@ class TestTypeInvariants:
             with pytest.raises(ValueError):
                 values[0] = 2.0
 
+    def test_model_needs_a_variable(self):
+        with pytest.raises(ValueError, match="a model needs at least one variable"):
+            GraphicalModel((), ())
+
+    def test_model_rejects_zero_cardinality(self):
+        with pytest.raises(ValueError, match="cardinalities must be >= 1"):
+            GraphicalModel((2, 0), (Potential((0,), [1.0, 1.0]),))
+
     def test_model_requires_full_coverage(self):
         with pytest.raises(ModelInconsistencyError, match="cover"):
             GraphicalModel((2, 2), (Potential((0,), [1.0, 1.0]),))
@@ -253,6 +265,11 @@ class TestTypeInvariants:
     def test_model_rejects_out_of_range_scope(self):
         with pytest.raises(ModelInconsistencyError, match="out of range"):
             GraphicalModel((2,), (Potential((0, 1), np.ones((2, 2))),))
+
+    def test_mass_function_needs_a_state(self):
+        for probs in ([], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match="probs must be a non-empty vector"):
+                MassFunction(0, probs)
 
     def test_mass_function_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):

@@ -112,7 +112,6 @@ class TestRoundTrip:
                 assert p.scope == q.scope
                 assert np.array_equal(p.values, q.values)
             assert again.n_vars == model.n_vars
-            assert again.max_cardinality == model.max_cardinality
 
     def test_awkward_reals_survive(self):
         table = [1 / 3, 2 / 3, 1e-300, 1.0 - 1e-300]
