@@ -23,6 +23,17 @@ what the newly observed variable touches is redone. Each table is
 bit-identical to a separate query. ``pr``, ``mar`` and the oracle use a
 fresh core per query.
 
+For a round with many candidates the greedy first asks ``tree`` for every
+candidate's table from one bucket tree (Shafer & Shenoy 1990): one upward
+pass along the same min-fill path, through the same steps and message memo,
+and one downward pass over only the buckets on the way to the candidates.
+Its tables are exact, but their last bits are the tree's own, so the greedy
+uses them only to choose which candidates to score on the forks: those
+whose tree entropy is within 1e-9 of the least, and those whose tree mass
+is zero or not finite. Tree and fork entropies differ by rounding only,
+some 1e-15, so the winner and every candidate tied with it are among those
+scored, and each round's answer is the forks', bit for bit.
+
 Every maxed bucket (``_max_message``), every summed one (``_sum_message``)
 whose product would hold fewer than ``_MATMUL_ENTRIES`` entries, and every
 final table (``_joined``, or a row of ``tables``' matrix with the same
@@ -39,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,29 +291,45 @@ class _Elimination:
     eliminated variable and the identities of its bucket's factors, in
     bucket order, so a step that meets the same factors in the same order,
     in this call or the next, reuses the message. A memo entry holds its
-    bucket, so no identity in a live key is recycled, and an entry no step
-    looked up during a call is dropped when that call ends. Every table is
-    bit-identical to the one a fresh elimination would give.
+    bucket, so no identity in a live key is recycled. A round of the memo
+    ends with each :meth:`held` call (and so each :meth:`tables` call): an
+    entry no step looked up during the round is dropped then. A
+    :meth:`tree` call before it belongs to the same round, so its messages
+    are kept for the next one. Every table is bit-identical to the one a
+    fresh elimination would give.
     """
 
-    __slots__ = ("model", "rank", "graph", "slices", "restricted", "messages")
+    __slots__ = (
+        "model", "rank", "graph", "evidence", "touching", "restricted", "messages", "earlier"
+    )
 
     def __init__(self, model: GraphicalModel, order: Sequence[int] | None = None):
         self.model = model
         self.rank = _rank(model, order)
         self.graph = _interaction_graph(model) if self.rank is None else [0] * model.n_vars
-        self.slices: list[tuple[tuple[int, int], ...] | None] = [None] * len(model.potentials)
+        # the evidence the potentials were last restricted to, and each variable's potentials
+        self.evidence: dict[int, int] | None = None
+        self.touching: list[list[int]] = [[] for _ in range(model.n_vars)]
+        for i, p in enumerate(model.potentials):
+            for v in p.scope:
+                self.touching[v].append(i)
         self.restricted: list[Potential | None] = [None] * len(model.potentials)
+        # the messages looked up in this round, and those of the last round not looked up yet
         self.messages: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
+        self.earlier: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
 
     def _restrict(self, evidence: Evidence) -> list[Potential]:
-        cards, restricted, slices = self.model.cardinalities, self.restricted, self.slices
-        for i, p in enumerate(self.model.potentials):
-            part = tuple((v, evidence[v]) for v in p.scope if v in evidence)
-            if part != slices[i]:
-                slices[i] = part
-                restricted[i] = factor_restrict(p, evidence, cards)
-        return restricted
+        """The potentials restricted to ``evidence``: those whose scope's evidence changed anew."""
+        model, last = self.model, self.evidence
+        if last is None:
+            redo: Iterable[int] = range(len(model.potentials))
+        else:
+            changed = [v for v in last.keys() | evidence.keys() if last.get(v) != evidence.get(v)]
+            redo = {i for v in changed for i in self.touching[v]}
+        for i in redo:
+            self.restricted[i] = factor_restrict(model.potentials[i], evidence, model.cardinalities)
+        self.evidence = dict(evidence)
+        return self.restricted
 
     def tables(
         self, evidence: Evidence, keeps: Iterable[Sequence[int]]
@@ -343,6 +370,55 @@ class _Elimination:
                 tables[i] = (Potential._result(keeps[i], matrix[row, ...]), held[i][1])
         return tables
 
+    def _start(
+        self, evidence: Evidence
+    ) -> tuple[_MinFill, dict[int, Potential], list[tuple], Iterator[int]]:
+        """Restrict to ``evidence``: the min-fill path over the free variables and its first state.
+
+        The state is the fully observed potentials, by sequence number; for
+        each variable, the (sequence number, factor) entries whose scope holds
+        it; and the numbers for the messages to come. Sequence numbers follow
+        the factor list (restricted potentials in model order, then messages
+        in creation order), so sorting entries by them gives that list's order.
+        """
+        model = self.model
+        free = [v for v in range(model.n_vars) if v not in evidence]
+        path = _MinFill(_without(self.graph, evidence), free, self.rank)
+        restricted = self._restrict(evidence)
+        held: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
+        observed = {}
+        for entry in enumerate(restricted):
+            if not entry[1].scope:
+                observed[entry[0]] = entry[1]
+            for v in entry[1].scope:
+                held[v].append(entry)
+        return path, observed, [tuple(h) for h in held], itertools.count(len(restricted))
+
+    def _eliminate(
+        self, v: int, holders: list, scalars: list, numbers: Iterator[int]
+    ) -> tuple[tuple[int, Potential], float]:
+        """Sum ``v`` out of the factors ``holders`` gives it: the message's entry and log scale.
+
+        The message goes to the holders of its scope, or to ``scalars`` when
+        it has none; the memo gives it when the bucket was met before.
+        """
+        bucket = holders[v]
+        key = (v, *[id(f) for _, f in bucket])
+        found = self.messages.get(key)
+        if found is None:
+            found = self.earlier.pop(key, None)
+            if found is None:
+                found = (*_sum_message([f for _, f in bucket], v), bucket)
+            self.messages[key] = found
+        out, log_peak, _ = found
+        entry = (next(numbers), out)
+        holders[v] = ()
+        for u in out.scope:
+            holders[u] = (*[e for e in holders[u] if e not in bucket], entry)
+        if not out.scope:
+            scalars.append(entry)
+        return entry, log_peak
+
     def held(
         self, evidence: Evidence, keeps: Sequence[tuple[int, ...]]
     ) -> tuple[dict[int, Potential], list[tuple[dict[int, Potential], float]]]:
@@ -351,54 +427,21 @@ class _Elimination:
         Returns the fully observed potentials, held once for all keeps, and
         per keep (its other factors, log scale); both map sequence numbers to
         factors, and a keep's factors, scoped inside it, are the two in order.
+        This call ends a round of the message memo.
         """
-        model = self.model
-        free = [v for v in range(model.n_vars) if v not in evidence]
-        path = _MinFill(_without(self.graph, evidence), free, self.rank)
-        restricted = self._restrict(evidence)
-        earlier, messages = self.messages, {}
-        numbers = itertools.count(len(restricted))
-
-        def eliminate(v: int, holders: list, scalars: list) -> float:
-            bucket = holders[v]
-            key = (v, *[id(f) for _, f in bucket])
-            found = messages.get(key)
-            if found is None:
-                found = earlier.pop(key, None)
-                if found is None:
-                    found = (*_sum_message([f for _, f in bucket], v), bucket)
-                messages[key] = found
-            out, log_peak, _ = found
-            entry = (next(numbers), out)
-            holders[v] = ()
-            for u in out.scope:
-                holders[u] = (*[e for e in holders[u] if e not in bucket], entry)
-            if not out.scope:
-                scalars.append(entry)
-            return log_peak
+        path, observed, holders, numbers = self._start(evidence)
 
         def finish(branch, holders: list, scalars: list, log_scale: float, keep: tuple[int, ...]):
             for v in iter(branch.eliminate_next, None):
-                log_scale += eliminate(v, holders, scalars)
+                log_scale += self._eliminate(v, holders, scalars, numbers)[1]
             left = dict(scalars)
             for v in keep:
                 left.update(holders[v])
             return left, log_scale
 
-        # The path's state: for each variable, the (sequence number, factor)
-        # entries whose scope holds it; the messages of empty scope; the log
-        # scale. Sequence numbers follow the factor list (restricted potentials
-        # in model order, then messages in creation order), so sorting entries
-        # by them gives that list's order.
-        held: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
+        # the path's state: the holders, the messages of empty scope, the log scale
         scalars: list[tuple[int, Potential]] = []
-        observed = {n: p for n, p in enumerate(restricted) if not p.scope}
-        for entry in enumerate(restricted):
-            for v in entry[1].scope:
-                held[v].append(entry)
-        holders = [tuple(h) for h in held]
         log_scale = 0.0
-
         forks_at: dict[int, list[int]] = {}
         for i, keep in enumerate(keeps):
             for v in keep:
@@ -414,11 +457,76 @@ class _Elimination:
                     )
             if waiting:
                 path.remove(v)
-                log_scale += eliminate(v, holders, scalars)
+                log_scale += self._eliminate(v, holders, scalars, numbers)[1]
         for i in waiting:  # keeps the path never reached take its final factors
             results[i] = finish(path, holders, scalars, log_scale, keeps[i])
-        self.messages = messages
+        self.earlier, self.messages = self.messages, {}
         return observed, [results[i] for i in range(len(keeps))]
+
+    def tree(self, evidence: Evidence, variables: Sequence[int]) -> list[np.ndarray]:
+        """Each of ``variables``' unnormalised table under ``evidence``, from one bucket tree.
+
+        The upward pass walks the whole min-fill path once, through the same
+        steps and message memo as :meth:`held`, and records each step's
+        bucket; the bucket that takes a message is its parent. The downward
+        pass (Shafer & Shenoy) visits only the buckets on the way from a root
+        to a requested variable's bucket, in the reverse order: the message
+        into a bucket sums its parent's other factors and the parent's own
+        downward message down to the bucket's upward message's scope. A
+        variable's table sums its bucket's factors and downward message down
+        to it. Each downward message and table is one ``np.einsum`` call
+        (:func:`_summed_to`), and each downward message is rescaled to max
+        entry 1, so a table's scale, and its last bits, are the tree's own;
+        the tables are meant for ranking, not for answers. A table
+        holds every factor of its variable's component; the scalars shared
+        by all (fully observed potentials and the messages that close other
+        components) only scale it, unless their product is zero or not
+        finite, which every table then takes. This call does not end a round
+        of the message memo, so the next :meth:`held` call reuses its
+        messages and keeps them for the next round.
+        """
+        path, observed, holders, numbers = self._start(evidence)
+        cards = self.model.cardinalities
+        scalars: list[tuple[int, Potential]] = []
+        steps: list[tuple[tuple, tuple[int, Potential]]] = []  # (bucket, message entry)
+        order = list(iter(path.eliminate_next, None))
+        at = {v: i for i, v in enumerate(order)}  # each variable's step
+        for v in order:
+            bucket = holders[v]
+            steps.append((bucket, self._eliminate(v, holders, scalars, numbers)[0]))
+        made = {entry[0]: i for i, (_, entry) in enumerate(steps)}
+        parent: list[int | None] = [None] * len(steps)
+        for i, (bucket, _) in enumerate(steps):
+            for n, _ in bucket:
+                if n in made:
+                    parent[made[n]] = i
+        wanted, children = set(), {}
+        for v in variables:
+            i = at[v]
+            while i not in wanted:
+                wanted.add(i)
+                if parent[i] is None:
+                    break
+                children.setdefault(parent[i], []).append(i)
+                i = parent[i]
+        down: list[Potential | None] = [None] * len(steps)
+        tables: dict[int, np.ndarray] = {}
+        requested = {at[v] for v in variables}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in sorted(wanted, reverse=True):  # a parent comes after its children
+                into = [] if down[p] is None else [down[p]]
+                for i in children.get(p, ()):
+                    n, message = steps[i][1]
+                    others = [f for m, f in steps[p][0] if m != n] + into
+                    down[i] = _rescaled(message.scope, _summed_to(others, message.scope, cards))[0]
+                if p in requested:
+                    tables[p] = _summed_to([f for _, f in steps[p][0]] + into, (order[p],), cards)
+            shared = math.prod([float(f.values) for f in observed.values()])
+            shared *= math.prod([float(f.values) for _, f in scalars])
+            result = [tables[at[v]] for v in variables]
+            if not 0.0 < shared < math.inf:
+                result = [t * shared for t in result]
+        return result
 
 
 def _sum_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float]:
@@ -498,6 +606,25 @@ def _rescaled(scope: tuple[int, ...], values: np.ndarray) -> tuple[Potential, fl
     if peak > 0.0 and peak != 1.0:
         return Potential._result(scope, values / peak), math.log(peak)
     return Potential._result(scope, values), 0.0
+
+
+def _summed_to(
+    factors: Sequence[Potential], keep: Sequence[int], cards: Sequence[int]
+) -> np.ndarray:
+    """The product of ``factors`` summed down to ``keep``, with one axis per ``keep`` variable.
+
+    One ``np.einsum`` call, so the product is never built. A ``keep``
+    variable no factor holds takes an axis of ones.
+    """
+    labels: dict[int, int] = {}  # einsum takes labels below 52
+    operands: list = []
+    for f in factors:
+        operands += [f.values, [labels.setdefault(u, len(labels)) for u in f.scope]]
+    alone = [u for u in keep if u not in labels]
+    if alone:
+        axes = [labels.setdefault(u, len(labels)) for u in alone]
+        operands += [np.ones([cards[u] for u in alone]), axes]
+    return np.einsum(*operands, [labels[u] for u in keep])
 
 
 def _joined(factors: Iterable[Potential], keep: tuple[int, ...], cards: Sequence[int]) -> Potential:
@@ -596,13 +723,16 @@ def mar(
 
     Eliminates every other non-evidence variable and normalizes; equivalent
     to one evidence-probability query per state of X followed by
-    normalization.
+    normalization. Evidence of probability zero raises
+    :class:`ZeroProbabilityEvidenceError`, which names the model instead
+    when its joint mass is zero.
     """
     evidence, (variable,) = _check_explain(model, evidence, (variable,))
     table, _ = _sum_out(model, evidence, (variable,), order)
     try:
         return normalize(table)
     except ZeroProbabilityEvidenceError:
+        _log_z(model)
         raise ZeroProbabilityEvidenceError(
             f"evidence {evidence} has probability zero"
         ) from None

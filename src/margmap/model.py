@@ -113,7 +113,7 @@ class Potential:
         return self.scope == other.scope and np.array_equal(self.values, other.values)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MassFunction:
     """A normalized distribution over the states of one variable."""
 

@@ -14,7 +14,8 @@ from margmap import (
     mmap2mar,
     pr,
 )
-from margmap.generate import random_model
+from margmap import heuristic
+from margmap.generate import random_grid_model, random_model
 from margmap.heuristic import _round_logs, _sharing_rounds
 from margmap.inference import _Elimination
 
@@ -330,38 +331,46 @@ class TestSharedRounds:
         assert compared >= 150
 
 
-def _count_tables(monkeypatch):
-    """Count the rounds scored: one ``_Elimination.tables`` call each.
+def _count_calls(monkeypatch, method="tables"):
+    """Record each call of ``_Elimination.<method>``: its evidence and keeps or variables, copied.
 
+    ``tables`` runs once per scored round and ``tree`` once per screened one.
     A model's first p~ also computes its partition function with one more
-    call, so count only on a model that has already answered a query.
+    ``tables`` call, so count those only on a model that has already
+    answered a query.
     """
     calls = []
-    tables = _Elimination.tables
+    original = getattr(_Elimination, method)
 
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return tables(self, *args, **kwargs)
+    def counting(self, evidence, keeps):
+        calls.append((dict(evidence), list(keeps)))
+        return original(self, evidence, keeps)
 
-    monkeypatch.setattr(_Elimination, "tables", counting)
+    monkeypatch.setattr(_Elimination, method, counting)
     return calls
 
 
-def _assert_same_trace(a, b):
-    """Every field equal, bit for bit, apart from ``mar_seconds``."""
-    assert [(s.variable, s.chosen_state, s.entropy_at_selection) for s in a.steps] == [
-        (s.variable, s.chosen_state, s.entropy_at_selection) for s in b.steps
-    ]
-    for x, y in zip(a.steps, b.steps):
-        assert x.marginal.variable == y.marginal.variable
-        assert np.array_equal(x.marginal.probs, y.marginal.probs)
-    assert a.explained == b.explained
-    assert a.unexplained == b.unexplained
-    assert a.p_tilde == b.p_tilde
-    assert a.confidence == b.confidence
-    assert a.epsilon == b.epsilon
-    assert a.break_entropy == b.break_entropy
-    assert a.mar_calls == b.mar_calls
+def _bits(trace):
+    """A trace's fields, every float as its bytes, apart from ``mar_seconds``."""
+    return (
+        np.float64(trace.p_tilde).tobytes(),
+        np.float64(trace.confidence).tobytes(),
+        trace.mar_calls,
+        [
+            (
+                s.variable,
+                s.chosen_state,
+                np.float64(s.entropy_at_selection).tobytes(),
+                s.marginal.variable,
+                s.marginal.probs.tobytes(),
+            )
+            for s in trace.steps
+        ],
+        trace.explained,
+        trace.unexplained,
+        repr(trace.break_entropy),
+        trace.epsilon,
+    )
 
 
 def _explainable_instances(seed):
@@ -388,14 +397,12 @@ class TestRoundLog:
                 continue
             fresh[None] = mmap2mar(model, targets, evidence)
             for order in (grid, grid[::-1], list(rng.permutation(grid))):
-                scored = _count_tables(monkeypatch)
+                scored = _count_calls(monkeypatch)
                 with _sharing_rounds():
                     for e in order:
-                        _assert_same_trace(
-                            epsilon_mmap2mar(model, targets, evidence, epsilon=float(e)),
-                            fresh[float(e)],
-                        )
-                    _assert_same_trace(mmap2mar(model, targets, evidence), fresh[None])
+                        shared = epsilon_mmap2mar(model, targets, evidence, epsilon=float(e))
+                        assert _bits(shared) == _bits(fresh[float(e)])
+                    assert _bits(mmap2mar(model, targets, evidence)) == _bits(fresh[None])
                 monkeypatch.undo()
                 assert len(scored) == len(targets)  # one full run's rounds, each scored once
                 compared += 1
@@ -411,12 +418,11 @@ class TestRoundLog:
     def test_no_scope_keeps_no_rounds(self, monkeypatch):
         model, evidence, targets = next(_explainable_instances(83))
         fresh = mmap2mar(model, targets, evidence)
-        scored = _count_tables(monkeypatch)
+        scored = _count_calls(monkeypatch)
         a = mmap2mar(model, targets, evidence)
         b = mmap2mar(model, targets, evidence)
         assert len(scored) == 2 * len(targets)
-        _assert_same_trace(a, fresh)
-        _assert_same_trace(b, fresh)
+        assert _bits(a) == _bits(b) == _bits(fresh)
         assert _round_logs.get() is None
 
     def test_other_evidence_or_target_order_misses_the_log(self, monkeypatch):
@@ -426,7 +432,7 @@ class TestRoundLog:
         observed, state = next(iter(evidence.items()))
         other = {**evidence, observed: (state + 1) % model.cardinalities[observed]}
         mmap2mar(model, targets, evidence)
-        scored = _count_tables(monkeypatch)
+        scored = _count_calls(monkeypatch)
         with _sharing_rounds():
             mmap2mar(model, targets, evidence)
             assert len(scored) == len(targets)
@@ -447,7 +453,8 @@ class TestRoundLog:
             (2, 2, 2),
             (Potential((0,), [1.0, 0.0]), Potential((0, 1, 2), np.ones((2, 2, 2)))),
         )
-        scored = _count_tables(monkeypatch)
+        pr(model, {})  # the error path checks the partition function: fill it first
+        scored = _count_calls(monkeypatch)
         with _sharing_rounds():
             with pytest.raises(ZeroProbabilityEvidenceError) as first:
                 epsilon_mmap2mar(model, [1, 2], {0: 1}, epsilon=0.5)
@@ -456,6 +463,57 @@ class TestRoundLog:
                 mmap2mar(model, [1, 2], {0: 1})
         assert str(again.value) == str(first.value)
         assert len(scored) == 2  # the repeat scored its round anew
+
+
+class TestScreen:
+    """Rounds screened by a bucket tree give, bit for bit, the traces of scoring every target."""
+
+    def test_screened_traces_are_the_exhaustive_ones(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        instances = []
+        for model in differential_models(91):
+            evidence = random_evidence(model, rng)
+            targets = [
+                v for v in range(model.n_vars) if v not in evidence and model.cardinalities[v] >= 2
+            ]
+            if targets:
+                instances.append((model, evidence, targets))
+        grid = random_grid_model(6, 6, 2, rng=rng, sigma=1.0)
+        observed = [int(v) for v in rng.choice(36, size=4, replace=False)]
+        evidence = {v: int(rng.integers(2)) for v in observed}
+        instances.append((grid, evidence, [v for v in range(36) if v not in evidence]))
+        trees = _count_calls(monkeypatch, "tree")
+        compared = 0
+        for model, evidence, targets in instances:
+            for epsilon in (None, float(rng.uniform(0.2, 0.9))):
+                outcomes = []
+                for line in (2, max(len(targets), heuristic._SCREEN_CANDIDATES) + 1):
+                    monkeypatch.setattr(heuristic, "_SCREEN_CANDIDATES", line)
+                    try:
+                        if epsilon is None:
+                            trace = mmap2mar(model, targets, evidence)
+                        else:
+                            trace = epsilon_mmap2mar(model, targets, evidence, epsilon=epsilon)
+                    except ZeroProbabilityEvidenceError as err:
+                        outcomes.append(str(err))
+                    else:
+                        outcomes.append(_bits(trace))
+                screened, exhaustive = outcomes
+                assert screened == exhaustive
+                compared += 1
+        assert compared >= 180
+        assert len(trees) >= 500  # screened rounds
+        assert max(len(variables) for _, variables in trees) == 32
+
+    def test_the_line(self, monkeypatch):
+        line = heuristic._SCREEN_CANDIDATES
+        model = random_grid_model(2, line // 2 + 1, 2, rng=np.random.default_rng(92), sigma=1.0)
+        trees = _count_calls(monkeypatch, "tree")
+        for k, screened in ((line - 1, []), (line, [list(range(line))])):
+            trees.clear()
+            trace = mmap2mar(model, range(k))
+            assert [variables for _, variables in trees] == screened  # round 1 of k = line only
+            assert trace.mar_calls == k * (k + 1) // 2
 
 
 class TestContractErrors:
