@@ -36,10 +36,11 @@ from .inference import _Elimination, _entropy, _log_z, _over_z
 
 # A round with this many targets or more is screened by one bucket-tree pass
 # before its near-best targets are scored on the elimination's forks. Per
-# round, the screen wins from about 7 to 11 targets on binary and ternary 5x5
-# and 6x6 grids, and the forks below that. The line sits a little above, past
+# round, the screen wins from about 6 to 9 targets on binary and ternary 4x4
+# to 6x6 grids, and the forks below that. The line sits a little above, past
 # the 13 targets of a k=3 bench round on a 4x4 grid: a line at 10 measured no
-# faster end to end.
+# faster end to end. On a 5x5 grid of 12-state variables, whose buckets reach
+# 12^5 entries, the screen also wins at every round of 14 targets or more.
 _SCREEN_CANDIDATES = 14
 
 # How far above the least tree entropy a target is still scored. Tree and

@@ -26,13 +26,15 @@ fresh core per query.
 For a round with many candidates the greedy first asks ``tree`` for every
 candidate's table from one bucket tree (Shafer & Shenoy 1990): one upward
 pass along the same min-fill path, through the same steps and message memo,
-and one downward pass over only the buckets on the way to the candidates.
-Its tables are exact, but their last bits are the tree's own, so the greedy
-uses them only to choose which candidates to score on the forks: those
-whose tree entropy is within 1e-9 of the least, and those whose tree mass
-is zero or not finite. Tree and fork entropies differ by rounding only,
-some 1e-15, so the winner and every candidate tied with it are among those
-scored, and each round's answer is the forks', bit for bit.
+and one downward pass over only the buckets on the way to the candidates,
+which sums each bucket by ``np.einsum`` or, from ``_MATMUL_ENTRIES`` joint
+states on, by one batched ``np.matmul``. Its tables are exact, but their
+last bits are the tree's own, so the greedy uses them only to choose which
+candidates to score on the forks: those whose tree entropy is within 1e-9
+of the least, and those whose tree mass is zero or not finite. Tree and
+fork entropies differ by rounding only, some 1e-15, so the winner and every
+candidate tied with it are among those scored, and each round's answer is
+the forks', bit for bit.
 
 Every maxed bucket (``_max_message``), every summed one (``_sum_message``)
 whose product would hold fewer than ``_MATMUL_ENTRIES`` entries, and every
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +81,11 @@ DEFAULT_ORACLE_CAP = 1 << 22
 # so their bits: every bucket of a binary grid up to 10x10 and of a ternary
 # 4x4 grid is below it.
 _MATMUL_ENTRIES = 1 << 16
+
+# The most factors one ``np.einsum`` call of the bucket tree takes. einsum
+# refuses more than 31 operands on numpy 1.x (63 on 2.x), and a table may
+# add one of ones.
+_EINSUM_FACTORS = 30
 
 class OracleTooLargeError(ValueError):
     """An oracle's input exceeds its joint-state cap.
@@ -299,37 +306,28 @@ class _Elimination:
     fresh elimination would give.
     """
 
-    __slots__ = (
-        "model", "rank", "graph", "evidence", "touching", "restricted", "messages", "earlier"
-    )
+    __slots__ = ("model", "rank", "graph", "slices", "restricted", "started", "messages", "earlier")
 
     def __init__(self, model: GraphicalModel, order: Sequence[int] | None = None):
         self.model = model
         self.rank = _rank(model, order)
         self.graph = _interaction_graph(model) if self.rank is None else [0] * model.n_vars
-        # the evidence the potentials were last restricted to, and each variable's potentials
-        self.evidence: dict[int, int] | None = None
-        self.touching: list[list[int]] = [[] for _ in range(model.n_vars)]
-        for i, p in enumerate(model.potentials):
-            for v in p.scope:
-                self.touching[v].append(i)
+        self.slices: list[tuple[tuple[int, int], ...] | None] = [None] * len(model.potentials)
         self.restricted: list[Potential | None] = [None] * len(model.potentials)
+        # the last evidence :meth:`_start` was called on, with the state it gave
+        self.started: tuple | None = None
         # the messages looked up in this round, and those of the last round not looked up yet
         self.messages: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
         self.earlier: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
 
     def _restrict(self, evidence: Evidence) -> list[Potential]:
-        """The potentials restricted to ``evidence``: those whose scope's evidence changed anew."""
-        model, last = self.model, self.evidence
-        if last is None:
-            redo: Iterable[int] = range(len(model.potentials))
-        else:
-            changed = [v for v in last.keys() | evidence.keys() if last.get(v) != evidence.get(v)]
-            redo = {i for v in changed for i in self.touching[v]}
-        for i in redo:
-            self.restricted[i] = factor_restrict(model.potentials[i], evidence, model.cardinalities)
-        self.evidence = dict(evidence)
-        return self.restricted
+        cards, restricted, slices = self.model.cardinalities, self.restricted, self.slices
+        for i, p in enumerate(self.model.potentials):
+            part = tuple((v, evidence[v]) for v in p.scope if v in evidence)
+            if part != slices[i]:
+                slices[i] = part
+                restricted[i] = factor_restrict(p, evidence, cards)
+        return restricted
 
     def tables(
         self, evidence: Evidence, keeps: Iterable[Sequence[int]]
@@ -380,19 +378,24 @@ class _Elimination:
         it; and the numbers for the messages to come. Sequence numbers follow
         the factor list (restricted potentials in model order, then messages
         in creation order), so sorting entries by them gives that list's order.
+        A call on the evidence of the call before it, such as a screened
+        round's forks after its :meth:`tree`, gets a copy of that call's path
+        and state, with no restricting and no fill counting.
         """
         model = self.model
-        free = [v for v in range(model.n_vars) if v not in evidence]
-        path = _MinFill(_without(self.graph, evidence), free, self.rank)
-        restricted = self._restrict(evidence)
-        held: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
-        observed = {}
-        for entry in enumerate(restricted):
-            if not entry[1].scope:
-                observed[entry[0]] = entry[1]
-            for v in entry[1].scope:
-                held[v].append(entry)
-        return path, observed, [tuple(h) for h in held], itertools.count(len(restricted))
+        if self.started is None or self.started[0] != evidence:
+            free = [v for v in range(model.n_vars) if v not in evidence]
+            path = _MinFill(_without(self.graph, evidence), free, self.rank)
+            held: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
+            observed = {}
+            for entry in enumerate(self._restrict(evidence)):
+                if not entry[1].scope:
+                    observed[entry[0]] = entry[1]
+                for v in entry[1].scope:
+                    held[v].append(entry)
+            self.started = (dict(evidence), path, observed, [tuple(h) for h in held])
+        _, path, observed, held = self.started
+        return path.fork(()), observed, list(held), itertools.count(len(model.potentials))
 
     def _eliminate(
         self, v: int, holders: list, scalars: list, numbers: Iterator[int]
@@ -474,10 +477,10 @@ class _Elimination:
         into a bucket sums its parent's other factors and the parent's own
         downward message down to the bucket's upward message's scope. A
         variable's table sums its bucket's factors and downward message down
-        to it. Each downward message and table is one ``np.einsum`` call
-        (:func:`_summed_to`), and each downward message is rescaled to max
-        entry 1, so a table's scale, and its last bits, are the tree's own;
-        the tables are meant for ranking, not for answers. A table
+        to it. Each such sum is :func:`_summed_to`'s, which never builds the
+        product, and each downward message is rescaled to max entry 1, so a
+        table's scale, and its last bits, are the tree's own; the tables are
+        meant for ranking, not for answers. A table
         holds every factor of its variable's component; the scalars shared
         by all (fully observed potentials and the messages that close other
         components) only scale it, unless their product is zero or not
@@ -544,7 +547,7 @@ def _sum_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float]
         for f in bucket:
             cards.update(zip(f.scope, f.values.shape))
         if math.prod(cards.values()) >= _MATMUL_ENTRIES:
-            return _rescaled(*_contracted(bucket, v, cards))
+            return _rescaled(*_contracted(bucket, cards.keys() - {v}, cards))
     first = bucket[0]
     scope, values = _chain(first.scope, first.values, bucket[1:])
     axis = scope.index(v)
@@ -552,33 +555,44 @@ def _sum_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float]
 
 
 def _contracted(
-    bucket: Sequence[Potential], v: int, cards: dict[int, int]
+    bucket: Sequence[Potential], keep: Container[int], cards: Mapping[int, int] | Sequence[int]
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """Sum ``v`` out of the product of ``bucket`` by one batched ``np.matmul``.
+    """Sum the product of ``bucket`` down to the ``keep`` variables it holds, by one matmul.
 
     The largest factor (the first of that size) stays as it is; the others
-    are multiplied left to right by :func:`_chain`. The variables other
-    than ``v`` fall in three groups: those of both sides, in the largest
-    factor's order; the rest's own; the largest factor's own. With the rest
-    laid out as (shared, own, ``v``) and the largest factor as (shared,
-    ``v``, own), each group flattened to one axis, the matrix product sums
-    ``v`` out. Returns the sum's scope, which is the three groups in that
-    order, and its values. The sum's last bits follow the BLAS build's order
-    of additions.
+    are multiplied left to right by :func:`_chain`. Each side first sums
+    out the variables that neither ``keep`` nor the other side holds (none
+    when one variable is summed out of its bucket, which every factor
+    holds). The variables left fall in four groups: those of both sides in
+    ``keep``, in the largest factor's order; those of both sides not in
+    ``keep``, likewise; the rest's own; the largest factor's own. With the
+    rest laid out as (kept, own, summed) and the largest factor as (kept,
+    summed, own), each group flattened to one axis, the batched matrix
+    product sums the summed group out. Returns the sum's scope, which is
+    the kept group, the rest's own and the largest factor's own, and its
+    values. The sum's last bits follow the BLAS build's order of additions.
     """
     i = max(range(len(bucket)), key=lambda j: bucket[j].values.size)
     large, rest = bucket[i], [*bucket[:i], *bucket[i + 1 :]]
-    scope, values = _chain(rest[0].scope, rest[0].values, rest[1:])
-    shared = [u for u in large.scope if u != v and u in scope]
-    own = [u for u in scope if u not in large.scope]
-    large_own = [u for u in large.scope if u not in scope]
-    groups = [math.prod([cards[u] for u in g]) for g in (shared, own, large_own)]
-    left = values.transpose([scope.index(u) for u in (*shared, *own, v)])
-    right = large.values.transpose([large.scope.index(u) for u in (*shared, v, *large_own)])
+    sides = [_chain(rest[0].scope, rest[0].values, rest[1:]), (large.scope, large.values)]
+    for j, (scope, values) in enumerate(sides):
+        other = sides[1 - j][0]
+        alone = tuple(a for a, u in enumerate(scope) if u not in keep and u not in other)
+        if alone:
+            kept = tuple(u for a, u in enumerate(scope) if a not in alone)
+            sides[j] = (kept, values.sum(axis=alone))
+    (left, left_values), (right, right_values) = sides
+    shared = [u for u in right if u in left and u in keep]
+    summed = [u for u in right if u in left and u not in keep]
+    own = [u for u in left if u not in right]
+    right_own = [u for u in right if u not in left]
+    groups = [math.prod([cards[u] for u in g]) for g in (shared, own, summed, right_own)]
+    left_values = left_values.transpose([left.index(u) for u in (*shared, *own, *summed)])
+    right_values = right_values.transpose([right.index(u) for u in (*shared, *summed, *right_own)])
     product = np.matmul(
-        left.reshape(groups[0], groups[1], cards[v]), right.reshape(groups[0], cards[v], groups[2])
+        left_values.reshape(groups[:3]), right_values.reshape(groups[0], groups[2], groups[3])
     )
-    out = (*shared, *own, *large_own)
+    out = (*shared, *own, *right_own)
     return out, product.reshape([cards[u] for u in out])
 
 
@@ -613,9 +627,29 @@ def _summed_to(
 ) -> np.ndarray:
     """The product of ``factors`` summed down to ``keep``, with one axis per ``keep`` variable.
 
-    One ``np.einsum`` call, so the product is never built. A ``keep``
-    variable no factor holds takes an axis of ones.
+    The product is never built. Factors over fewer than ``_MATMUL_ENTRIES``
+    joint states take one ``np.einsum`` call per ``_EINSUM_FACTORS`` of them:
+    more (a hub's bucket, which takes one message per leaf) are folded from
+    the left in parts of that many, each summed down to the variables that
+    ``keep`` or the factors after it still hold. Larger ones are summed by
+    one batched ``np.matmul`` (:func:`_contracted`), as :func:`_sum_message`
+    sums a large bucket: einsum's one loop over every joint state is several
+    times slower there.
     """
+    factors = list(factors)
+    while len(factors) > _EINSUM_FACTORS:
+        part, factors = factors[:_EINSUM_FACTORS], factors[_EINSUM_FACTORS:]
+        needed = set(keep).union(*[f.scope for f in factors])
+        scope = tuple(dict.fromkeys(u for f in part for u in f.scope if u in needed))
+        factors.insert(0, Potential._result(scope, _einsum(part, scope, cards)))
+    held = {u for f in factors for u in f.scope}
+    if len(factors) > 1 and math.prod([cards[u] for u in held]) >= _MATMUL_ENTRIES:
+        return _einsum([Potential._result(*_contracted(factors, set(keep), cards))], keep, cards)
+    return _einsum(factors, keep, cards)
+
+
+def _einsum(factors: Sequence[Potential], keep: Sequence[int], cards: Sequence[int]) -> np.ndarray:
+    """:func:`_summed_to` by one ``np.einsum`` call; a ``keep`` variable no factor holds gets ones."""
     labels: dict[int, int] = {}  # einsum takes labels below 52
     operands: list = []
     for f in factors:

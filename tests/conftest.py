@@ -229,6 +229,18 @@ def random_evidence(model, rng, max_size=2):
     return {int(v): int(rng.integers(model.cardinalities[v])) for v in variables}
 
 
+def hub_model(leaves, rng):
+    """A binary star: variable 0 joined to each of ``leaves`` leaves by its own potential.
+
+    Min-fill eliminates the leaves first, so the hub's bucket takes one
+    message per leaf: more factors than one ``np.einsum`` call takes when
+    ``leaves`` is 64 or more.
+    """
+    potentials = [Potential((0,), rng.uniform(0.1, 1.0, 2))]
+    potentials += [Potential((0, v), rng.uniform(0.1, 1.0, (2, 2))) for v in range(1, leaves + 1)]
+    return GraphicalModel((2,) * (leaves + 1), tuple(potentials))
+
+
 GRID_EPSILONS = (0.0, 0.5, 1.0)
 GRID_K = 3
 GRID_Q = 500

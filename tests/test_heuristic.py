@@ -19,7 +19,7 @@ from margmap.generate import random_grid_model, random_model
 from margmap.heuristic import _round_logs, _sharing_rounds
 from margmap.inference import _Elimination
 
-from conftest import differential_models, entropy_by_formula, random_evidence
+from conftest import differential_models, entropy_by_formula, hub_model, random_evidence
 
 
 def _random_evidence(model, k, rng):
@@ -504,6 +504,18 @@ class TestScreen:
         assert compared >= 180
         assert len(trees) >= 500  # screened rounds
         assert max(len(variables) for _, variables in trees) == 32
+
+    def test_a_hub_of_many_leaves(self, monkeypatch):
+        # the hub's bucket holds 70 leaf messages, past einsum's operand limit
+        model = hub_model(70, np.random.default_rng(93))
+        trees = _count_calls(monkeypatch, "tree")
+        for targets, evidence in ((range(1, 21), {30: 1}), ([0, *range(40, 56)], {})):
+            outcomes = []
+            for line in (2, heuristic._SCREEN_CANDIDATES + 100):
+                monkeypatch.setattr(heuristic, "_SCREEN_CANDIDATES", line)
+                outcomes.append(_bits(mmap2mar(model, targets, evidence)))
+            assert outcomes[0] == outcomes[1]
+        assert len(trees) == 19 + 16  # every round of 2 targets or more was screened
 
     def test_the_line(self, monkeypatch):
         line = heuristic._SCREEN_CANDIDATES

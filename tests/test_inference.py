@@ -44,6 +44,7 @@ from conftest import (
     WEATHER_JOINT,
     differential_models,
     entropy_by_formula,
+    hub_model,
     joint_by_enumeration,
     mar_by_enumeration,
     pr_by_enumeration,
@@ -359,6 +360,29 @@ class TestBucketTree:
                         gap = max(gap, abs(inference._entropy(probs) - fork_entropy))
         assert gap < 1e-12  # the screen scores everything within 1e-9 of the least
 
+    def test_a_hub_bucket_of_more_factors_than_einsum_takes(self):
+        model = hub_model(70, np.random.default_rng(68))
+        for evidence in ({}, {5: 0, 60: 1}):
+            free = [v for v in range(model.n_vars) if v not in evidence]
+            tables = _Elimination(model).tree(evidence, free)
+            for v, table in zip(free, tables):
+                np.testing.assert_allclose(
+                    table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
+                )
+
+    def test_large_clusters_match_mar(self, monkeypatch):
+        # every min-fill cluster of a 12-state 4x4 grid but the last few holds 12^5 entries
+        model = random_grid_model(4, 4, 12, rng=np.random.default_rng(69), sigma=1.0)
+        calls = TestMatmulKernel._count_calls(monkeypatch)
+        for evidence in ({}, {5: 3, 10: 7}):
+            free = [v for v in range(16) if v not in evidence]
+            tables = _Elimination(model).tree(evidence, free)
+            for v, table in zip(free, tables):
+                np.testing.assert_allclose(
+                    table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
+                )
+        assert calls
+
     def test_a_zero_shared_scalar_zeroes_every_table(self):
         # under {0: 1}, potential (0,) is fully observed at 0; the other component
         # ({1, 2}) alone would have mass
@@ -462,9 +486,9 @@ class TestMatmulKernel:
         calls = []
         kernel = inference._contracted
 
-        def counted(bucket, v, cards):
-            calls.append(v)
-            return kernel(bucket, v, cards)
+        def counted(bucket, keep, cards):
+            calls.append(keep)
+            return kernel(bucket, keep, cards)
 
         monkeypatch.setattr(inference, "_contracted", counted)
         return calls
@@ -501,6 +525,31 @@ class TestMatmulKernel:
         trace = mmap2mar(model, targets, evidence)
         exact = brute_force_mmap(model, evidence, targets)
         assert trace.p_tilde <= exact.probability * (1 + 1e-12)
+
+    def test_summing_down_to_any_keep_matches_einsum(self):
+        # the bucket tree's sums: several variables out at once, each kept one
+        # on either side, on both, or on neither
+        rng = np.random.default_rng(93)
+        cards = (5,) * 9
+        large = 0
+        for _ in range(60):
+            factors = []
+            for _ in range(int(rng.integers(2, 5))):
+                size = int(rng.integers(1, 5))
+                scope = tuple(int(u) for u in rng.choice(9, size=size, replace=False))
+                factors.append(Potential(scope, rng.uniform(0.1, 2.0, size=(5,) * len(scope))))
+            keep = tuple(int(u) for u in rng.choice(9, size=int(rng.integers(0, 4)), replace=False))
+            held = {u for f in factors for u in f.scope}
+            large += 5 ** len(held) >= _MATMUL_ENTRIES
+            operands = [x for f in factors for x in (f.values, list(f.scope))]
+            expected = np.einsum(*operands, [u for u in keep if u in held], optimize=True)
+            expected = np.broadcast_to(
+                expected.reshape([5 if u in held else 1 for u in keep]), (5,) * len(keep)
+            )
+            np.testing.assert_allclose(
+                inference._summed_to(factors, keep, cards), expected, rtol=1e-12, atol=0.0
+            )
+        assert large >= 15
 
     @pytest.mark.parametrize("rows, cols, card", [(10, 10, 2), (6, 6, 2), (4, 4, 3)])
     def test_binary_and_ternary_grids_keep_every_bucket_below_it(self, rows, cols, card):
