@@ -35,16 +35,15 @@ from .inference import _Elimination, _entropy, _log_z, _over_z
 
 
 # A round with this many targets or more is screened by one bucket-tree pass
-# before its near-best targets are scored on the elimination's forks. Per
-# round, the screen wins from about 6 to 9 targets on binary and ternary 4x4
-# to 6x6 grids, and the forks below that. The line sits a little above, past
-# the 13 targets of a k=3 bench round on a 4x4 grid: a line at 10 measured no
-# faster end to end. On a 5x5 grid of 12-state variables, whose buckets reach
-# 12^5 entries, the screen also wins at every round of 14 targets or more.
-_SCREEN_CANDIDATES = 14
+# before its near-best targets are scored, each on its own elimination walk.
+# Per round, the screen wins from 3 to 8 targets on binary and ternary 4x4 to
+# 6x6 grids and on a 5x5 grid of 12-state variables, whose buckets reach 12^5
+# entries, and the walks win below that; the line is the largest of those
+# crossovers. So a 5-target run on the 12-state grid is never screened.
+_SCREEN_CANDIDATES = 8
 
 # How far above the least tree entropy a target is still scored. Tree and
-# fork entropies differ by rounding only, some 1e-15, so no target that could
+# walk entropies differ by rounding only, some 1e-15, so no target that could
 # win or tie is left out.
 _SCREEN_MARGIN = 1e-9
 
@@ -72,14 +71,15 @@ class ExplanationTrace:
     probability in its step's marginal. ``break_entropy`` is the entropy of
     the marginal that failed the threshold, when one did. ``mar_calls``
     counts the logical marginal queries, one per candidate per round
-    (k(k+1)/2 for a full run over k targets), although each round computes
-    its candidates' marginals in one shared elimination, and a round of
-    ``_SCREEN_CANDIDATES`` candidates or more screens them with one bucket
-    tree first and scores only the near-best on its forks; ``mar_seconds`` is
-    the time spent scoring this run's rounds, entropies included. Inside
-    :func:`_sharing_rounds`, a round an earlier call already scored is
-    replayed, not scored again, and still adds the seconds it took when it
-    was scored, so ``mar_seconds`` is the cost of this run, not wall time.
+    (k(k+1)/2 for a full run over k targets), although each round scores
+    its candidates on one elimination, with one min-fill walk each through a
+    shared message memo, and a round of ``_SCREEN_CANDIDATES`` candidates or
+    more screens them with one bucket tree first and walks only for the
+    near-best; ``mar_seconds`` is the time spent scoring this run's rounds,
+    entropies included. Inside :func:`_sharing_rounds`, a round an earlier
+    call already scored is replayed, not scored again, and still adds the
+    seconds it took when it was scored, so ``mar_seconds`` is the cost of
+    this run, not wall time.
     """
 
     steps: tuple[ExplanationStep, ...]
@@ -270,10 +270,10 @@ def _score_round(
     every target's table, and only the targets whose tree entropy is within
     ``_SCREEN_MARGIN`` of the least, or whose tree mass is zero or not
     finite, are scored. Scoring is the same in every round: the scored
-    targets, in target order, get their tables from the elimination's forks
+    targets, in target order, get their tables from the elimination's walks
     (:meth:`~margmap.inference._Elimination.tables`), and the first of least
     entropy wins, so ties keep the lowest variable id. A tree entropy
-    differs from its fork entropy by rounding only, some 1e-15: if every
+    differs from its walk entropy by rounding only, some 1e-15: if every
     difference is below half the margin, the winner's tree entropy is within
     the margin of the least, and so is that of every target tied with it.
     All of them are scored, so the round picks the same target, and the step

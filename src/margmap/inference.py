@@ -11,17 +11,16 @@ Every elimination runs through one core, ``_Elimination``, which sums the
 model down to the factors each requested set of kept variables holds, under
 one evidence at a time; ``tables`` multiplies them into each set's table,
 and the oracle max-eliminates them instead. The greedy explainer keeps one
-core per run and asks it for all candidates of a round at once: one path
-over every free variable is ordered by min-fill, on bitsets with fill
-counts updated per step, and eliminated once; each candidate forks off it
-where the path would eliminate it. The fully observed potentials are held
-once per round, and the round's tables of one shape are multiplied as one
-matrix. Between rounds, a potential is restricted again only when the
-evidence on its scope changed, and a message of the previous round is
-reused whenever a step meets the same factors in the same order, so mostly
-what the newly observed variable touches is redone. Each table is
-bit-identical to a separate query. ``pr``, ``mar`` and the oracle use a
-fresh core per query.
+core per run and asks it for all candidates of a round at once. The free
+variables are restricted and their min-fill stepper, on bitsets with fill
+counts updated per step, is set up once per round; each candidate then gets
+its own walk, a fork of that stepper without it, through one message memo,
+so the steps its walk shares with the walks before it are memo hits.
+Between rounds, a potential is restricted again only when the evidence on
+its scope changed, and a message of the previous round is reused whenever
+a step meets the same factors in the same order, so mostly what the newly
+observed variable touches is redone. Each table is bit-identical to a
+separate query. ``pr``, ``mar`` and the oracle use a fresh core per query.
 
 For a round with many candidates the greedy first asks ``tree`` for every
 candidate's table from one bucket tree (Shafer & Shenoy 1990): one upward
@@ -30,22 +29,21 @@ and one downward pass over only the buckets on the way to the candidates,
 which sums each bucket by ``np.einsum`` or, from ``_MATMUL_ENTRIES`` joint
 states on, by one batched ``np.matmul``. Its tables are exact, but their
 last bits are the tree's own, so the greedy uses them only to choose which
-candidates to score on the forks: those whose tree entropy is within 1e-9
-of the least, and those whose tree mass is zero or not finite. Tree and
-fork entropies differ by rounding only, some 1e-15, so the winner and every
-candidate tied with it are among those scored, and each round's answer is
-the forks', bit for bit.
+candidates to score on their own walks: those whose tree entropy is within
+1e-9 of the least, and those whose tree mass is zero or not finite. Tree
+and walk entropies differ by rounding only, some 1e-15, so the winner and
+every candidate tied with it are among those scored, and each round's
+answer is the walks', bit for bit.
 
 Every maxed bucket (``_max_message``), every summed one (``_sum_message``)
 whose product would hold fewer than ``_MATMUL_ENTRIES`` entries, and every
-final table (``_joined``, or a row of ``tables``' matrix with the same
-multiplies) is multiplied by ``model._chain``'s arithmetic: left to right
-into arrays, wrapping only the result in a ``Potential``. A summed bucket
-of that size or more is never multiplied out: its factors but the largest
-are chained, and one batched ``np.matmul`` sums the variable out against
-the largest (``_contracted``), so the last bits of those messages follow
-the BLAS build. Which kernel runs depends on the bucket alone, so fresh and
-shared eliminations still agree bit for bit.
+final table (``_joined``) is multiplied by ``model._chain``'s arithmetic:
+left to right into arrays, wrapping only the result in a ``Potential``. A
+summed bucket of that size or more is never multiplied out: its factors but
+the largest are chained, and one batched ``np.matmul`` sums the variable
+out against the largest (``_contracted``), so the last bits of those
+messages follow the BLAS build. Which kernel runs depends on the bucket
+alone, so fresh and shared eliminations still agree bit for bit.
 """
 
 from __future__ import annotations
@@ -173,18 +171,16 @@ class _MinFill:
     The graph is a list of adjacency bitmasks, and ``remaining`` lists the
     targets not yet eliminated, sorted by ``rank`` (a sort key; id order when
     it is ``None``); ``fill[v]`` is :func:`_fill_count` of each vertex,
-    targets or not (0 once removed). ``peek`` names the first remaining
-    target of least fill count, and ``eliminate_next`` removes it (``None``
-    once none is left); ``remove`` takes out the target ``peek`` named,
-    without scanning again. Either updates the counts: removing x lowers each
-    neighbour's count by its neighbours outside x's closed neighbourhood,
-    then each missing edge a-b among x's neighbours, added in turn, raises
-    a's count by a's neighbours not adjacent to b (and b's likewise) and
-    lowers their common neighbours' by one. ``fork(exclude)`` copies the
-    state with ``exclude`` dropped from the targets. Every vertex picked so
-    far was the least (fill count, rank) among a superset of the copy's
-    targets, so the copy goes on exactly as a fresh stepper over its own
-    targets would.
+    targets or not (0 once removed). ``eliminate_next`` removes the first
+    remaining target of least fill count and names it (``None`` once none is
+    left), updating the counts: removing x lowers each neighbour's count by
+    its neighbours outside x's closed neighbourhood, then each missing edge
+    a-b among x's neighbours, added in turn, raises a's count by a's
+    neighbours not adjacent to b (and b's likewise) and lowers their common
+    neighbours' by one. ``fork(exclude)`` copies the state with ``exclude``
+    dropped from the targets. Every vertex picked so far was the least (fill
+    count, rank) among a superset of the copy's targets, so the copy goes on
+    exactly as a fresh stepper over its own targets would.
 
     A caller's order is a fixed priority on the same stepper: its rank on an
     edgeless graph, where every fill count is 0 and stays 0, so the targets
@@ -199,19 +195,14 @@ class _MinFill:
         # a vertex without neighbours adds no fill, so an edgeless graph costs no counting
         self.fill = [nbrs and _fill_count(self.adjacency, v) for v, nbrs in enumerate(graph)]
 
-    def peek(self) -> int | None:
-        if self.remaining and not self.fill[self.remaining[0]]:
-            return self.remaining[0]  # no count is below 0, so no later target beats it
-        return min(self.remaining, key=self.fill.__getitem__, default=None)
-
     def eliminate_next(self) -> int | None:
-        if (best := self.peek()) is not None:
-            self.remove(best)
-        return best
-
-    def remove(self, best: int) -> None:
-        adjacency, fill = self.adjacency, self.fill
-        self.remaining.remove(best)
+        remaining, adjacency, fill = self.remaining, self.adjacency, self.fill
+        if not remaining:
+            return None
+        best = remaining[0]
+        if fill[best]:  # no count is below 0, so a first target of count 0 is the least
+            best = min(remaining, key=fill.__getitem__)
+        remaining.remove(best)
         nbrs = rest = adjacency[best]
         adjacency[best] = fill[best] = 0
         gone = 1 << best
@@ -242,6 +233,7 @@ class _MinFill:
                     common ^= c
                 adjacency[a] = around_a | bit
                 adjacency[b] = around_b | low
+        return best
 
     def fork(self, exclude: Iterable[int]) -> _MinFill:
         twin = object.__new__(_MinFill)
@@ -281,15 +273,12 @@ class _Elimination:
     and stays 0. A table that overflowed float64 on the way shows up as a
     non-finite entry and raises ``ValueError``.
 
-    All ``keeps`` of one call share one elimination path: the order of every
-    free variable, walked once. When the path's next variable lies in a
-    ``keep``, the path forks: the copy drops that keep's variables and
-    finishes on its own, while the path goes on for the other keeps and
-    stops once each has forked. Up to the fork the path's order is the
-    keep's own, so the factors held there are the ones a separate
-    elimination would hold. The path and each fork change their own lists of
-    held factors in place; a fork starts from one shallow copy of the path's
-    lists, whose entries are immutable tuples.
+    Each keep of one call gets its own walk: a fork of the min-fill stepper
+    over the free variables with the keep's variables dropped, which orders
+    the rest exactly as a fresh stepper over them would. Every walk starts
+    from the same state, restricted once per evidence, and changes its own
+    lists of held factors in place; the lists' entries are immutable tuples,
+    so one shallow copy of them per walk does.
 
     State carries from one call to the next, which is what a greedy run
     needs: it adds one variable to the evidence per call. A potential is
@@ -297,7 +286,9 @@ class _Elimination:
     the previous call's object is reused. Each message is kept under its
     eliminated variable and the identities of its bucket's factors, in
     bucket order, so a step that meets the same factors in the same order,
-    in this call or the next, reuses the message. A memo entry holds its
+    in this walk, a later walk of the call or the next call, reuses the
+    message: the walks of one call mostly share their first steps, and those
+    are memo hits after the first walk. A memo entry holds its
     bucket, so no identity in a live key is recycled. A round of the memo
     ends with each :meth:`held` call (and so each :meth:`tables` call): an
     entry no step looked up during the round is dropped then. A
@@ -334,68 +325,41 @@ class _Elimination:
     ) -> list[tuple[Potential, float]]:
         """Each keep's table over ``keep`` and log scale, in ``keeps`` order.
 
-        The keeps of one table shape are multiplied as one (keeps x states)
-        matrix of ones, walking their factors in sequence order: a scalar
-        that every keep holds multiplies the whole matrix once, any other
-        factor only the rows of the keeps that hold it. Each entry so gets
-        the multiplies :func:`_joined` would give it, in the same order, and
-        each table is a read-only row of its matrix.
+        A table is :func:`_joined` of its keep's factors, in sequence order.
         """
         keeps = [tuple(keep) for keep in keeps]
         cards = self.model.cardinalities
-        observed, held = self.held(evidence, keeps)
-        rows_of: dict[tuple[int, ...], list[int]] = {}  # the keeps of each table shape
-        for i, keep in enumerate(keeps):
-            rows_of.setdefault(tuple(cards[v] for v in keep), []).append(i)
-        tables: list = [None] * len(keeps)
-        for shape, rows in rows_of.items():
-            matrix = np.ones((len(rows), *shape))
-            factors, holding = dict(observed), {}
-            for row, i in enumerate(rows):
-                factors.update(held[i][0])
-                for n in held[i][0]:
-                    holding.setdefault(n, []).append(row)
-            for n in sorted(factors):
-                f, at = factors[n], holding.get(n)
-                if at is None or (len(at) == len(rows) and not f.scope):
-                    matrix *= f.values
-                    continue
-                for row in at:
-                    matrix[row] = _chain(keeps[rows[row]], matrix[row], (f,))[1]
-            _check_finite(matrix)
-            matrix.setflags(write=False)
-            for row, i in enumerate(rows):
-                tables[i] = (Potential._result(keeps[i], matrix[row, ...]), held[i][1])
-        return tables
+        return [
+            (_joined(factors, keep, cards), log_scale)
+            for keep, (factors, log_scale) in zip(keeps, self.held(evidence, keeps))
+        ]
 
-    def _start(
-        self, evidence: Evidence
-    ) -> tuple[_MinFill, dict[int, Potential], list[tuple], Iterator[int]]:
-        """Restrict to ``evidence``: the min-fill path over the free variables and its first state.
+    def _start(self, evidence: Evidence) -> tuple[_MinFill, tuple[tuple, ...], tuple[tuple, ...]]:
+        """Restrict to ``evidence``: the free variables' min-fill stepper and the start state.
 
-        The state is the fully observed potentials, by sequence number; for
-        each variable, the (sequence number, factor) entries whose scope holds
-        it; and the numbers for the messages to come. Sequence numbers follow
-        the factor list (restricted potentials in model order, then messages
-        in creation order), so sorting entries by them gives that list's order.
-        A call on the evidence of the call before it, such as a screened
-        round's forks after its :meth:`tree`, gets a copy of that call's path
-        and state, with no restricting and no fill counting.
+        The state is, for each variable, the (sequence number, factor) entries
+        whose scope holds it, and the entries of the fully observed
+        potentials, which start each walk's list of scalars. Sequence numbers
+        follow the factor list (restricted potentials in model order, then
+        messages in creation order), so sorting entries by them gives that
+        list's order. The stepper and state are kept for the next call, which
+        reuses them when its evidence is the same, as a screened round's
+        :meth:`held` after its :meth:`tree` does: no restricting and no fill
+        counting. Callers copy what they change.
         """
         model = self.model
         if self.started is None or self.started[0] != evidence:
             free = [v for v in range(model.n_vars) if v not in evidence]
             path = _MinFill(_without(self.graph, evidence), free, self.rank)
             held: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
-            observed = {}
+            observed = []
             for entry in enumerate(self._restrict(evidence)):
                 if not entry[1].scope:
-                    observed[entry[0]] = entry[1]
+                    observed.append(entry)
                 for v in entry[1].scope:
                     held[v].append(entry)
-            self.started = (dict(evidence), path, observed, [tuple(h) for h in held])
-        _, path, observed, held = self.started
-        return path.fork(()), observed, list(held), itertools.count(len(model.potentials))
+            self.started = (dict(evidence), path, tuple(tuple(h) for h in held), tuple(observed))
+        return self.started[1:]
 
     def _eliminate(
         self, v: int, holders: list, scalars: list, numbers: Iterator[int]
@@ -424,75 +388,59 @@ class _Elimination:
 
     def held(
         self, evidence: Evidence, keeps: Sequence[tuple[int, ...]]
-    ) -> tuple[dict[int, Potential], list[tuple[dict[int, Potential], float]]]:
+    ) -> list[tuple[list[Potential], float]]:
         """Restrict to ``evidence`` and, per ``keep``, sum out every other free variable.
 
-        Returns the fully observed potentials, held once for all keeps, and
-        per keep (its other factors, log scale); both map sequence numbers to
-        factors, and a keep's factors, scoped inside it, are the two in order.
-        This call ends a round of the message memo.
+        Each keep gets its own walk from the state :meth:`_start` gives: the
+        stepper forked without the keep, a copy of the holders, and a list of
+        scalars that starts with the fully observed potentials. Returns per
+        keep its factors left, each scoped inside it, in sequence order, and
+        the log scale. This call ends a round of the message memo.
         """
-        path, observed, holders, numbers = self._start(evidence)
-
-        def finish(branch, holders: list, scalars: list, log_scale: float, keep: tuple[int, ...]):
-            for v in iter(branch.eliminate_next, None):
-                log_scale += self._eliminate(v, holders, scalars, numbers)[1]
+        path, holders, observed = self._start(evidence)
+        results = []
+        for keep in keeps:
+            walk, factors, scalars = path.fork(keep), list(holders), list(observed)
+            numbers = itertools.count(len(self.model.potentials))
+            log_scale = 0.0
+            for v in iter(walk.eliminate_next, None):
+                log_scale += self._eliminate(v, factors, scalars, numbers)[1]
             left = dict(scalars)
             for v in keep:
-                left.update(holders[v])
-            return left, log_scale
-
-        # the path's state: the holders, the messages of empty scope, the log scale
-        scalars: list[tuple[int, Potential]] = []
-        log_scale = 0.0
-        forks_at: dict[int, list[int]] = {}
-        for i, keep in enumerate(keeps):
-            for v in keep:
-                forks_at.setdefault(v, []).append(i)
-        results: dict[int, tuple[list[Potential], float]] = {}
-        waiting = set(range(len(keeps)))
-        while waiting and (v := path.peek()) is not None:
-            for i in forks_at.get(v, ()):
-                if i in waiting:
-                    waiting.remove(i)
-                    results[i] = finish(
-                        path.fork(keeps[i]), holders.copy(), scalars.copy(), log_scale, keeps[i]
-                    )
-            if waiting:
-                path.remove(v)
-                log_scale += self._eliminate(v, holders, scalars, numbers)[1]
-        for i in waiting:  # keeps the path never reached take its final factors
-            results[i] = finish(path, holders, scalars, log_scale, keeps[i])
+                left.update(factors[v])
+            results.append(([f for _, f in sorted(left.items())], log_scale))
         self.earlier, self.messages = self.messages, {}
-        return observed, [results[i] for i in range(len(keeps))]
+        return results
 
     def tree(self, evidence: Evidence, variables: Sequence[int]) -> list[np.ndarray]:
         """Each of ``variables``' unnormalised table under ``evidence``, from one bucket tree.
 
-        The upward pass walks the whole min-fill path once, through the same
-        steps and message memo as :meth:`held`, and records each step's
-        bucket; the bucket that takes a message is its parent. The downward
-        pass (Shafer & Shenoy) visits only the buckets on the way from a root
-        to a requested variable's bucket, in the reverse order: the message
-        into a bucket sums its parent's other factors and the parent's own
-        downward message down to the bucket's upward message's scope. A
-        variable's table sums its bucket's factors and downward message down
-        to it. Each such sum is :func:`_summed_to`'s, which never builds the
-        product, and each downward message is rescaled to max entry 1, so a
-        table's scale, and its last bits, are the tree's own; the tables are
-        meant for ranking, not for answers. A table
-        holds every factor of its variable's component; the scalars shared
-        by all (fully observed potentials and the messages that close other
-        components) only scale it, unless their product is zero or not
-        finite, which every table then takes. This call does not end a round
-        of the message memo, so the next :meth:`held` call reuses its
-        messages and keeps them for the next round.
+        The upward pass walks the round's min-fill stepper once over every
+        free variable, through the same steps and message memo as the walks
+        of :meth:`held`, and records each step's bucket; the bucket that takes
+        a message is its parent. The downward pass (Shafer & Shenoy) visits
+        only the buckets on the way from a root to a requested variable's
+        bucket, in the reverse order: the message into a bucket sums its
+        parent's other factors and the parent's own downward message down to
+        the bucket's upward message's scope. A variable's table sums its
+        bucket's factors and downward message down to it. Each such sum is
+        :func:`_summed_to`'s, which never builds the product, and each
+        downward message is rescaled to max entry 1, so a table's scale, and
+        its last bits, are the tree's own; the tables are meant for ranking,
+        not for answers. A table holds every factor of its variable's
+        component; the scalars shared by all (fully observed potentials and
+        the messages that close other components) only scale it, unless their
+        product is zero or not finite, which every table then takes. This
+        call does not end a round of the message memo, so the next
+        :meth:`held` call reuses its messages and keeps them for the next
+        round.
         """
-        path, observed, holders, numbers = self._start(evidence)
+        path, holders, scalars = self._start(evidence)
+        holders, scalars = list(holders), list(scalars)
+        numbers = itertools.count(len(self.model.potentials))
         cards = self.model.cardinalities
-        scalars: list[tuple[int, Potential]] = []
         steps: list[tuple[tuple, tuple[int, Potential]]] = []  # (bucket, message entry)
-        order = list(iter(path.eliminate_next, None))
+        order = list(iter(path.fork(()).eliminate_next, None))
         at = {v: i for i, v in enumerate(order)}  # each variable's step
         for v in order:
             bucket = holders[v]
@@ -524,8 +472,7 @@ class _Elimination:
                     down[i] = _rescaled(message.scope, _summed_to(others, message.scope, cards))[0]
                 if p in requested:
                     tables[p] = _summed_to([f for _, f in steps[p][0]] + into, (order[p],), cards)
-            shared = math.prod([float(f.values) for f in observed.values()])
-            shared *= math.prod([float(f.values) for _, f in scalars])
+            shared = math.prod([float(f.values) for _, f in scalars])
             result = [tables[at[v]] for v in variables]
             if not 0.0 < shared < math.inf:
                 result = [t * shared for t in result]
@@ -649,8 +596,13 @@ def _summed_to(
 
 
 def _einsum(factors: Sequence[Potential], keep: Sequence[int], cards: Sequence[int]) -> np.ndarray:
-    """:func:`_summed_to` by one ``np.einsum`` call; a ``keep`` variable no factor holds gets ones."""
-    labels: dict[int, int] = {}  # einsum takes labels below 52
+    """:func:`_summed_to` by one ``np.einsum`` call; a ``keep`` variable no factor holds gets ones.
+
+    einsum takes labels below 52. Past that many variables, which only
+    one-state ones can make up in tables that fit in memory, the one-state
+    variables' axes are dropped from the factors and put back on the result.
+    """
+    labels: dict[int, int] = {}
     operands: list = []
     for f in factors:
         operands += [f.values, [labels.setdefault(u, len(labels)) for u in f.scope]]
@@ -658,6 +610,13 @@ def _einsum(factors: Sequence[Potential], keep: Sequence[int], cards: Sequence[i
     if alone:
         axes = [labels.setdefault(u, len(labels)) for u in alone]
         operands += [np.ones([cards[u] for u in alone]), axes]
+    if len(labels) > 52:
+        squeezed = []
+        for f in factors:
+            scope = tuple(u for u in f.scope if cards[u] > 1)
+            squeezed.append(Potential._result(scope, f.values.reshape([cards[u] for u in scope])))
+        wide = [u for u in keep if cards[u] > 1]
+        return _einsum(squeezed, wide, cards).reshape([cards[u] for u in keep])
     return np.einsum(*operands, [labels[u] for u in keep])
 
 
@@ -844,8 +803,7 @@ def brute_force_mmap(
     if states > cap:
         raise OracleTooLargeError(f"{states} explained states exceed the cap of {cap}")
 
-    observed, [(held, log_num)] = _Elimination(model).held(evidence, (explain,))
-    factors = [f for _, f in sorted({**observed, **held}.items())]
+    [(factors, log_num)] = _Elimination(model).held(evidence, (explain,))
     traceback = []
     for v in reversed(explain):
         bucket = [f for f in factors if v in f.scope]

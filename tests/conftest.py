@@ -241,6 +241,23 @@ def hub_model(leaves, rng):
     return GraphicalModel((2,) * (leaves + 1), tuple(potentials))
 
 
+def one_state_crowd_model(crowd, chain, rng):
+    """Binary variable 0 in one potential with ``crowd`` one-state variables, beside a binary chain.
+
+    The chain's ``chain`` variables follow the crowd, each joined to the
+    next. Min-fill eliminates variable 0 first, from a bucket of ``crowd + 1``
+    variables: past einsum's 52 labels when ``crowd`` is 52 or more. numpy
+    1.x holds at most 32 axes in an array.
+    """
+    cards = (2,) + (1,) * crowd + (2,) * chain
+    potentials = [Potential(tuple(range(crowd + 1)), rng.uniform(0.5, 2.0, cards[: crowd + 1]))]
+    potentials += [
+        Potential((v, v + 1), rng.uniform(0.5, 2.0, (2, 2)))
+        for v in range(crowd + 1, len(cards) - 1)
+    ]
+    return GraphicalModel(cards, tuple(potentials))
+
+
 GRID_EPSILONS = (0.0, 0.5, 1.0)
 GRID_K = 3
 GRID_Q = 500

@@ -19,7 +19,13 @@ from margmap.generate import random_grid_model, random_model
 from margmap.heuristic import _round_logs, _sharing_rounds
 from margmap.inference import _Elimination
 
-from conftest import differential_models, entropy_by_formula, hub_model, random_evidence
+from conftest import (
+    differential_models,
+    entropy_by_formula,
+    hub_model,
+    one_state_crowd_model,
+    random_evidence,
+)
 
 
 def _random_evidence(model, k, rng):
@@ -482,6 +488,10 @@ class TestScreen:
         observed = [int(v) for v in rng.choice(36, size=4, replace=False)]
         evidence = {v: int(rng.integers(2)) for v in observed}
         instances.append((grid, evidence, [v for v in range(36) if v not in evidence]))
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # an array of 61 axes
+            # a bucket of 61 variables, 60 of one state, beside 14 chained targets
+            crowd = one_state_crowd_model(60, 14, rng)
+            instances.append((crowd, {}, [0, *range(61, 75)]))
         trees = _count_calls(monkeypatch, "tree")
         compared = 0
         for model, evidence, targets in instances:

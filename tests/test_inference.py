@@ -218,7 +218,7 @@ class TestSharedElimination:
                 singles = [(v,) for v in free]
                 keeps = singles + singles[::-1] + [tuple(free[:2]), (), singles[0]]
                 if len(path) >= 3:
-                    # two multi-variable keeps that fork off the path at the same step
+                    # two multi-variable keeps from the middle of the min-fill order
                     mid = len(path) // 2 - 1
                     keeps += [path[mid : mid + 2], (path[mid + 2], path[mid])]
                 shared = _Elimination(model, order).tables(evidence, keeps)
@@ -260,7 +260,7 @@ class TestSharedElimination:
                     previous = evidence
         assert kernels == {"product", "matmul"}
 
-    def test_one_product_matrix_per_call_gives_each_table_bit_for_bit(self):
+    def test_each_table_joins_its_held_factors_bit_for_bit(self):
         rng = np.random.default_rng(65)
         for model in differential_models(65):
             cards = model.cardinalities
@@ -272,9 +272,9 @@ class TestSharedElimination:
                     # single variables of mixed cardinalities, one of them twice, and the empty keep
                     keeps = [(v,) for v in free] + [(free[0],), ()]
                     tables = elimination.tables(evidence, keeps)
-                    observed, held = twin.held(evidence, keeps)
-                    for keep, (table, log_scale), (entries, held_scale) in zip(keeps, tables, held):
-                        factors = [f for _, f in sorted({**observed, **entries}.items())]
+                    held = twin.held(evidence, keeps)
+                    for keep, (table, log_scale), (factors, held_scale) in zip(keeps, tables, held):
+                        assert all(set(f.scope) <= set(keep) for f in factors)
                         fresh, fresh_log_scale = _sum_out(model, evidence, keep)
                         assert table.scope == keep
                         assert table.values.shape == tuple(cards[v] for v in keep)
@@ -287,7 +287,7 @@ class TestSharedElimination:
                             table.values[...] = 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_an_overflowing_product_matrix_raises(self):
+    def test_an_overflowing_table_raises(self):
         model = GraphicalModel(
             (2, 2, 3),
             (
@@ -323,7 +323,7 @@ class TestBucketTree:
 
     def test_tables_match_mar_and_the_enumeration(self):
         rng = np.random.default_rng(67)
-        gap = 0.0  # the largest |tree entropy - fork entropy| seen
+        gap = 0.0  # the largest |tree entropy - walk entropy| seen
         for model in differential_models(67):
             joint = _enumerated(model)
             if joint.size <= 1 << 8:  # the one-state-at-a-time enumeration is slow on the others
@@ -336,7 +336,7 @@ class TestBucketTree:
             ):
                 elimination = _Elimination(model, order)
                 for evidence in evidences:
-                    # a screened round: the tree, then the forks on the same state
+                    # a screened round: the tree, then the walks on the same state
                     free = [v for v in range(model.n_vars) if v not in evidence]
                     tree = elimination.tree(evidence, free)
                     forks = elimination.tables(evidence, [(v,) for v in free])
