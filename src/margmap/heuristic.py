@@ -74,12 +74,13 @@ class ExplanationTrace:
     (k(k+1)/2 for a full run over k targets), although each round scores
     its candidates on one elimination, with one min-fill walk each through a
     shared message memo, and a round of ``_SCREEN_CANDIDATES`` candidates or
-    more screens them with one bucket tree first and walks only for the
-    near-best; ``mar_seconds`` is the time spent scoring this run's rounds,
-    entropies included. Inside :func:`_sharing_rounds`, a round an earlier
-    call already scored is replayed, not scored again, and still adds the
-    seconds it took when it was scored, so ``mar_seconds`` is the cost of
-    this run, not wall time.
+    more screens them first and walks only for the near-best: one bucket
+    tree answers the candidates the last committed variable could reach, and
+    the others keep their entropy from the round before. ``mar_seconds`` is
+    the time spent scoring this run's rounds, entropies included. Inside
+    :func:`_sharing_rounds`, a round an earlier call already scored is
+    replayed, not scored again, and still adds the seconds it took when it
+    was scored, so ``mar_seconds`` is the cost of this run, not wall time.
     """
 
     steps: tuple[ExplanationStep, ...]
@@ -143,15 +144,19 @@ class _RoundLog:
     variable, state and marginal) and the round's seconds; ``elimination``
     has run exactly those rounds, so it goes on with the next one as a fresh
     run would; ``evidence_sum`` is round 1's P(evidence) table and log scale,
-    kept when there is evidence.
+    kept when there is evidence. ``carry`` is ``None`` unless the last
+    scored round was screened; then it holds that round's screen entropy of
+    each of its targets and, as a bitmask, the free variables its winner
+    could reach in that round's graph, which :func:`_screen` asks again.
     """
 
-    __slots__ = ("elimination", "evidence_sum", "rounds")
+    __slots__ = ("elimination", "evidence_sum", "rounds", "carry")
 
     def __init__(self, model: GraphicalModel):
         self.elimination = _Elimination(model)
         self.evidence_sum: tuple[Potential, float] | None = None
         self.rounds: list[tuple[ExplanationStep, float]] = []
+        self.carry: tuple[dict[int, float | None], int] | None = None
 
 
 _round_logs: ContextVar[dict[tuple, _RoundLog] | None] = ContextVar("_round_logs", default=None)
@@ -265,28 +270,47 @@ def _score_round(
 ) -> tuple[ExplanationStep, float]:
     """Score the round after ``log``'s: the least entropic target's step, and the seconds taken.
 
-    A round of ``_SCREEN_CANDIDATES`` targets or more is screened first: one
-    bucket-tree pass (:meth:`~margmap.inference._Elimination.tree`) gives
-    every target's table, and only the targets whose tree entropy is within
+    A round of ``_SCREEN_CANDIDATES`` targets or more is screened first by
+    :func:`_screen`, and only the targets whose screen entropy is within
     ``_SCREEN_MARGIN`` of the least, or whose tree mass is zero or not
     finite, are scored. Scoring is the same in every round: the scored
     targets, in target order, get their tables from the elimination's walks
     (:meth:`~margmap.inference._Elimination.tables`), and the first of least
-    entropy wins, so ties keep the lowest variable id. A tree entropy
+    entropy wins, so ties keep the lowest variable id. A screen entropy
     differs from its walk entropy by rounding only, some 1e-15: if every
-    difference is below half the margin, the winner's tree entropy is within
-    the margin of the least, and so is that of every target tied with it.
-    All of them are scored, so the round picks the same target, and the step
-    holds the same entropy and marginal, bit for bit, as a round that scores
-    every target. Round 1 (nothing logged yet) also keeps P(evidence)'s
-    grand sum on the log. On impossible evidence a model without joint mass
-    is named as such before the step is.
+    difference is below half the margin, the winner's screen entropy is
+    within the margin of the least, so the winner is scored, and the round
+    picks the same target, and the step holds the same entropy and marginal,
+    bit for bit, as a round that scores every target. If a scored table has
+    no mass, every target is scored, so the error names the variable an
+    unscreened round names. Round 1 (nothing logged yet) also keeps
+    P(evidence)'s grand sum on the log. On impossible evidence a model
+    without joint mass is named as such before the step is.
     """
     start = time.perf_counter()
-    elimination = log.elimination
-    scored = targets
+    screen, scored = None, targets
     if len(targets) >= _SCREEN_CANDIDATES:
-        scored = _near_best(elimination.tree(working, targets), targets)
+        screen = _screen(log, working, targets)
+        line = min([h for h in screen.values() if h is not None], default=0.0) + _SCREEN_MARGIN
+        scored = [v for v in targets if screen[v] is None or screen[v] <= line]
+    try:
+        h, chosen, probs = _least(log, working, scored)
+    except ZeroProbabilityEvidenceError:
+        if scored is targets:
+            raise
+        h, chosen, probs = _least(log, working, targets)
+    log.carry = None if screen is None else (screen, log.elimination.linked((chosen,)))
+    seconds = time.perf_counter() - start
+    marginal = MassFunction(chosen, probs)
+    state = int(np.argmax(marginal.probs))  # ties keep the lowest state index
+    return ExplanationStep(chosen, state, h, marginal), seconds
+
+
+def _least(
+    log: _RoundLog, working: Evidence, scored: list[int]
+) -> tuple[float, int, np.ndarray]:
+    """The first of least entropy among ``scored``, from the walks: its entropy, id and probabilities."""
+    elimination = log.elimination
     best: tuple[float, int, np.ndarray] | None = None
     empty_keep = [()] if working and not log.rounds else []
     tables = elimination.tables(working, [(v,) for v in scored] + empty_keep)
@@ -304,22 +328,40 @@ def _score_round(
         h = _entropy(probs)
         if best is None or h < best[0]:  # ties keep the lowest variable id
             best = (h, v, probs)
-    seconds = time.perf_counter() - start
-    h, chosen, probs = best
-    marginal = MassFunction(chosen, probs)
-    state = int(np.argmax(marginal.probs))  # ties keep the lowest state index
-    return ExplanationStep(chosen, state, h, marginal), seconds
+    return best
 
 
-def _near_best(tables: list[np.ndarray], targets: list[int]) -> list[int]:
-    """The targets a screen cannot rule out, in target order.
+def _screen(log: _RoundLog, working: Evidence, targets: list[int]) -> dict[int, float | None]:
+    """Each target's screen entropy: ``None`` where its tree mass is zero or not finite.
 
-    Those whose table's entropy is within ``_SCREEN_MARGIN`` of the least,
-    and those whose table's mass is zero or not finite.
+    A target the last round's winner w cannot reach keeps its entropy from
+    the last screened round: when w was in another component of that round's
+    free graph, observing w leaves the target's marginal as it was. The
+    bucket tree (:meth:`~margmap.inference._Elimination.tree`) answers the
+    others, walking only their components.
     """
-    entropies: list[float | None] = []
-    for table in tables:
-        mass = float(table.sum())
-        entropies.append(_entropy(table / mass) if 0.0 < mass < math.inf else None)
-    line = min([h for h in entropies if h is not None], default=0.0) + _SCREEN_MARGIN
-    return [v for v, h in zip(targets, entropies) if h is None or h <= line]
+    entropies, asked = {}, targets
+    if log.carry is not None:
+        carried, linked = log.carry
+        entropies = {v: carried[v] for v in targets}
+        asked = [v for v in targets if linked >> v & 1]
+    if asked:
+        entropies.update(zip(asked, _entropies(log.elimination.tree(working, asked))))
+    return entropies
+
+
+def _entropies(tables: list[np.ndarray]) -> list[float | None]:
+    """Each table's normalised entropy, as :func:`~margmap.inference.entropy` takes it, in one pass.
+
+    ``None`` where a table's mass is zero or not finite.
+    """
+    sizes = np.array([t.size for t in tables])
+    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
+    flat = np.concatenate(tables)
+    with np.errstate(all="ignore"):  # a zero or infinite mass gives None
+        mass = np.add.reduceat(flat, starts)
+        probs = flat / np.repeat(mass, sizes)
+        terms = probs * np.log(np.where(probs > 0.0, probs, 1.0))  # 0 log 0 is 0
+        # a one-state table's only term is 1 log 1, so its entropy is 0
+        h = np.clip(-np.add.reduceat(terms, starts) / np.log(np.maximum(sizes, 2)), 0.0, 1.0)
+    return [float(x) if 0.0 < m < math.inf else None for x, m in zip(h, mass)]

@@ -16,24 +16,30 @@ variables are restricted and their min-fill stepper, on bitsets with fill
 counts updated per step, is set up once per round; each candidate then gets
 its own walk, a fork of that stepper without it, through one message memo,
 so the steps its walk shares with the walks before it are memo hits.
-Between rounds, a potential is restricted again only when the evidence on
-its scope changed, and a message of the previous round is reused whenever
-a step meets the same factors in the same order, so mostly what the newly
+Between rounds, only the potentials that hold a variable whose evidence
+changed are restricted again; when the evidence only grew, the round's
+stepper and factor lists are the last round's with the new variables
+removed, and a message of the previous round is reused whenever a step
+meets the same factors in the same order, so mostly what the newly
 observed variable touches is redone. Each table is bit-identical to a
 separate query. ``pr``, ``mar`` and the oracle use a fresh core per query.
 
-For a round with many candidates the greedy first asks ``tree`` for every
-candidate's table from one bucket tree (Shafer & Shenoy 1990): one upward
-pass along the same min-fill path, through the same steps and message memo,
-and one downward pass over only the buckets on the way to the candidates,
-which sums each bucket by ``np.einsum`` or, from ``_MATMUL_ENTRIES`` joint
-states on, by one batched ``np.matmul``. Its tables are exact, but their
-last bits are the tree's own, so the greedy uses them only to choose which
-candidates to score on their own walks: those whose tree entropy is within
-1e-9 of the least, and those whose tree mass is zero or not finite. Tree
-and walk entropies differ by rounding only, some 1e-15, so the winner and
-every candidate tied with it are among those scored, and each round's
-answer is the walks', bit for bit.
+For a round with many candidates the greedy first asks ``tree`` for the
+candidates' tables from one bucket tree (Shafer & Shenoy 1990): one upward
+pass along the same min-fill path over the components that hold them,
+through the same steps and message memo, and one downward pass over only
+the buckets on the way to the candidates, which sums each bucket by one
+``np.einsum`` call per message or table on plain arrays or, from
+``_MATMUL_ENTRIES`` joint states on, by one batched ``np.matmul``. Its
+tables are exact, but their last bits are the tree's own, so the greedy
+uses them only to choose which candidates to score on their own walks:
+those whose tree entropy is within 1e-9 of the least, and those whose tree
+mass is zero or not finite. A candidate that the last committed variable
+could not reach keeps its marginal, so the greedy carries its last tree
+entropy instead of asking again. Tree and walk entropies differ by
+rounding only, some 1e-15, so the winner and every candidate tied with it
+are among those scored, and each round's answer is the walks', bit for
+bit.
 
 Every maxed bucket (``_max_message``), every summed one (``_sum_message``)
 whose product would hold fewer than ``_MATMUL_ENTRIES`` entries, and every
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import string
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -84,6 +91,9 @@ _MATMUL_ENTRIES = 1 << 16
 # refuses more than 31 operands on numpy 1.x (63 on 2.x), and a table may
 # add one of ones.
 _EINSUM_FACTORS = 30
+
+# einsum's subscript labels, in the order :func:`_bucket_sums` hands them out
+_LABELS = string.ascii_letters
 
 class OracleTooLargeError(ValueError):
     """An oracle's input exceeds its joint-state cap.
@@ -153,6 +163,20 @@ def _without(graph: list[int], variables: Iterable[int]) -> list[int]:
     return [0 if dropped >> v & 1 else nbrs & ~dropped for v, nbrs in enumerate(graph)]
 
 
+def _reach(graph: list[int], mask: int) -> int:
+    """``mask`` with every vertex of ``graph`` connected to one of its vertices added."""
+    frontier = mask
+    while frontier:
+        around = 0
+        while frontier:
+            low = frontier & -frontier
+            around |= graph[low.bit_length() - 1]
+            frontier ^= low
+        frontier = around & ~mask
+        mask |= frontier
+    return mask
+
+
 def _fill_count(adjacency: list[int], v: int) -> int:
     """Pairs of neighbours of ``v`` not yet adjacent: the fill edges its elimination adds."""
     nbrs = rest = adjacency[v]
@@ -177,10 +201,11 @@ class _MinFill:
     its neighbours outside x's closed neighbourhood, then each missing edge
     a-b among x's neighbours, added in turn, raises a's count by a's
     neighbours not adjacent to b (and b's likewise) and lowers their common
-    neighbours' by one. ``fork(exclude)`` copies the state with ``exclude``
-    dropped from the targets. Every vertex picked so far was the least (fill
-    count, rank) among a superset of the copy's targets, so the copy goes on
-    exactly as a fresh stepper over its own targets would.
+    neighbours' by one; ``drop`` is the first half alone, which is how
+    observing a vertex removes it. ``fork(exclude)`` copies the state with
+    ``exclude`` dropped from the targets. Every vertex picked so far was the
+    least (fill count, rank) among a superset of the copy's targets, so the
+    copy goes on exactly as a fresh stepper over its own targets would.
 
     A caller's order is a fixed priority on the same stepper: its rank on an
     edgeless graph, where every fill count is 0 and stays 0, so the targets
@@ -203,17 +228,7 @@ class _MinFill:
         if fill[best]:  # no count is below 0, so a first target of count 0 is the least
             best = min(remaining, key=fill.__getitem__)
         remaining.remove(best)
-        nbrs = rest = adjacency[best]
-        adjacency[best] = fill[best] = 0
-        gone = 1 << best
-        closed = nbrs | gone
-        while rest:
-            low = rest & -rest
-            a = low.bit_length() - 1
-            adjacency[a] ^= gone
-            fill[a] -= (adjacency[a] & ~closed).bit_count()
-            rest ^= low
-        rest = nbrs
+        rest = nbrs = self.drop(best)
         while rest:
             low = rest & -rest
             rest ^= low
@@ -234,6 +249,21 @@ class _MinFill:
                 adjacency[a] = around_a | bit
                 adjacency[b] = around_b | low
         return best
+
+    def drop(self, x: int) -> int:
+        """Remove vertex ``x`` without fill edges, as observing it does; returns its neighbours."""
+        adjacency, fill = self.adjacency, self.fill
+        nbrs = rest = adjacency[x]
+        adjacency[x] = fill[x] = 0
+        gone = 1 << x
+        closed = nbrs | gone
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            adjacency[a] ^= gone
+            fill[a] -= (adjacency[a] & ~closed).bit_count()
+            rest ^= low
+        return nbrs
 
     def fork(self, exclude: Iterable[int]) -> _MinFill:
         twin = object.__new__(_MinFill)
@@ -283,13 +313,14 @@ class _Elimination:
     State carries from one call to the next, which is what a greedy run
     needs: it adds one variable to the evidence per call. A potential is
     restricted again only when the evidence on its scope changed; otherwise
-    the previous call's object is reused. Each message is kept under its
-    eliminated variable and the identities of its bucket's factors, in
-    bucket order, so a step that meets the same factors in the same order,
-    in this walk, a later walk of the call or the next call, reuses the
-    message: the walks of one call mostly share their first steps, and those
-    are memo hits after the first walk. A memo entry holds its
-    bucket, so no identity in a live key is recycled. A round of the memo
+    the previous call's object is reused, and grown evidence carries the
+    previous call's stepper and factor lists (:meth:`_start`). Each message
+    is kept under its eliminated variable and the identities of its
+    bucket's factors, in bucket order, so a step that meets the same factors
+    in the same order, in this walk, a later walk of the call or the next
+    call, reuses the message: the walks of one call mostly share their first
+    steps, and those are memo hits after the first walk. A memo entry holds
+    its bucket, so no identity in a live key is recycled. A round of the memo
     ends with each :meth:`held` call (and so each :meth:`tables` call): an
     entry no step looked up during the round is dropped then. A
     :meth:`tree` call before it belongs to the same round, so its messages
@@ -297,28 +328,23 @@ class _Elimination:
     fresh elimination would give.
     """
 
-    __slots__ = ("model", "rank", "graph", "slices", "restricted", "started", "messages", "earlier")
+    __slots__ = ("model", "rank", "graph", "holding", "restricted", "started", "messages", "earlier")
 
     def __init__(self, model: GraphicalModel, order: Sequence[int] | None = None):
         self.model = model
         self.rank = _rank(model, order)
         self.graph = _interaction_graph(model) if self.rank is None else [0] * model.n_vars
-        self.slices: list[tuple[tuple[int, int], ...] | None] = [None] * len(model.potentials)
+        # the indices of the potentials whose scope holds each variable
+        self.holding: list[list[int]] = [[] for _ in range(model.n_vars)]
+        for i, p in enumerate(model.potentials):
+            for v in p.scope:
+                self.holding[v].append(i)
         self.restricted: list[Potential | None] = [None] * len(model.potentials)
         # the last evidence :meth:`_start` was called on, with the state it gave
         self.started: tuple | None = None
         # the messages looked up in this round, and those of the last round not looked up yet
         self.messages: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
         self.earlier: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
-
-    def _restrict(self, evidence: Evidence) -> list[Potential]:
-        cards, restricted, slices = self.model.cardinalities, self.restricted, self.slices
-        for i, p in enumerate(self.model.potentials):
-            part = tuple((v, evidence[v]) for v in p.scope if v in evidence)
-            if part != slices[i]:
-                slices[i] = part
-                restricted[i] = factor_restrict(p, evidence, cards)
-        return restricted
 
     def tables(
         self, evidence: Evidence, keeps: Iterable[Sequence[int]]
@@ -342,24 +368,69 @@ class _Elimination:
         potentials, which start each walk's list of scalars. Sequence numbers
         follow the factor list (restricted potentials in model order, then
         messages in creation order), so sorting entries by them gives that
-        list's order. The stepper and state are kept for the next call, which
-        reuses them when its evidence is the same, as a screened round's
-        :meth:`held` after its :meth:`tree` does: no restricting and no fill
-        counting. Callers copy what they change.
+        list's order. Only the potentials holding a variable whose evidence
+        was added, dropped or changed since the last call are restricted
+        again; every other keeps its object. When the evidence only grew, as
+        from one greedy round to the next, the last stepper is copied with
+        the new variables removed, as observing them does (no fill edges),
+        and only the entries of the potentials restricted again change; any
+        other evidence starts anew. Either way the state is the one a fresh
+        elimination's first call gives. The stepper and state are kept for
+        the next call, which reuses them when its evidence is the same, as a
+        screened round's :meth:`held` after its :meth:`tree` does. Callers
+        copy what they change.
         """
-        model = self.model
-        if self.started is None or self.started[0] != evidence:
+        started = self.started
+        if started is not None and started[0] == evidence:
+            return started[1:]
+        model, restricted = self.model, self.restricted
+        before = {} if started is None else started[0]
+        moved = [v for v in before.keys() | evidence.keys() if before.get(v) != evidence.get(v)]
+        if started is None:
+            changed = range(len(restricted))
+        else:
+            changed = {i for v in moved for i in self.holding[v]}
+        for i in changed:
+            restricted[i] = factor_restrict(model.potentials[i], evidence, model.cardinalities)
+        if started is not None and before.items() <= evidence.items():
+            path = started[1].fork(())
+            for v in moved:
+                path.remaining.remove(v)
+                path.drop(v)
+            fresh = {i: (i, restricted[i]) for i in changed}
+            holders = list(started[2])
+            # the variables of the scopes restricted again, before and after
+            for u in {u for _, f in fresh.values() for u in f.scope}.union(moved):
+                holders[u] = tuple(
+                    fresh.get(entry[0], entry)
+                    for entry in holders[u]
+                    if entry[0] not in fresh or u in fresh[entry[0]][1].scope
+                )
+            observed = tuple(sorted([*started[3], *[e for e in fresh.values() if not e[1].scope]]))
+        else:
             free = [v for v in range(model.n_vars) if v not in evidence]
             path = _MinFill(_without(self.graph, evidence), free, self.rank)
             held: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
             observed = []
-            for entry in enumerate(self._restrict(evidence)):
+            for entry in enumerate(restricted):
                 if not entry[1].scope:
                     observed.append(entry)
                 for v in entry[1].scope:
                     held[v].append(entry)
-            self.started = (dict(evidence), path, tuple(tuple(h) for h in held), tuple(observed))
+            holders, observed = [tuple(h) for h in held], tuple(observed)
+        self.started = (dict(evidence), path, tuple(holders), observed)
         return self.started[1:]
+
+    def linked(self, variables: Iterable[int]) -> int:
+        """The free variables the last start's graph connects to ``variables``, as a bitmask.
+
+        Under a caller's order the stepper's graph has no edges, so every free
+        variable counts as linked.
+        """
+        path = self.started[1]
+        if self.rank is not None:
+            return _mask(path.remaining)
+        return _reach(path.adjacency, _mask(variables))
 
     def _eliminate(
         self, v: int, holders: list, scalars: list, numbers: Iterator[int]
@@ -415,32 +486,36 @@ class _Elimination:
     def tree(self, evidence: Evidence, variables: Sequence[int]) -> list[np.ndarray]:
         """Each of ``variables``' unnormalised table under ``evidence``, from one bucket tree.
 
-        The upward pass walks the round's min-fill stepper once over every
-        free variable, through the same steps and message memo as the walks
-        of :meth:`held`, and records each step's bucket; the bucket that takes
-        a message is its parent. The downward pass (Shafer & Shenoy) visits
-        only the buckets on the way from a root to a requested variable's
-        bucket, in the reverse order: the message into a bucket sums its
-        parent's other factors and the parent's own downward message down to
-        the bucket's upward message's scope. A variable's table sums its
-        bucket's factors and downward message down to it. Each such sum is
-        :func:`_summed_to`'s, which never builds the product, and each
-        downward message is rescaled to max entry 1, so a table's scale, and
-        its last bits, are the tree's own; the tables are meant for ranking,
-        not for answers. A table holds every factor of its variable's
-        component; the scalars shared by all (fully observed potentials and
-        the messages that close other components) only scale it, unless their
-        product is zero or not finite, which every table then takes. This
-        call does not end a round of the message memo, so the next
-        :meth:`held` call reuses its messages and keeps them for the next
-        round.
+        The upward pass walks the round's min-fill stepper over the free
+        variables of the components that hold a requested variable (the
+        stepper orders a component's variables alike whatever else it holds),
+        through the same steps and message memo as the walks of :meth:`held`,
+        and records each step's bucket; the bucket that takes a message is its
+        parent. The downward pass (Shafer & Shenoy) visits only the buckets on
+        the way from a root to a requested variable's bucket, in the reverse
+        order: the message into a bucket sums its parent's other factors and
+        the parent's own downward message down to the bucket's upward
+        message's scope. A variable's table sums its bucket's factors and
+        downward message down to it. :func:`_bucket_sums` takes each bucket's
+        sums on plain arrays, and each downward message is rescaled to max
+        entry 1, so a table's scale, and its last bits, are the tree's own;
+        the tables are meant for ranking, not for answers. A table holds
+        every factor of its variable's component; the scalars shared by all
+        (fully observed potentials and the messages that close the other
+        walked components) only scale it, unless their product is zero or
+        not finite, which every table then takes. A component that holds no
+        requested variable is not walked, so its mass is not seen. This call
+        does not end a round of the message memo, so the next :meth:`held`
+        call reuses its messages and keeps them for the next round.
         """
         path, holders, scalars = self._start(evidence)
         holders, scalars = list(holders), list(scalars)
         numbers = itertools.count(len(self.model.potentials))
         cards = self.model.cardinalities
+        linked = self.linked(variables)
+        walk = path.fork([v for v in path.remaining if not linked >> v & 1])
         steps: list[tuple[tuple, tuple[int, Potential]]] = []  # (bucket, message entry)
-        order = list(iter(path.fork(()).eliminate_next, None))
+        order = list(iter(walk.eliminate_next, None))
         at = {v: i for i, v in enumerate(order)}  # each variable's step
         for v in order:
             bucket = holders[v]
@@ -460,18 +535,27 @@ class _Elimination:
                     break
                 children.setdefault(parent[i], []).append(i)
                 i = parent[i]
-        down: list[Potential | None] = [None] * len(steps)
+        down: list[tuple | None] = [None] * len(steps)  # (scope, values) into each bucket
         tables: dict[int, np.ndarray] = {}
         requested = {at[v] for v in variables}
         with np.errstate(over="ignore", invalid="ignore"):
             for p in sorted(wanted, reverse=True):  # a parent comes after its children
-                into = [] if down[p] is None else [down[p]]
-                for i in children.get(p, ()):
-                    n, message = steps[i][1]
-                    others = [f for m, f in steps[p][0] if m != n] + into
-                    down[i] = _rescaled(message.scope, _summed_to(others, message.scope, cards))[0]
+                bucket = steps[p][0]
+                scopes = [f.scope for _, f in bucket]
+                arrays = [f.values for _, f in bucket]
+                if down[p] is not None:
+                    scopes.append(down[p][0])
+                    arrays.append(down[p][1])
+                kids = children.get(p, ())
+                outs = [(bucket.index(steps[i][1]), steps[i][1][1].scope) for i in kids]
                 if p in requested:
-                    tables[p] = _summed_to([f for _, f in steps[p][0]] + into, (order[p],), cards)
+                    outs.append((len(arrays), (order[p],)))
+                sums = _bucket_sums(scopes, arrays, outs, cards)
+                for i, (_, scope), values in zip(kids, outs, sums):
+                    peak = float(values.max())
+                    down[i] = (scope, values / peak if peak > 0.0 and peak != 1.0 else values)
+                if p in requested:
+                    tables[p] = sums[-1]
             shared = math.prod([float(f.values) for _, f in scalars])
             result = [tables[at[v]] for v in variables]
             if not 0.0 < shared < math.inf:
@@ -618,6 +702,44 @@ def _einsum(factors: Sequence[Potential], keep: Sequence[int], cards: Sequence[i
         wide = [u for u in keep if cards[u] > 1]
         return _einsum(squeezed, wide, cards).reshape([cards[u] for u in keep])
     return np.einsum(*operands, [labels[u] for u in keep])
+
+
+def _bucket_sums(
+    scopes: list[tuple[int, ...]],
+    arrays: list[np.ndarray],
+    outs: Iterable[tuple[int, tuple[int, ...]]],
+    cards: Sequence[int],
+) -> list[np.ndarray]:
+    """Per (left out, keep) of ``outs``, the product of one bucket's factors but one, summed to ``keep``.
+
+    The factors are ``arrays`` over ``scopes``; ``left out`` is the position
+    of the one left out, or the number of factors to leave none out. The
+    bucket's variables are labelled once, and each sum is one
+    string-subscript ``np.einsum`` call; a ``keep`` variable that only the
+    left-out factor holds gets ones. A bucket of ``_MATMUL_ENTRIES`` joint
+    states or more, of more than ``_EINSUM_FACTORS`` factors or of more
+    variables than einsum has labels takes :func:`_summed_to` instead.
+    """
+    held = dict.fromkeys([u for scope in scopes for u in scope])
+    if (
+        len(arrays) > _EINSUM_FACTORS
+        or len(held) > len(_LABELS)
+        or math.prod([cards[u] for u in held]) >= _MATMUL_ENTRIES
+    ):
+        factors = [Potential._result(scope, values) for scope, values in zip(scopes, arrays)]
+        return [_summed_to(factors[:j] + factors[j + 1 :], keep, cards) for j, keep in outs]
+    label = dict(zip(held, _LABELS)).__getitem__
+    subscripts = ["".join(map(label, scope)) for scope in scopes]
+    sums = []
+    for j, keep in outs:
+        spec = ",".join(subscripts[:j] + subscripts[j + 1 :])
+        operands = arrays[:j] + arrays[j + 1 :]
+        alone = [u for u in keep if label(u) not in spec]  # held by the left-out factor alone
+        if alone:
+            spec += ("," if spec else "") + "".join(map(label, alone))
+            operands.append(np.ones([cards[u] for u in alone]))
+        sums.append(np.einsum(spec + "->" + "".join(map(label, keep)), *operands))
+    return sums
 
 
 def _joined(factors: Iterable[Potential], keep: tuple[int, ...], cards: Sequence[int]) -> Potential:

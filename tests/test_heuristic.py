@@ -14,7 +14,7 @@ from margmap import (
     mmap2mar,
     pr,
 )
-from margmap import heuristic
+from margmap import heuristic, inference
 from margmap.generate import random_grid_model, random_model
 from margmap.heuristic import _round_logs, _sharing_rounds
 from margmap.inference import _Elimination
@@ -340,10 +340,10 @@ class TestSharedRounds:
 def _count_calls(monkeypatch, method="tables"):
     """Record each call of ``_Elimination.<method>``: its evidence and keeps or variables, copied.
 
-    ``tables`` runs once per scored round and ``tree`` once per screened one.
-    A model's first p~ also computes its partition function with one more
-    ``tables`` call, so count those only on a model that has already
-    answered a query.
+    ``tables`` runs once per scored round, and ``tree`` once per screened
+    round that asks it for a target. A model's first p~ also computes its
+    partition function with one more ``tables`` call, so count those only on
+    a model that has already answered a query.
     """
     calls = []
     original = getattr(_Elimination, method)
@@ -471,8 +471,60 @@ class TestRoundLog:
         assert len(scored) == 2  # the repeat scored its round anew
 
 
+def _linked(model, evidence, v):
+    """The unobserved variables joined to ``v`` by a path of potentials that avoids ``evidence``."""
+    reached, frontier = {v}, [v]
+    while frontier:
+        u = frontier.pop()
+        for p in model.potentials:
+            if u in p.scope:
+                new = {w for w in p.scope if w not in evidence} - reached
+                reached |= new
+                frontier += new
+    return reached
+
+
 class TestScreen:
     """Rounds screened by a bucket tree give, bit for bit, the traces of scoring every target."""
+
+    @staticmethod
+    def _record_screens(monkeypatch, trees):
+        """Record each screened round: its evidence, targets, screen entropies and ``tree`` calls."""
+        screens = []
+        original = heuristic._screen
+
+        def recording(log, working, targets):
+            calls = len(trees)
+            entropies = original(log, working, targets)
+            screens.append((dict(working), list(targets), entropies, trees[calls:]))
+            return entropies
+
+        monkeypatch.setattr(heuristic, "_screen", recording)
+        return screens
+
+    @staticmethod
+    def _check_carry(model, screens):
+        """The first screened round of a run asks ``tree`` for every target; each later one
+        only for those joined to the variable the round before committed, and every other
+        target's carried entropy is a fresh tree's, to 1e-12. Returns how many were carried."""
+        carried = 0
+        for i, (evidence, targets, entropies, calls) in enumerate(screens):
+            asked = targets
+            if i:
+                before = screens[i - 1][0]
+                [(w, _)] = evidence.items() - before.items()
+                linked = _linked(model, before, w)
+                asked = [v for v in targets if v in linked]
+            assert [variables for _, variables in calls] == ([asked] if asked else [])
+            fresh = _Elimination(model).tree(evidence, targets)
+            for v, table in zip(targets, fresh):
+                if v in asked:
+                    continue
+                mass = float(table.sum())
+                assert 0.0 < mass < np.inf and entropies[v] is not None
+                assert abs(entropies[v] - inference._entropy(table / mass)) <= 1e-12
+                carried += 1
+        return carried
 
     def test_screened_traces_are_the_exhaustive_ones(self, monkeypatch):
         rng = np.random.default_rng(91)
@@ -488,17 +540,32 @@ class TestScreen:
         observed = [int(v) for v in rng.choice(36, size=4, replace=False)]
         evidence = {v: int(rng.integers(2)) for v in observed}
         instances.append((grid, evidence, [v for v in range(36) if v not in evidence]))
+        # a 6x6 grid whose observed column 2 and row 3 cut it into four components
+        cut = random_grid_model(6, 6, 2, rng=rng, sigma=1.0)
+        evidence = {v: int(rng.integers(2)) for v in range(36) if v % 6 == 2 or v // 6 == 3}
+        instances.append((cut, evidence, [v for v in range(36) if v not in evidence]))
+        # a differential model of two components, with targets enough to screen at the line
+        split = next(
+            m
+            for m in differential_models(91)
+            if len(_linked(m, {}, 0)) < m.n_vars
+            and sum(c >= 2 for c in m.cardinalities) >= heuristic._SCREEN_CANDIDATES
+        )
+        instances.append((split, {}, [v for v in range(split.n_vars) if split.cardinalities[v] >= 2]))
         if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # an array of 61 axes
             # a bucket of 61 variables, 60 of one state, beside 14 chained targets
             crowd = one_state_crowd_model(60, 14, rng)
             instances.append((crowd, {}, [0, *range(61, 75)]))
         trees = _count_calls(monkeypatch, "tree")
-        compared = 0
+        screens = self._record_screens(monkeypatch, trees)
+        compared = screened_rounds = carried = 0
+        asked = []  # the variables each screened round asked the tree for
         for model, evidence, targets in instances:
             for epsilon in (None, float(rng.uniform(0.2, 0.9))):
                 outcomes = []
                 for line in (2, max(len(targets), heuristic._SCREEN_CANDIDATES) + 1):
                     monkeypatch.setattr(heuristic, "_SCREEN_CANDIDATES", line)
+                    screens.clear()
                     try:
                         if epsilon is None:
                             trace = mmap2mar(model, targets, evidence)
@@ -508,12 +575,18 @@ class TestScreen:
                         outcomes.append(str(err))
                     else:
                         outcomes.append(_bits(trace))
+                    if line == 2:
+                        asked += [variables for *_, calls in screens for _, variables in calls]
+                        screened_rounds += len(screens)
+                        carried += self._check_carry(model, screens)
                 screened, exhaustive = outcomes
                 assert screened == exhaustive
                 compared += 1
         assert compared >= 180
-        assert len(trees) >= 500  # screened rounds
-        assert max(len(variables) for _, variables in trees) == 32
+        assert screened_rounds >= 500
+        assert len(asked) < screened_rounds  # some rounds carried every target's entropy
+        assert carried >= 1000
+        assert max(len(variables) for variables in asked) == 32
 
     def test_a_hub_of_many_leaves(self, monkeypatch):
         # the hub's bucket holds 70 leaf messages, past einsum's operand limit
@@ -525,7 +598,46 @@ class TestScreen:
                 monkeypatch.setattr(heuristic, "_SCREEN_CANDIDATES", line)
                 outcomes.append(_bits(mmap2mar(model, targets, evidence)))
             assert outcomes[0] == outcomes[1]
-        assert len(trees) == 19 + 16  # every round of 2 targets or more was screened
+        # Every round of 2 targets or more is screened. In the first run the free hub
+        # joins all leaves, so each of its 19 screened rounds asks the tree. In the
+        # second the hub wins round 1, and round 2 asks for the 16 leaves it joined;
+        # from then on each leaf is alone, and every entropy is carried.
+        assert outcomes[0][3][0][0] == 0
+        assert [len(variables) for _, variables in trees[19:]] == [17, 16]
+        assert len(trees) == 19 + 2
+
+    def test_a_massless_component_without_targets_gives_the_unscreened_error(self, monkeypatch):
+        # under {3: 1}, component {0} has no mass; the tree walks only {1, 2},
+        # where 2's marginal (0.1, 0.9) alone is near-best
+        model = GraphicalModel(
+            (2, 2, 2, 2),
+            (Potential((0, 3), [[1.0, 0.0], [1.0, 0.0]]), Potential((1, 2), [[1.0, 9.0], [1.0, 9.0]])),
+        )
+        messages = []
+        for line in (2, 3):
+            monkeypatch.setattr(heuristic, "_SCREEN_CANDIDATES", line)
+            with pytest.raises(ZeroProbabilityEvidenceError) as raised:
+                mmap2mar(model, [1, 2], {3: 1})
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert "while scoring variable 1" in messages[0]
+
+    def test_screen_entropies_are_those_of_entropy(self):
+        rng = np.random.default_rng(94)
+        tables = [
+            rng.uniform(0.0, 1.0, int(rng.integers(1, 12))) * 10.0 ** float(rng.integers(-300, 300))
+            for _ in range(200)
+        ]
+        tables += [np.array(t) for t in ([0.0, 1e-300, 2.0], [1.0, 0.0], [3.0], [0.0, 0.0])]
+        tables += [np.array(t) for t in ([np.inf, 1.0], [np.nan, 1.0], [1e308, 1e308])]
+        for table, h in zip(tables, heuristic._entropies(tables)):
+            with np.errstate(over="ignore"):
+                mass = float(table.sum())
+            if 0.0 < mass < np.inf:
+                # one pass sums in another order: a few float64 ulps of entropies in [0, 1]
+                assert h == pytest.approx(inference._entropy(table / mass), rel=0.0, abs=1e-14)
+            else:
+                assert h is None
 
     def test_the_line(self, monkeypatch):
         line = heuristic._SCREEN_CANDIDATES

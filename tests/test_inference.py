@@ -25,7 +25,7 @@ from margmap import (
     pr,
     run_benchmark,
 )
-from margmap import inference
+from margmap import heuristic, inference
 from margmap.generate import random_grid_model, random_model
 from margmap.inference import (
     _MATMUL_ENTRIES,
@@ -260,6 +260,81 @@ class TestSharedElimination:
                     previous = evidence
         assert kernels == {"product", "matmul"}
 
+    @pytest.mark.parametrize("change", ["grow", "drop", "change"])
+    def test_only_the_potentials_holding_a_changed_evidence_are_restricted_again(self, change):
+        rng = np.random.default_rng(64)
+        compared = 0
+        for model in differential_models(64):
+            first = random_evidence(model, rng, max_size=3)
+            second = dict(first)
+            if change == "grow":
+                free = [v for v in range(model.n_vars) if v not in first]
+                v = int(rng.choice(free))
+                second[v] = int(rng.integers(model.cardinalities[v]))
+            elif change == "drop" and first:
+                del second[int(rng.choice(list(first)))]
+            elif change == "change" and any(model.cardinalities[v] > 1 for v in first):
+                v = next(v for v in first if model.cardinalities[v] > 1)
+                second[v] = (second[v] + 1) % model.cardinalities[v]
+            else:
+                continue
+            moved = {v for v in first.keys() | second.keys() if first.get(v) != second.get(v)}
+            elimination, fresh = _Elimination(model), _Elimination(model)
+            elimination.tables(first, [()])
+            before = list(elimination.restricted)
+            keeps = [(v,) for v in range(model.n_vars) if v not in second] + [()]
+            for (table, log_scale), (again, again_log_scale) in zip(
+                elimination.tables(second, keeps), fresh.tables(second, keeps)
+            ):
+                assert table.values.tobytes() == again.values.tobytes()
+                assert log_scale == again_log_scale
+            for p, old, new, again in zip(
+                model.potentials, before, elimination.restricted, fresh.restricted
+            ):
+                assert new.scope == again.scope
+                assert new.values.tobytes() == again.values.tobytes()
+                assert (new is old) == moved.isdisjoint(p.scope)
+            compared += 1
+        assert compared >= 60
+
+    def test_each_greedy_round_starts_as_a_fresh_elimination_does(self, monkeypatch):
+        # from round 2 on, the start is the last one's, carried to the grown evidence
+        def entries(state):
+            return [[(n, f.scope, f.values.tobytes()) for n, f in h] for h in state]
+
+        scored = heuristic._score_round
+        checked = []
+
+        def checking(log, working, targets):
+            result = scored(log, working, targets)
+            path, holders, observed = log.elimination.started[1:]
+            again, again_holders, again_observed = _Elimination(log.elimination.model)._start(working)
+            assert path.remaining == again.remaining
+            assert path.adjacency == again.adjacency
+            assert path.fill == again.fill
+            order = list(iter(path.fork(()).eliminate_next, None))
+            assert order == list(iter(again.fork(()).eliminate_next, None))
+            assert entries(holders) == entries(again_holders)
+            assert entries([observed]) == entries([again_observed])
+            checked.append(len(working))
+            return result
+
+        monkeypatch.setattr(heuristic, "_score_round", checking)
+        rng = np.random.default_rng(66)
+        hub = hub_model(70, rng)
+        instances = [(model, random_evidence(model, rng)) for model in differential_models(66)]
+        instances += [(hub, {30: 1}), (hub, {})]
+        for model, evidence in instances:
+            targets = [
+                v for v in range(model.n_vars) if v not in evidence and model.cardinalities[v] >= 2
+            ]
+            if targets:
+                try:
+                    mmap2mar(model, targets, evidence)
+                except ZeroProbabilityEvidenceError:
+                    pass
+        assert len(checked) >= 500
+
     def test_each_table_joins_its_held_factors_bit_for_bit(self):
         rng = np.random.default_rng(65)
         for model in differential_models(65):
@@ -392,13 +467,16 @@ class TestBucketTree:
         )
         tables = _Elimination(model).tree({0: 1}, [1, 2])
         assert [t.tolist() for t in tables] == [[0.0, 0.0], [0.0, 0.0]]
-        # a component of zero mass zeroes the tables of the others too
+        # a component of zero mass zeroes the tables of the others walked with it
         model = GraphicalModel(
             (2, 2, 2),
             (Potential((0,), [0.0, 0.0]), Potential((1, 2), [[1.0, 2.0], [3.0, 4.0]])),
         )
+        tables = _Elimination(model).tree({}, [1, 2, 0])
+        assert [t.tolist() for t in tables] == [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        # a component that holds no requested variable is not walked
         tables = _Elimination(model).tree({}, [1, 2])
-        assert [t.tolist() for t in tables] == [[0.0, 0.0], [0.0, 0.0]]
+        np.testing.assert_allclose([t / t.sum() for t in tables], [[0.3, 0.7], [0.4, 0.6]], atol=1e-15)
 
     def test_only_the_requested_variables_are_answered(self):
         model = random_grid_model(3, 3, 2, rng=np.random.default_rng(5))
