@@ -11,26 +11,28 @@ Every elimination runs through one core, ``_Elimination``, which sums the
 model down to the factors each requested set of kept variables holds, under
 one evidence at a time; ``tables`` multiplies them into each set's table,
 and the oracle max-eliminates them instead. The greedy explainer keeps one
-core per run and asks it for all candidates of a round at once. The free
-variables are restricted and their min-fill stepper, on bitsets with fill
-counts updated per step, is set up once per round; each candidate then gets
-its own walk, a fork of that stepper without it, through one message memo,
-so the steps its walk shares with the walks before it are memo hits.
-Between rounds, only the potentials that hold a variable whose evidence
-changed are restricted again; when the evidence only grew, the round's
-stepper and factor lists are the last round's with the new variables
-removed, and a message of the previous round is reused whenever a step
-meets the same factors in the same order, so mostly what the newly
-observed variable touches is redone. Each table is bit-identical to a
-separate query. ``pr``, ``mar`` and the oracle use a fresh core per query.
+core per run and asks it for all candidates of a round at once. The core
+sets up the start without evidence once: a min-fill stepper over every
+variable, on bitsets with fill counts updated per step, and the potentials
+that hold each variable. A round's start conditions on its evidence the one
+way observing does: from the last round's start when the evidence only
+grew, from that base otherwise, each new variable is dropped from the
+stepper with no fill edges and only the potentials that hold it are
+restricted again. Each candidate then gets its own walk, a fork of the
+stepper without it, through one message memo, so the steps its walk shares
+with the walks before it, and with the last round's, are memo hits: mostly
+what the newly observed variable touches is redone. Each table is
+bit-identical to a separate query. ``pr``, ``mar`` and the oracle use a
+fresh core per query.
 
 For a round with many candidates the greedy first asks ``tree`` for the
 candidates' tables from one bucket tree (Shafer & Shenoy 1990): one upward
 pass along the same min-fill path over the components that hold them,
 through the same steps and message memo, and one downward pass over only
 the buckets on the way to the candidates, which sums each bucket by one
-``np.einsum`` call per message or table on plain arrays or, from
-``_MATMUL_ENTRIES`` joint states on, by one batched ``np.matmul``. Its
+string-subscript ``np.einsum`` call per message or table on plain arrays
+(``_bucket_sums``), contracted pairwise in numpy's order from
+``_MATMUL_ENTRIES`` joint states on. Its
 tables are exact, but their last bits are the tree's own, so the greedy
 uses them only to choose which candidates to score on their own walks:
 those whose tree entropy is within 1e-9 of the least, and those whose tree
@@ -57,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,16 +82,18 @@ from .model import (
 
 DEFAULT_ORACLE_CAP = 1 << 22
 
-# A summed bucket whose product would hold this many entries or more is not
-# built but summed out by one matrix product (``_contracted``), several times
-# faster from this size on. Smaller buckets keep the product's arithmetic and
-# so their bits: every bucket of a binary grid up to 10x10 and of a ternary
-# 4x4 grid is below it.
+# A walk's summed bucket whose product would hold this many entries or more is
+# not built but summed out by one matrix product (``_contracted``), several
+# times faster from this size on; a bucket tree's bucket of this many joint
+# states or more is summed by ``np.einsum`` with ``optimize=True``, pairwise
+# and through BLAS where numpy can. Smaller buckets keep the product's, or the
+# one einsum loop's, arithmetic and so their bits: every bucket of a binary
+# grid up to 10x10 and of a ternary 4x4 grid is below it.
 _MATMUL_ENTRIES = 1 << 16
 
-# The most factors one ``np.einsum`` call of the bucket tree takes. einsum
-# refuses more than 31 operands on numpy 1.x (63 on 2.x), and a table may
-# add one of ones.
+# The most factors one ``np.einsum`` call of the bucket tree takes, a factor
+# of ones for a kept variable included. einsum refuses more than 31 operands
+# on numpy 1.x (63 on 2.x).
 _EINSUM_FACTORS = 30
 
 # einsum's subscript labels, in the order :func:`_bucket_sums` hands them out
@@ -135,8 +139,10 @@ def min_fill_order(
             f"elimination targets and evidence overlap on variables {overlap}; "
             "they must be disjoint"
         )
-    graph = _without(_interaction_graph(model), evidence)
-    return tuple(iter(_MinFill(graph, targets).eliminate_next, None))
+    path = _MinFill(_interaction_graph(model), targets)
+    for v in evidence:
+        path.drop(v)
+    return tuple(iter(path.eliminate_next, None))
 
 
 def _mask(variables: Iterable[int]) -> int:
@@ -155,12 +161,6 @@ def _interaction_graph(model: GraphicalModel) -> list[int]:
         for v in p.scope:
             adjacency[v] |= scope
     return [nbrs & ~(1 << v) for v, nbrs in enumerate(adjacency)]
-
-
-def _without(graph: list[int], variables: Iterable[int]) -> list[int]:
-    """``graph`` with ``variables`` (vertices of it) removed, as after conditioning on them."""
-    dropped = _mask(variables)
-    return [0 if dropped >> v & 1 else nbrs & ~dropped for v, nbrs in enumerate(graph)]
 
 
 def _reach(graph: list[int], mask: int) -> int:
@@ -311,10 +311,11 @@ class _Elimination:
     so one shallow copy of them per walk does.
 
     State carries from one call to the next, which is what a greedy run
-    needs: it adds one variable to the evidence per call. A potential is
-    restricted again only when the evidence on its scope changed; otherwise
-    the previous call's object is reused, and grown evidence carries the
-    previous call's stepper and factor lists (:meth:`_start`). Each message
+    needs: it adds one variable to the evidence per call. The start without
+    evidence is set up once, and each call's start grows the last one when
+    the evidence only grew, or that base otherwise, by the variables newly
+    observed: only the potentials that hold one are restricted again, and
+    every other keeps its object (:meth:`_start`). Each message
     is kept under its eliminated variable and the identities of its
     bucket's factors, in bucket order, so a step that meets the same factors
     in the same order, in this walk, a later walk of the call or the next
@@ -328,20 +329,22 @@ class _Elimination:
     fresh elimination would give.
     """
 
-    __slots__ = ("model", "rank", "graph", "holding", "restricted", "started", "messages", "earlier")
+    __slots__ = ("model", "rank", "base", "started", "messages", "earlier")
 
     def __init__(self, model: GraphicalModel, order: Sequence[int] | None = None):
         self.model = model
         self.rank = _rank(model, order)
-        self.graph = _interaction_graph(model) if self.rank is None else [0] * model.n_vars
-        # the indices of the potentials whose scope holds each variable
-        self.holding: list[list[int]] = [[] for _ in range(model.n_vars)]
-        for i, p in enumerate(model.potentials):
-            for v in p.scope:
-                self.holding[v].append(i)
-        self.restricted: list[Potential | None] = [None] * len(model.potentials)
-        # the last evidence :meth:`_start` was called on, with the state it gave
-        self.started: tuple | None = None
+        graph = _interaction_graph(model) if self.rank is None else [0] * model.n_vars
+        holders: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
+        for entry in enumerate(model.potentials):
+            for v in entry[1].scope:
+                holders[v].append(entry)
+        observed = tuple(entry for entry in enumerate(model.potentials) if not entry[1].scope)
+        # the start without evidence, and the last start :meth:`_start` gave,
+        # each as (evidence, stepper, holders, fully observed entries)
+        path = _MinFill(graph, range(model.n_vars), self.rank)
+        self.base = ({}, path, tuple(map(tuple, holders)), observed)
+        self.started = self.base
         # the messages looked up in this round, and those of the last round not looked up yet
         self.messages: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
         self.earlier: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
@@ -368,56 +371,41 @@ class _Elimination:
         potentials, which start each walk's list of scalars. Sequence numbers
         follow the factor list (restricted potentials in model order, then
         messages in creation order), so sorting entries by them gives that
-        list's order. Only the potentials holding a variable whose evidence
-        was added, dropped or changed since the last call are restricted
-        again; every other keeps its object. When the evidence only grew, as
-        from one greedy round to the next, the last stepper is copied with
-        the new variables removed, as observing them does (no fill edges),
-        and only the entries of the potentials restricted again change; any
-        other evidence starts anew. Either way the state is the one a fresh
-        elimination's first call gives. The stepper and state are kept for
-        the next call, which reuses them when its evidence is the same, as a
-        screened round's :meth:`held` after its :meth:`tree` does. Callers
-        copy what they change.
+        list's order. The start grows the last one when the evidence only
+        grew, as from one greedy round to the next, and the base (the start
+        without evidence) otherwise: its stepper is copied with each newly
+        observed variable removed as observing does (:meth:`_MinFill.drop`,
+        no fill edges), and only the potentials that hold one are restricted
+        again, from the model's own; every other entry keeps its object.
+        Either way the state is the one a fresh elimination's first call
+        gives. The stepper and state are kept for the next call, which
+        reuses them when its evidence is the same, as a screened round's
+        :meth:`held` after its :meth:`tree` does. Callers copy what they
+        change.
         """
         started = self.started
-        if started is not None and started[0] == evidence:
+        if started[0] == evidence:
             return started[1:]
-        model, restricted = self.model, self.restricted
-        before = {} if started is None else started[0]
-        moved = [v for v in before.keys() | evidence.keys() if before.get(v) != evidence.get(v)]
-        if started is None:
-            changed = range(len(restricted))
-        else:
-            changed = {i for v in moved for i in self.holding[v]}
-        for i in changed:
-            restricted[i] = factor_restrict(model.potentials[i], evidence, model.cardinalities)
-        if started is not None and before.items() <= evidence.items():
-            path = started[1].fork(())
-            for v in moved:
-                path.remaining.remove(v)
-                path.drop(v)
-            fresh = {i: (i, restricted[i]) for i in changed}
-            holders = list(started[2])
-            # the variables of the scopes restricted again, before and after
-            for u in {u for _, f in fresh.values() for u in f.scope}.union(moved):
-                holders[u] = tuple(
-                    fresh.get(entry[0], entry)
-                    for entry in holders[u]
-                    if entry[0] not in fresh or u in fresh[entry[0]][1].scope
-                )
-            observed = tuple(sorted([*started[3], *[e for e in fresh.values() if not e[1].scope]]))
-        else:
-            free = [v for v in range(model.n_vars) if v not in evidence]
-            path = _MinFill(_without(self.graph, evidence), free, self.rank)
-            held: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
-            observed = []
-            for entry in enumerate(restricted):
-                if not entry[1].scope:
-                    observed.append(entry)
-                for v in entry[1].scope:
-                    held[v].append(entry)
-            holders, observed = [tuple(h) for h in held], tuple(observed)
+        if not started[0].items() <= evidence.items():
+            started = self.base
+        before, path, holders, observed = started
+        new = [v for v in evidence if v not in before]
+        path = path.fork(())
+        for v in new:
+            path.remaining.remove(v)
+            path.drop(v)
+        cards = self.model.cardinalities
+        holding = self.base[2]  # the model's own potentials that hold each variable
+        fresh = {i: (i, factor_restrict(p, evidence, cards)) for v in new for i, p in holding[v]}
+        holders = list(holders)
+        # the variables of the scopes restricted again, before and after
+        for u in {u for _, f in fresh.values() for u in f.scope}.union(new):
+            holders[u] = tuple(
+                fresh.get(entry[0], entry)
+                for entry in holders[u]
+                if entry[0] not in fresh or u in fresh[entry[0]][1].scope
+            )
+        observed = tuple(sorted([*observed, *[e for e in fresh.values() if not e[1].scope]]))
         self.started = (dict(evidence), path, tuple(holders), observed)
         return self.started[1:]
 
@@ -496,9 +484,10 @@ class _Elimination:
         order: the message into a bucket sums its parent's other factors and
         the parent's own downward message down to the bucket's upward
         message's scope. A variable's table sums its bucket's factors and
-        downward message down to it. :func:`_bucket_sums` takes each bucket's
-        sums on plain arrays, and each downward message is rescaled to max
-        entry 1, so a table's scale, and its last bits, are the tree's own;
+        downward message down to it. :func:`_bucket_sums` takes all of a
+        bucket's sums, each by one ``np.einsum`` call on plain arrays, and
+        each downward message is rescaled to max entry 1, so a table's scale,
+        and its last bits, are the tree's own;
         the tables are meant for ranking, not for answers. A table holds
         every factor of its variable's component; the scalars shared by all
         (fully observed potentials and the messages that close the other
@@ -578,7 +567,7 @@ def _sum_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float]
         for f in bucket:
             cards.update(zip(f.scope, f.values.shape))
         if math.prod(cards.values()) >= _MATMUL_ENTRIES:
-            return _rescaled(*_contracted(bucket, cards.keys() - {v}, cards))
+            return _rescaled(*_contracted(bucket, v, cards))
     first = bucket[0]
     scope, values = _chain(first.scope, first.values, bucket[1:])
     axis = scope.index(v)
@@ -586,42 +575,33 @@ def _sum_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float]
 
 
 def _contracted(
-    bucket: Sequence[Potential], keep: Container[int], cards: Mapping[int, int] | Sequence[int]
+    bucket: Sequence[Potential], v: int, cards: Mapping[int, int]
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """Sum the product of ``bucket`` down to the ``keep`` variables it holds, by one matmul.
+    """Sum ``v``, which every factor of ``bucket`` holds, out of their product by one matmul.
 
     The largest factor (the first of that size) stays as it is; the others
-    are multiplied left to right by :func:`_chain`. Each side first sums
-    out the variables that neither ``keep`` nor the other side holds (none
-    when one variable is summed out of its bucket, which every factor
-    holds). The variables left fall in four groups: those of both sides in
-    ``keep``, in the largest factor's order; those of both sides not in
-    ``keep``, likewise; the rest's own; the largest factor's own. With the
-    rest laid out as (kept, own, summed) and the largest factor as (kept,
-    summed, own), each group flattened to one axis, the batched matrix
-    product sums the summed group out. Returns the sum's scope, which is
-    the kept group, the rest's own and the largest factor's own, and its
-    values. The sum's last bits follow the BLAS build's order of additions.
+    are multiplied left to right by :func:`_chain`. The variables other than
+    ``v`` fall in three groups: those of both sides, in the largest factor's
+    order; the rest's own; the largest factor's own. With the rest laid out
+    as (shared, own, ``v``) and the largest factor as (shared, ``v``, own),
+    each group flattened to one axis, the batched matrix product sums ``v``
+    out. Returns the sum's scope, which is the three groups in that order,
+    and its values. The sum's last bits follow the BLAS build's order of
+    additions.
     """
     i = max(range(len(bucket)), key=lambda j: bucket[j].values.size)
     large, rest = bucket[i], [*bucket[:i], *bucket[i + 1 :]]
-    sides = [_chain(rest[0].scope, rest[0].values, rest[1:]), (large.scope, large.values)]
-    for j, (scope, values) in enumerate(sides):
-        other = sides[1 - j][0]
-        alone = tuple(a for a, u in enumerate(scope) if u not in keep and u not in other)
-        if alone:
-            kept = tuple(u for a, u in enumerate(scope) if a not in alone)
-            sides[j] = (kept, values.sum(axis=alone))
-    (left, left_values), (right, right_values) = sides
-    shared = [u for u in right if u in left and u in keep]
-    summed = [u for u in right if u in left and u not in keep]
+    left, left_values = _chain(rest[0].scope, rest[0].values, rest[1:])
+    right = large.scope
+    shared = [u for u in right if u in left and u != v]
     own = [u for u in left if u not in right]
     right_own = [u for u in right if u not in left]
-    groups = [math.prod([cards[u] for u in g]) for g in (shared, own, summed, right_own)]
-    left_values = left_values.transpose([left.index(u) for u in (*shared, *own, *summed)])
-    right_values = right_values.transpose([right.index(u) for u in (*shared, *summed, *right_own)])
+    groups = [math.prod([cards[u] for u in g]) for g in (shared, own, right_own)]
+    left_values = left_values.transpose([left.index(u) for u in (*shared, *own, v)])
+    right_values = large.values.transpose([right.index(u) for u in (*shared, v, *right_own)])
     product = np.matmul(
-        left_values.reshape(groups[:3]), right_values.reshape(groups[0], groups[2], groups[3])
+        left_values.reshape(groups[0], groups[1], cards[v]),
+        right_values.reshape(groups[0], cards[v], groups[2]),
     )
     out = (*shared, *own, *right_own)
     return out, product.reshape([cards[u] for u in out])
@@ -653,92 +633,54 @@ def _rescaled(scope: tuple[int, ...], values: np.ndarray) -> tuple[Potential, fl
     return Potential._result(scope, values), 0.0
 
 
-def _summed_to(
-    factors: Sequence[Potential], keep: Sequence[int], cards: Sequence[int]
-) -> np.ndarray:
-    """The product of ``factors`` summed down to ``keep``, with one axis per ``keep`` variable.
-
-    The product is never built. Factors over fewer than ``_MATMUL_ENTRIES``
-    joint states take one ``np.einsum`` call per ``_EINSUM_FACTORS`` of them:
-    more (a hub's bucket, which takes one message per leaf) are folded from
-    the left in parts of that many, each summed down to the variables that
-    ``keep`` or the factors after it still hold. Larger ones are summed by
-    one batched ``np.matmul`` (:func:`_contracted`), as :func:`_sum_message`
-    sums a large bucket: einsum's one loop over every joint state is several
-    times slower there.
-    """
-    factors = list(factors)
-    while len(factors) > _EINSUM_FACTORS:
-        part, factors = factors[:_EINSUM_FACTORS], factors[_EINSUM_FACTORS:]
-        needed = set(keep).union(*[f.scope for f in factors])
-        scope = tuple(dict.fromkeys(u for f in part for u in f.scope if u in needed))
-        factors.insert(0, Potential._result(scope, _einsum(part, scope, cards)))
-    held = {u for f in factors for u in f.scope}
-    if len(factors) > 1 and math.prod([cards[u] for u in held]) >= _MATMUL_ENTRIES:
-        return _einsum([Potential._result(*_contracted(factors, set(keep), cards))], keep, cards)
-    return _einsum(factors, keep, cards)
-
-
-def _einsum(factors: Sequence[Potential], keep: Sequence[int], cards: Sequence[int]) -> np.ndarray:
-    """:func:`_summed_to` by one ``np.einsum`` call; a ``keep`` variable no factor holds gets ones.
-
-    einsum takes labels below 52. Past that many variables, which only
-    one-state ones can make up in tables that fit in memory, the one-state
-    variables' axes are dropped from the factors and put back on the result.
-    """
-    labels: dict[int, int] = {}
-    operands: list = []
-    for f in factors:
-        operands += [f.values, [labels.setdefault(u, len(labels)) for u in f.scope]]
-    alone = [u for u in keep if u not in labels]
-    if alone:
-        axes = [labels.setdefault(u, len(labels)) for u in alone]
-        operands += [np.ones([cards[u] for u in alone]), axes]
-    if len(labels) > 52:
-        squeezed = []
-        for f in factors:
-            scope = tuple(u for u in f.scope if cards[u] > 1)
-            squeezed.append(Potential._result(scope, f.values.reshape([cards[u] for u in scope])))
-        wide = [u for u in keep if cards[u] > 1]
-        return _einsum(squeezed, wide, cards).reshape([cards[u] for u in keep])
-    return np.einsum(*operands, [labels[u] for u in keep])
-
-
 def _bucket_sums(
     scopes: list[tuple[int, ...]],
     arrays: list[np.ndarray],
-    outs: Iterable[tuple[int, tuple[int, ...]]],
+    outs: Sequence[tuple[int, tuple[int, ...]]],
     cards: Sequence[int],
 ) -> list[np.ndarray]:
     """Per (left out, keep) of ``outs``, the product of one bucket's factors but one, summed to ``keep``.
 
     The factors are ``arrays`` over ``scopes``; ``left out`` is the position
-    of the one left out, or the number of factors to leave none out. The
-    bucket's variables are labelled once, and each sum is one
-    string-subscript ``np.einsum`` call; a ``keep`` variable that only the
-    left-out factor holds gets ones. A bucket of ``_MATMUL_ENTRIES`` joint
-    states or more, of more than ``_EINSUM_FACTORS`` factors or of more
-    variables than einsum has labels takes :func:`_summed_to` instead.
+    of the one left out, or the number of factors to leave none out, and
+    each ``keep`` lies in the bucket. The bucket's variables are labelled
+    once, and each sum is one string-subscript ``np.einsum`` call; a ``keep``
+    variable that only the left-out factor holds gets ones. Past einsum's
+    52 labels, which only one-state variables can make up in tables that fit
+    in memory, their axes are dropped and put back on each sum. Past
+    ``_EINSUM_FACTORS`` factors (a hub's bucket takes one message per leaf),
+    they are folded from the left in parts of that many, each summed down
+    to the variables that ``keep`` or the factors after it still hold. A
+    bucket of ``_MATMUL_ENTRIES`` joint states or more passes
+    ``optimize=True``, so numpy sums it pairwise, through BLAS where it can,
+    instead of in one loop over every joint state.
     """
     held = dict.fromkeys([u for scope in scopes for u in scope])
-    if (
-        len(arrays) > _EINSUM_FACTORS
-        or len(held) > len(_LABELS)
-        or math.prod([cards[u] for u in held]) >= _MATMUL_ENTRIES
-    ):
-        factors = [Potential._result(scope, values) for scope, values in zip(scopes, arrays)]
-        return [_summed_to(factors[:j] + factors[j + 1 :], keep, cards) for j, keep in outs]
+    if len(held) > len(_LABELS):
+        scopes = [tuple(u for u in scope if cards[u] > 1) for scope in scopes]
+        arrays = [a.reshape([cards[u] for u in s]) for a, s in zip(arrays, scopes)]
+        wide = [(j, tuple(u for u in keep if cards[u] > 1)) for j, keep in outs]
+        sums = _bucket_sums(scopes, arrays, wide, cards)
+        return [s.reshape([cards[u] for u in keep]) for s, (_, keep) in zip(sums, outs)]
     label = dict(zip(held, _LABELS)).__getitem__
-    subscripts = ["".join(map(label, scope)) for scope in scopes]
+    terms = [("".join(map(label, scope)), values) for scope, values in zip(scopes, arrays)]
+    optimize = math.prod([cards[u] for u in held]) >= _MATMUL_ENTRIES
     sums = []
     for j, keep in outs:
-        spec = ",".join(subscripts[:j] + subscripts[j + 1 :])
-        operands = arrays[:j] + arrays[j + 1 :]
+        out = "".join(map(label, keep))
+        part = terms[:j] + terms[j + 1 :]
+        spec = ",".join([s for s, _ in part])
         alone = [u for u in keep if label(u) not in spec]  # held by the left-out factor alone
         if alone:
-            spec += ("," if spec else "") + "".join(map(label, alone))
-            operands.append(np.ones([cards[u] for u in alone]))
-        sums.append(np.einsum(spec + "->" + "".join(map(label, keep)), *operands))
+            part.append(("".join(map(label, alone)), np.ones([cards[u] for u in alone])))
+        while len(part) > _EINSUM_FACTORS:
+            folded, part = part[:_EINSUM_FACTORS], part[_EINSUM_FACTORS:]
+            needed = out + "".join([s for s, _ in part])
+            to = "".join(dict.fromkeys(c for s, _ in folded for c in s if c in needed))
+            spec = ",".join([s for s, _ in folded]) + "->" + to
+            part.insert(0, (to, np.einsum(spec, *[a for _, a in folded], optimize=optimize)))
+        spec = ",".join([s for s, _ in part]) + "->" + out
+        sums.append(np.einsum(spec, *[a for _, a in part], optimize=optimize))
     return sums
 
 

@@ -36,7 +36,6 @@ from margmap.inference import (
     _MinFill,
     _sum_message,
     _sum_out,
-    _without,
 )
 from margmap.uaiio import write_uai
 
@@ -57,6 +56,14 @@ from conftest import (
 def _random_evidence(model, k, rng):
     variables = rng.choice(model.n_vars, size=k, replace=False)
     return {int(v): int(rng.integers(model.cardinalities[v])) for v in variables}
+
+
+def _without(graph, variables):
+    """Adjacency bitmasks ``graph`` with ``variables`` removed, recounted from scratch."""
+    return [
+        0 if v in variables else nbrs & ~sum(1 << u for u in variables)
+        for v, nbrs in enumerate(graph)
+    ]
 
 
 class TestMinFillOrder:
@@ -174,6 +181,15 @@ class TestMinFillOrder:
             # the free vertices left out stay in the graph as non-targets
             targets = [v for v in free if rng.random() < 0.8]
             walk(_MinFill(_without(graph, observed), targets), rng, check)
+            # observing by drop, as every elimination's start does, gives the conditioned graph
+            dropped = _MinFill(graph, range(n))
+            for v in observed:
+                dropped.drop(v)
+            conditioned = _without(graph, observed)
+            assert dropped.adjacency == conditioned
+            assert dropped.fill == [
+                nbrs and _fill_count(conditioned, v) for v, nbrs in enumerate(conditioned)
+            ]
 
             # a caller's order: its rank on the edgeless graph an ordered elimination steps
             order = [int(v) for v in order_rng.permutation(n)]
@@ -202,6 +218,12 @@ def _check_against_reference(table, log_scale, reference, reference_log_scale, l
     np.testing.assert_allclose(table.values, reference.values, rtol=1e-12, atol=0.0)
     assert log_scale == pytest.approx(reference_log_scale, rel=1e-12, abs=1e-12)
     return "matmul"
+
+
+def _restricted(elimination):
+    """The last start's restricted potentials by model index, read from its holders."""
+    _, _, holders, observed = elimination.started
+    return dict(entry for entries in (*holders, observed) for entry in entries)
 
 
 class TestSharedElimination:
@@ -240,7 +262,7 @@ class TestSharedElimination:
                 elimination = _Elimination(model, order)
                 previous = None
                 for evidence in _evidence_sequence(model, rng):
-                    before = list(elimination.restricted)
+                    before = _restricted(elimination)
                     free = [v for v in range(model.n_vars) if v not in evidence]
                     keeps = [(v,) for v in free] + [()]
                     shared = elimination.tables(evidence, keeps)
@@ -251,12 +273,14 @@ class TestSharedElimination:
                         assert np.array_equal(table.values, fresh.values)
                         assert log_scale == fresh_log_scale
                         kernels.add(_check_against_reference(table, log_scale, *reference))
-                    # a potential whose scope saw no evidence change keeps its restricted object
-                    for p, old, new in zip(model.potentials, before, elimination.restricted):
-                        if previous is not None and all(
-                            previous.get(v) == evidence.get(v) for v in p.scope
-                        ):
-                            assert new is old
+                    # grown evidence keeps the restricted object of a potential that
+                    # holds no newly observed variable; any other evidence starts anew
+                    after = _restricted(elimination)
+                    for i, p in enumerate(model.potentials):
+                        if previous is not None and previous.items() <= evidence.items():
+                            grown = evidence.keys() - previous.keys()
+                            assert (after[i] is before[i]) == grown.isdisjoint(p.scope)
+                        assert (after[i] is p) == evidence.keys().isdisjoint(p.scope)
                     previous = evidence
         assert kernels == {"product", "matmul"}
 
@@ -281,19 +305,22 @@ class TestSharedElimination:
             moved = {v for v in first.keys() | second.keys() if first.get(v) != second.get(v)}
             elimination, fresh = _Elimination(model), _Elimination(model)
             elimination.tables(first, [()])
-            before = list(elimination.restricted)
+            before = _restricted(elimination)
             keeps = [(v,) for v in range(model.n_vars) if v not in second] + [()]
             for (table, log_scale), (again, again_log_scale) in zip(
                 elimination.tables(second, keeps), fresh.tables(second, keeps)
             ):
                 assert table.values.tobytes() == again.values.tobytes()
                 assert log_scale == again_log_scale
-            for p, old, new, again in zip(
-                model.potentials, before, elimination.restricted, fresh.restricted
-            ):
-                assert new.scope == again.scope
-                assert new.values.tobytes() == again.values.tobytes()
-                assert (new is old) == moved.isdisjoint(p.scope)
+            after, again = _restricted(elimination), _restricted(fresh)
+            for i, p in enumerate(model.potentials):
+                assert after[i].scope == again[i].scope
+                assert after[i].values.tobytes() == again[i].values.tobytes()
+                # only grown evidence carries the last start; a potential holding no
+                # observed variable is the model's own
+                if change == "grow":
+                    assert (after[i] is before[i]) == moved.isdisjoint(p.scope)
+                assert (after[i] is p) == second.keys().isdisjoint(p.scope)
             compared += 1
         assert compared >= 60
 
@@ -448,7 +475,14 @@ class TestBucketTree:
     def test_large_clusters_match_mar(self, monkeypatch):
         # every min-fill cluster of a 12-state 4x4 grid but the last few holds 12^5 entries
         model = random_grid_model(4, 4, 12, rng=np.random.default_rng(69), sigma=1.0)
-        calls = TestMatmulKernel._count_calls(monkeypatch)
+        sizes = []  # the joint states of each bucket the tree summed
+        bucket_sums = inference._bucket_sums
+
+        def sizing(scopes, arrays, outs, cards):
+            sizes.append(math.prod(cards[u] for u in set().union(*scopes)))
+            return bucket_sums(scopes, arrays, outs, cards)
+
+        monkeypatch.setattr(inference, "_bucket_sums", sizing)
         for evidence in ({}, {5: 3, 10: 7}):
             free = [v for v in range(16) if v not in evidence]
             tables = _Elimination(model).tree(evidence, free)
@@ -456,7 +490,7 @@ class TestBucketTree:
                 np.testing.assert_allclose(
                     table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
                 )
-        assert calls
+        assert max(sizes) >= _MATMUL_ENTRIES
 
     def test_a_zero_shared_scalar_zeroes_every_table(self):
         # under {0: 1}, potential (0,) is fully observed at 0; the other component
@@ -564,9 +598,9 @@ class TestMatmulKernel:
         calls = []
         kernel = inference._contracted
 
-        def counted(bucket, keep, cards):
-            calls.append(keep)
-            return kernel(bucket, keep, cards)
+        def counted(bucket, v, cards):
+            calls.append(v)
+            return kernel(bucket, v, cards)
 
         monkeypatch.setattr(inference, "_contracted", counted)
         return calls
@@ -605,9 +639,18 @@ class TestMatmulKernel:
         assert trace.p_tilde <= exact.probability * (1 + 1e-12)
 
     def test_summing_down_to_any_keep_matches_einsum(self):
-        # the bucket tree's sums: several variables out at once, each kept one
-        # on either side, on both, or on neither
+        # the bucket tree's sums: several variables out at once, each kept one on
+        # either side, on both, or held by the left-out factor alone; the tree's
+        # keeps always lie in their bucket, here in a left-out factor of ones
         rng = np.random.default_rng(93)
+
+        def summed(cards, factors, keep):
+            j = len(keep) % (len(factors) + 1)  # where the factor of ones goes
+            ones = Potential(keep, np.ones([cards[u] for u in keep]))
+            bucket = [*factors[:j], ones, *factors[j:]]
+            scopes, arrays = [f.scope for f in bucket], [f.values for f in bucket]
+            return inference._bucket_sums(scopes, arrays, [(j, keep)], cards)[0]
+
         cards = (5,) * 9
         large = 0
         for _ in range(60):
@@ -618,16 +661,42 @@ class TestMatmulKernel:
                 factors.append(Potential(scope, rng.uniform(0.1, 2.0, size=(5,) * len(scope))))
             keep = tuple(int(u) for u in rng.choice(9, size=int(rng.integers(0, 4)), replace=False))
             held = {u for f in factors for u in f.scope}
-            large += 5 ** len(held) >= _MATMUL_ENTRIES
+            large += 5 ** len(held.union(keep)) >= _MATMUL_ENTRIES
             operands = [x for f in factors for x in (f.values, list(f.scope))]
             expected = np.einsum(*operands, [u for u in keep if u in held], optimize=True)
             expected = np.broadcast_to(
                 expected.reshape([5 if u in held else 1 for u in keep]), (5,) * len(keep)
             )
-            np.testing.assert_allclose(
-                inference._summed_to(factors, keep, cards), expected, rtol=1e-12, atol=0.0
-            )
+            np.testing.assert_allclose(summed(cards, factors, keep), expected, rtol=1e-12, atol=0.0)
         assert large >= 15
+        # buckets einsum takes in no one call, checked against their joint table:
+        # more factors than one call takes, which are folded from the left; only
+        # the first call's factors hold variables 6 and 7 ...
+        folded = []
+        for i in range(inference._EINSUM_FACTORS + 12):
+            among = 8 if i < inference._EINSUM_FACTORS else 6
+            drawn = rng.choice(among, size=int(rng.integers(1, 4)), replace=False)
+            scope = tuple(int(u) for u in drawn)
+            folded.append(Potential(scope, rng.uniform(0.5, 1.5, size=(4,) * len(scope))))
+        # ... and more variables than it has labels, all but six of them of one state
+        crowd_cards = (1,) * 54 + (3,) * 6
+        order = [int(u) for u in rng.permutation(60)]
+        scopes = [tuple(order[i : i + 3]) for i in range(0, 60, 3)] + [(55, 58), (59,)]
+        crowd = [
+            Potential(scope, rng.uniform(0.5, 2.0, size=[crowd_cards[u] for u in scope]))
+            for scope in scopes
+        ]
+        for cards, factors, keeps in (
+            ((4,) * 8, folded, [(), (3,), (7, 0)]),
+            (crowd_cards, crowd, [(), (57, 2), (1, 54, 59)]),
+        ):
+            for keep in keeps:
+                np.testing.assert_allclose(
+                    summed(cards, factors, keep),
+                    _summed_by_joint(factors, keep, cards),
+                    rtol=1e-12,
+                    atol=0.0,
+                )
 
     @pytest.mark.parametrize("rows, cols, card", [(10, 10, 2), (6, 6, 2), (4, 4, 3)])
     def test_binary_and_ternary_grids_keep_every_bucket_below_it(self, rows, cols, card):
@@ -641,6 +710,24 @@ class TestMatmulKernel:
             largest = max(largest, card ** len(joined))
             scopes = [s for s in scopes if v not in s] + [joined - {v}]
         assert largest < _MATMUL_ENTRIES
+
+
+def _summed_by_joint(factors, keep, cards):
+    """The product of ``factors`` summed to ``keep``, from their joint table.
+
+    One-state variables only add axes of length 1, so the joint leaves them
+    out and the sum gets them back; no ``np.einsum`` is involved.
+    """
+    wide = sorted({u for f in factors for u in (*f.scope, *keep) if cards[u] > 1})
+    joint = np.ones([cards[u] for u in wide])
+    for f in factors:
+        scope = [u for u in f.scope if cards[u] > 1]
+        values = f.values.reshape([cards[u] for u in scope]).transpose(np.argsort(scope))
+        joint = joint * values.reshape([cards[u] if u in scope else 1 for u in wide])
+    kept = [u for u in wide if u in keep]
+    total = joint.sum(axis=tuple(i for i, u in enumerate(wide) if u not in keep))
+    total = total.transpose([kept.index(u) for u in keep if u in kept])
+    return total.reshape([cards[u] for u in keep])
 
 
 def _evidence_sequence(model, rng):
