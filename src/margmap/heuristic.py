@@ -195,14 +195,15 @@ def _greedy(
     its inputs in an open :func:`_sharing_rounds` scope, or a new one. It
     replays each logged round until epsilon stops it, and scores a round only
     past the logged ones. Scoring asks the log's
-    :class:`~margmap.inference._Elimination` for every candidate's table at
-    once and scores each one straight from its table, with the arithmetic of
-    ``normalize`` and ``entropy``; only the winner becomes a
-    :class:`MassFunction`. Round 1 also asks for the empty keep when there is
-    evidence: its table and log scale are those of ``pr``'s own elimination,
-    so P(evidence), the start of p~, comes out bit-identical without a second
-    elimination. The ratio to the partition function is taken after the last
-    round.
+    :class:`~margmap.inference._Elimination` for each candidate's table in
+    turn, under the round's one evidence, so the round's calls share one
+    generation of its message memo, and scores each one straight from its
+    table, with the arithmetic of ``normalize`` and ``entropy``; only the
+    winner becomes a :class:`MassFunction`. Round 1 also asks for the empty
+    keep when there is evidence: its table and log scale are those of
+    ``pr``'s own elimination, so P(evidence), the start of p~, comes out
+    bit-identical without a second elimination. The ratio to the partition
+    function is taken after the last round.
     """
     explain = tuple(explain)
     evidence, targets = _check_explain(model, evidence, explain)
@@ -244,7 +245,7 @@ def _greedy(
 
     # The first ratio taken on a model also computes its log partition
     # function, a full elimination: after the rounds, only the last round's
-    # messages are alive beside it.
+    # messages and the round before's not looked up again are alive beside it.
     p_tilde = 1.0
     if log.evidence_sum is not None:
         table, log_scale = log.evidence_sum
@@ -274,16 +275,16 @@ def _score_round(
     :func:`_screen`, and only the targets whose screen entropy is within
     ``_SCREEN_MARGIN`` of the least, or whose tree mass is zero or not
     finite, are scored. Scoring is the same in every round: the scored
-    targets, in target order, get their tables from the elimination's walks
-    (:meth:`~margmap.inference._Elimination.tables`), and the first of least
-    entropy wins, so ties keep the lowest variable id. A screen entropy
-    differs from its walk entropy by rounding only, some 1e-15: if every
-    difference is below half the margin, the winner's screen entropy is
-    within the margin of the least, so the winner is scored, and the round
-    picks the same target, and the step holds the same entropy and marginal,
-    bit for bit, as a round that scores every target. If a scored table has
-    no mass, every target is scored, so the error names the variable an
-    unscreened round names. Round 1 (nothing logged yet) also keeps
+    targets, in target order, get their tables from the elimination's walks,
+    one :meth:`~margmap.inference._Elimination.table` call each, and the
+    first of least entropy wins, so ties keep the lowest variable id. A
+    screen entropy differs from its walk entropy by rounding only, some
+    1e-15: if every difference is below half the margin, the winner's screen
+    entropy is within the margin of the least, so the winner is scored, and
+    the round picks the same target, and the step holds the same entropy and
+    marginal, bit for bit, as a round that scores every target. If a scored
+    table has no mass, every target is scored, so the error names the
+    variable an unscreened round names. Round 1 (nothing logged yet) also keeps
     P(evidence)'s grand sum on the log. On impossible evidence a model
     without joint mass is named as such before the step is.
     """
@@ -309,13 +310,16 @@ def _score_round(
 def _least(
     log: _RoundLog, working: Evidence, scored: list[int]
 ) -> tuple[float, int, np.ndarray]:
-    """The first of least entropy among ``scored``, from the walks: its entropy, id and probabilities."""
+    """The first of least entropy among ``scored``, from the walks: its entropy, id and probabilities.
+
+    Every target's table is asked for before any is scored, then round 1's
+    empty keep, so an overflow anywhere raises before a target without mass.
+    """
     elimination = log.elimination
     best: tuple[float, int, np.ndarray] | None = None
-    empty_keep = [()] if working and not log.rounds else []
-    tables = elimination.tables(working, [(v,) for v in scored] + empty_keep)
-    if empty_keep:
-        log.evidence_sum = tables.pop()
+    tables = [elimination.table(working, (v,)) for v in scored]
+    if working and not log.rounds:
+        log.evidence_sum = elimination.table(working, ())
     for v, (table, _) in zip(scored, tables):
         try:
             probs = _normalized(table)

@@ -7,23 +7,24 @@ caller's ordering: a fixed priority on the same stepper, with no fill work.
 ``brute_force_mmap`` solves marginal MAP exactly by constrained
 elimination; both are the exact answers the greedy is tested against.
 
-Every elimination runs through one core, ``_Elimination``, which sums the
-model down to the factors each requested set of kept variables holds, under
-one evidence at a time; ``tables`` multiplies them into each set's table,
-and the oracle max-eliminates them instead. The greedy explainer keeps one
-core per run and asks it for all candidates of a round at once. The core
-sets up the start without evidence once: a min-fill stepper over every
-variable, on bitsets with fill counts updated per step, and the potentials
-that hold each variable. A round's start conditions on its evidence the one
-way observing does: from the last round's start when the evidence only
-grew, from that base otherwise, each new variable is dropped from the
-stepper with no fill edges and only the potentials that hold it are
-restricted again. Each candidate then gets its own walk, a fork of the
-stepper without it, through one message memo, so the steps its walk shares
-with the walks before it, and with the last round's, are memo hits: mostly
-what the newly observed variable touches is redone. Each table is
-bit-identical to a separate query. ``pr``, ``mar`` and the oracle use a
-fresh core per query.
+Every elimination runs through one core, ``_Elimination``, which answers one
+question per call: it sums the model down to the factors one set of kept
+variables holds, under one evidence; ``table`` multiplies them into the
+set's table, and the oracle max-eliminates them instead. The greedy
+explainer keeps one core per run and asks it for each candidate of a round
+in turn. The core sets up the start without evidence once: a min-fill
+stepper over every variable, on bitsets with fill counts updated per step,
+and the potentials that hold each variable. A new evidence's start
+conditions on it the one way observing does: from the last evidence's start
+when the evidence only grew, from that base otherwise, each new variable is
+dropped from the stepper with no fill edges and only the potentials that
+hold it are restricted again. Each candidate then gets its own walk, a fork
+of the stepper without it, through one message memo, so the steps its walk
+shares with the walks before it, under this evidence and the last one, are
+memo hits: mostly what the newly observed variable touches is redone. The
+memo turns over when the evidence changes, so a round's calls, however
+many, share one generation of it. Each table is bit-identical to a separate
+query. ``pr``, ``mar`` and the oracle use a fresh core per query.
 
 For a round with many candidates the greedy first asks ``tree`` for the
 candidates' tables from one bucket tree (Shafer & Shenoy 1990): one upward
@@ -290,8 +291,8 @@ def _rank(model: GraphicalModel, order: Sequence[int] | None) -> Callable[[int],
 class _Elimination:
     """Sum-product elimination of one model under a sequence of evidences.
 
-    ``held`` and ``tables`` answer one evidence and a list of ``keeps``, sets
-    of kept variables. Each step computes its message with
+    ``held`` and ``table`` answer one evidence and one ``keep``, a set of
+    kept variables. Each step computes its message with
     :func:`_sum_message`, which multiplies the bucket left to right through
     one :func:`_chain` call, or for a large bucket chains all but its largest
     factor into one matrix product, and wraps only the message; each message
@@ -303,38 +304,37 @@ class _Elimination:
     and stays 0. A table that overflowed float64 on the way shows up as a
     non-finite entry and raises ``ValueError``.
 
-    Each keep of one call gets its own walk: a fork of the min-fill stepper
-    over the free variables with the keep's variables dropped, which orders
-    the rest exactly as a fresh stepper over them would. Every walk starts
-    from the same state, restricted once per evidence, and changes its own
-    lists of held factors in place; the lists' entries are immutable tuples,
-    so one shallow copy of them per walk does.
+    Each call walks its keep on a fork of the min-fill stepper over the free
+    variables with the keep's variables dropped, which orders the rest
+    exactly as a fresh stepper over them would. Every walk starts from the
+    same state, restricted once per evidence, and changes its own lists of
+    held factors in place; the lists' entries are immutable tuples, so one
+    shallow copy of them per walk does.
 
     State carries from one call to the next, which is what a greedy run
-    needs: it adds one variable to the evidence per call. The start without
-    evidence is set up once, and each call's start grows the last one when
-    the evidence only grew, or that base otherwise, by the variables newly
-    observed: only the potentials that hold one are restricted again, and
-    every other keeps its object (:meth:`_start`). Each message
-    is kept under its eliminated variable and the identities of its
-    bucket's factors, in bucket order, so a step that meets the same factors
-    in the same order, in this walk, a later walk of the call or the next
-    call, reuses the message: the walks of one call mostly share their first
-    steps, and those are memo hits after the first walk. A memo entry holds
-    its bucket, so no identity in a live key is recycled. A round of the memo
-    ends with each :meth:`held` call (and so each :meth:`tables` call): an
-    entry no step looked up during the round is dropped then. A
-    :meth:`tree` call before it belongs to the same round, so its messages
-    are kept for the next one. Every table is bit-identical to the one a
-    fresh elimination would give.
+    needs: it asks for each candidate under one evidence, then adds one
+    variable to the evidence. The start without evidence is set up once,
+    and each new evidence's start grows the last one when the evidence only
+    grew, or that base otherwise, by the variables newly observed: only the
+    potentials that hold one are restricted again, and every other keeps its
+    object (:meth:`_start`). Each message is kept under its eliminated
+    variable and the identities of its bucket's factors, in bucket order, so
+    a step that meets the same factors in the same order, in this walk, a
+    later one or one under the next evidence, reuses the message: the walks
+    under one evidence mostly share their first steps, and those are memo
+    hits after the first walk. A memo entry holds its bucket, so no identity
+    in a live key is recycled. The memo turns over with the evidence: when a
+    call's evidence differs from the last call's, an entry no step looked up
+    under the last evidence is dropped. Every table is bit-identical to the
+    one a fresh elimination would give.
     """
 
-    __slots__ = ("model", "rank", "base", "started", "messages", "earlier")
+    __slots__ = ("model", "base", "started", "messages", "earlier")
 
     def __init__(self, model: GraphicalModel, order: Sequence[int] | None = None):
         self.model = model
-        self.rank = _rank(model, order)
-        graph = _interaction_graph(model) if self.rank is None else [0] * model.n_vars
+        rank = _rank(model, order)
+        graph = _interaction_graph(model) if rank is None else [0] * model.n_vars
         holders: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
         for entry in enumerate(model.potentials):
             for v in entry[1].scope:
@@ -342,26 +342,21 @@ class _Elimination:
         observed = tuple(entry for entry in enumerate(model.potentials) if not entry[1].scope)
         # the start without evidence, and the last start :meth:`_start` gave,
         # each as (evidence, stepper, holders, fully observed entries)
-        path = _MinFill(graph, range(model.n_vars), self.rank)
+        path = _MinFill(graph, range(model.n_vars), rank)
         self.base = ({}, path, tuple(map(tuple, holders)), observed)
         self.started = self.base
-        # the messages looked up in this round, and those of the last round not looked up yet
+        # the messages looked up under the last evidence, and those of the
+        # evidence before it not looked up yet
         self.messages: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
         self.earlier: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
 
-    def tables(
-        self, evidence: Evidence, keeps: Iterable[Sequence[int]]
-    ) -> list[tuple[Potential, float]]:
-        """Each keep's table over ``keep`` and log scale, in ``keeps`` order.
+    def table(self, evidence: Evidence, keep: Sequence[int]) -> tuple[Potential, float]:
+        """The table over ``keep`` under ``evidence``, and its log scale.
 
-        A table is :func:`_joined` of its keep's factors, in sequence order.
+        The table is :func:`_joined` of the keep's factors, in sequence order.
         """
-        keeps = [tuple(keep) for keep in keeps]
-        cards = self.model.cardinalities
-        return [
-            (_joined(factors, keep, cards), log_scale)
-            for keep, (factors, log_scale) in zip(keeps, self.held(evidence, keeps))
-        ]
+        factors, log_scale = self.held(evidence, keep)
+        return _joined(factors, tuple(keep), self.model.cardinalities), log_scale
 
     def _start(self, evidence: Evidence) -> tuple[_MinFill, tuple[tuple, ...], tuple[tuple, ...]]:
         """Restrict to ``evidence``: the free variables' min-fill stepper and the start state.
@@ -378,14 +373,17 @@ class _Elimination:
         no fill edges), and only the potentials that hold one are restricted
         again, from the model's own; every other entry keeps its object.
         Either way the state is the one a fresh elimination's first call
-        gives. The stepper and state are kept for the next call, which
-        reuses them when its evidence is the same, as a screened round's
-        :meth:`held` after its :meth:`tree` does. Callers copy what they
-        change.
+        gives. A new evidence also turns the message memo over: the messages
+        looked up under the last evidence become the earlier ones, and the
+        earlier ones not looked up again are dropped. The stepper and state
+        are kept for the next call, which reuses them, and the memo, when its
+        evidence is the same, as every call of a greedy round does. Callers
+        copy what they change.
         """
         started = self.started
         if started[0] == evidence:
             return started[1:]
+        self.earlier, self.messages = self.messages, {}
         if not started[0].items() <= evidence.items():
             started = self.base
         before, path, holders, observed = started
@@ -412,13 +410,10 @@ class _Elimination:
     def linked(self, variables: Iterable[int]) -> int:
         """The free variables the last start's graph connects to ``variables``, as a bitmask.
 
-        Under a caller's order the stepper's graph has no edges, so every free
-        variable counts as linked.
+        Only a min-fill core's graph has edges: under a caller's order every
+        variable is linked to itself alone.
         """
-        path = self.started[1]
-        if self.rank is not None:
-            return _mask(path.remaining)
-        return _reach(path.adjacency, _mask(variables))
+        return _reach(self.started[1].adjacency, _mask(variables))
 
     def _eliminate(
         self, v: int, holders: list, scalars: list, numbers: Iterator[int]
@@ -445,57 +440,50 @@ class _Elimination:
             scalars.append(entry)
         return entry, log_peak
 
-    def held(
-        self, evidence: Evidence, keeps: Sequence[tuple[int, ...]]
-    ) -> list[tuple[list[Potential], float]]:
-        """Restrict to ``evidence`` and, per ``keep``, sum out every other free variable.
+    def held(self, evidence: Evidence, keep: Sequence[int]) -> tuple[list[Potential], float]:
+        """Restrict to ``evidence`` and sum out every free variable not in ``keep``.
 
-        Each keep gets its own walk from the state :meth:`_start` gives: the
-        stepper forked without the keep, a copy of the holders, and a list of
-        scalars that starts with the fully observed potentials. Returns per
-        keep its factors left, each scoped inside it, in sequence order, and
-        the log scale. This call ends a round of the message memo.
+        The walk starts from the state :meth:`_start` gives: the stepper
+        forked without the keep, a copy of the holders, and a list of scalars
+        that starts with the fully observed potentials. Returns the factors
+        left, each scoped inside the keep, in sequence order, and the log
+        scale.
         """
         path, holders, observed = self._start(evidence)
-        results = []
-        for keep in keeps:
-            walk, factors, scalars = path.fork(keep), list(holders), list(observed)
-            numbers = itertools.count(len(self.model.potentials))
-            log_scale = 0.0
-            for v in iter(walk.eliminate_next, None):
-                log_scale += self._eliminate(v, factors, scalars, numbers)[1]
-            left = dict(scalars)
-            for v in keep:
-                left.update(factors[v])
-            results.append(([f for _, f in sorted(left.items())], log_scale))
-        self.earlier, self.messages = self.messages, {}
-        return results
+        walk, factors, scalars = path.fork(keep), list(holders), list(observed)
+        numbers = itertools.count(len(self.model.potentials))
+        log_scale = 0.0
+        for v in iter(walk.eliminate_next, None):
+            log_scale += self._eliminate(v, factors, scalars, numbers)[1]
+        left = dict(scalars)
+        for v in keep:
+            left.update(factors[v])
+        return [f for _, f in sorted(left.items())], log_scale
 
     def tree(self, evidence: Evidence, variables: Sequence[int]) -> list[np.ndarray]:
         """Each of ``variables``' unnormalised table under ``evidence``, from one bucket tree.
 
         The upward pass walks the round's min-fill stepper over the free
-        variables of the components that hold a requested variable (the
-        stepper orders a component's variables alike whatever else it holds),
-        through the same steps and message memo as the walks of :meth:`held`,
-        and records each step's bucket; the bucket that takes a message is its
-        parent. The downward pass (Shafer & Shenoy) visits only the buckets on
-        the way from a root to a requested variable's bucket, in the reverse
-        order: the message into a bucket sums its parent's other factors and
-        the parent's own downward message down to the bucket's upward
-        message's scope. A variable's table sums its bucket's factors and
+        variables of the components that hold a requested variable (the stepper
+        orders a component's variables alike whatever else it holds), through
+        the same steps and message memo as the walks of :meth:`held` under the
+        same evidence, and records each step's bucket; the bucket that takes a
+        message is its parent. The downward pass (Shafer & Shenoy) visits only
+        the buckets on the way from a root to a requested variable's bucket, in
+        the reverse order: the message into a bucket sums its parent's other
+        factors and the parent's own downward message down to the bucket's
+        upward message's scope. A variable's table sums its bucket's factors and
         downward message down to it. :func:`_bucket_sums` takes all of a
-        bucket's sums, each by one ``np.einsum`` call on plain arrays, and
-        each downward message is rescaled to max entry 1, so a table's scale,
-        and its last bits, are the tree's own;
-        the tables are meant for ranking, not for answers. A table holds
-        every factor of its variable's component; the scalars shared by all
-        (fully observed potentials and the messages that close the other
-        walked components) only scale it, unless their product is zero or
-        not finite, which every table then takes. A component that holds no
-        requested variable is not walked, so its mass is not seen. This call
-        does not end a round of the message memo, so the next :meth:`held`
-        call reuses its messages and keeps them for the next round.
+        bucket's sums, each by one ``np.einsum`` call on plain arrays, and each
+        downward message is rescaled to max entry 1, so a table's scale, and its
+        last bits, are the tree's own; the tables are meant for ranking, not for
+        answers. A table holds every factor of its variable's component; the
+        scalars shared by all (fully observed potentials and the messages that
+        close the other walked components) only scale it, unless their product
+        is zero or not finite, which every table then takes. A component that
+        holds no requested variable is not walked, so its mass is not seen. The
+        components come from :meth:`linked`, so the tree needs a min-fill core,
+        not a caller's order, unless every free variable is requested.
         """
         path, holders, scalars = self._start(evidence)
         holders, scalars = list(holders), list(scalars)
@@ -696,16 +684,6 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError("table entries must be finite: a product of potentials overflowed")
 
 
-def _sum_out(
-    model: GraphicalModel,
-    evidence: Evidence,
-    keep: Sequence[int],
-    order: Sequence[int] | None = None,
-) -> tuple[Potential, float]:
-    """One ``keep``'s table and log scale from a fresh :class:`_Elimination`."""
-    return _Elimination(model, order).tables(evidence, (keep,))[0]
-
-
 def _log_z(model: GraphicalModel) -> tuple[float, float]:
     """The log partition function as (log of the summed-out table, its log scale).
 
@@ -716,7 +694,7 @@ def _log_z(model: GraphicalModel) -> tuple[float, float]:
     """
     cached = vars(model).get("_log_z")
     if cached is None:
-        table, log_scale = _sum_out(model, {}, ())
+        table, log_scale = _Elimination(model).table({}, ())
         den = float(table.values)
         if den == 0.0:
             raise ZeroProbabilityEvidenceError("the model's joint mass is identically zero")
@@ -750,7 +728,7 @@ def pr(
         _rank(model, order)
         _log_z(model)
         return 1.0
-    table, log_num = _sum_out(model, evidence, (), order)
+    table, log_num = _Elimination(model, order).table(evidence, ())
     return _over_z(model, float(table.values), log_num)
 
 
@@ -785,7 +763,7 @@ def mar(
     when its joint mass is zero.
     """
     evidence, (variable,) = _check_explain(model, evidence, (variable,))
-    table, _ = _sum_out(model, evidence, (variable,), order)
+    table, _ = _Elimination(model, order).table(evidence, (variable,))
     try:
         return normalize(table)
     except ZeroProbabilityEvidenceError:
@@ -867,7 +845,7 @@ def brute_force_mmap(
     if states > cap:
         raise OracleTooLargeError(f"{states} explained states exceed the cap of {cap}")
 
-    [(factors, log_num)] = _Elimination(model).held(evidence, (explain,))
+    factors, log_num = _Elimination(model).held(evidence, explain)
     traceback = []
     for v in reversed(explain):
         bucket = [f for f in factors if v in f.scope]

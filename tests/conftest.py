@@ -1,10 +1,10 @@
-"""Shared fixtures: the rain/commute toy model, pure-Python enumeration oracles
-and the reference implementations the faster engine code is checked against.
+"""Shared fixtures: the rain/commute toy model, enumeration oracles and the
+reference implementations the faster engine code is checked against.
 
-The enumeration helpers here deliberately avoid the package's numpy
-broadcasting paths (plain itertools loops and float arithmetic), so they can
-serve as independent ground truth for the factor algebra and the inference
-engine.
+The enumeration helpers here deliberately avoid the package's factor algebra
+and engine: one joint table built by indexing every potential with the grid
+of joint states, and plain sums over it, so they can serve as independent
+ground truth for the factor algebra and the inference engine.
 """
 
 from __future__ import annotations
@@ -53,43 +53,48 @@ def eval_potential(p: Potential, assignment: dict[int, int]) -> float:
     return float(p.values[tuple(assignment[v] for v in p.scope)])
 
 
+def enumerated_joint(model: GraphicalModel) -> np.ndarray:
+    """The unnormalized joint by enumeration, one axis per variable in model order.
+
+    Each potential is indexed by the grid of joint states, so entry s is the
+    product of the potentials' entries at s, taken in model order from 1.0,
+    as a loop over one joint state at a time multiplies them.
+    """
+    states = np.indices(model.cardinalities)  # states[v]: variable v's state at each joint state
+    joint = np.ones(model.cardinalities)
+    for p in model.potentials:
+        joint = joint * p.values[tuple(states[v] for v in p.scope)]
+    return joint
+
+
 def joint_by_enumeration(model: GraphicalModel) -> dict[tuple[int, ...], float]:
-    """Unnormalized joint table by direct product over every joint state."""
-    table = {}
-    for state in itertools.product(*(range(c) for c in model.cardinalities)):
-        assignment = dict(enumerate(state))
-        value = 1.0
-        for p in model.potentials:
-            value *= eval_potential(p, assignment)
-        table[state] = value
-    return table
+    """Unnormalized joint table keyed by joint state, in ``itertools.product`` order."""
+    states = itertools.product(*(range(c) for c in model.cardinalities))
+    return dict(zip(states, enumerated_joint(model).ravel().tolist()))
+
+
+def _observed(model: GraphicalModel, evidence: dict[int, int]) -> tuple:
+    """An index of the joint that fixes each observed variable to its state."""
+    return tuple(evidence.get(v, slice(None)) for v in range(model.n_vars))
 
 
 def pr_by_enumeration(model: GraphicalModel, evidence: dict[int, int]) -> float:
     """Evidence probability by summing the enumerated joint."""
-    table = joint_by_enumeration(model)
-    total = sum(table.values())
-    consistent = sum(
-        v
-        for state, v in table.items()
-        if all(state[var] == s for var, s in evidence.items())
-    )
-    return consistent / total
+    joint = enumerated_joint(model)
+    return float(joint[_observed(model, evidence)].sum() / joint.sum())
 
 
 def mar_by_enumeration(
     model: GraphicalModel, evidence: dict[int, int], variable: int
 ) -> list[float]:
-    """Conditional marginal of one variable by summing the enumerated joint."""
-    table = joint_by_enumeration(model)
-    sums = [0.0] * model.cardinalities[variable]
-    for state, v in table.items():
-        if all(state[var] == s for var, s in evidence.items()):
-            sums[state[variable]] += v
-    total = sum(sums)
+    """Conditional marginal of one unobserved variable by summing the enumerated joint."""
+    consistent = enumerated_joint(model)[_observed(model, evidence)]
+    free = [v for v in range(model.n_vars) if v not in evidence]
+    sums = consistent.sum(axis=tuple(i for i, v in enumerate(free) if v != variable))
+    total = float(sums.sum())
     if total <= 0:
         raise ZeroDivisionError("evidence has probability zero")
-    return [s / total for s in sums]
+    return (sums / total).tolist()
 
 
 def entropy_by_formula(probs) -> float:

@@ -337,20 +337,29 @@ class TestSharedRounds:
         assert compared >= 150
 
 
-def _count_calls(monkeypatch, method="tables"):
-    """Record each call of ``_Elimination.<method>``: its evidence and keeps or variables, copied.
+def _count_calls(monkeypatch, method="table"):
+    """Record the calls of ``_Elimination.<method>``: each evidence and what it asked, copied.
 
-    ``tables`` runs once per scored round, and ``tree`` once per screened
-    round that asks it for a target. A model's first p~ also computes its
-    partition function with one more ``tables`` call, so count those only on
-    a model that has already answered a query.
+    ``tree`` is recorded per call, with its variables: once per screened
+    round that asks it for a target. ``table`` is recorded once per core and
+    distinct evidence in a row, with every keep asked under it: once per
+    scored round. A model's first p~ also computes its partition function on
+    a core of its own, one more record, so count those only on a model that
+    has already answered a query.
     """
     calls = []
     original = getattr(_Elimination, method)
+    last = [None, None]  # the core and evidence of the last ``table`` record
 
-    def counting(self, evidence, keeps):
-        calls.append((dict(evidence), list(keeps)))
-        return original(self, evidence, keeps)
+    def counting(self, evidence, asked):
+        if method == "tree":
+            calls.append((dict(evidence), list(asked)))
+        elif last[0] is self and last[1] == evidence:
+            calls[-1][1].append(tuple(asked))
+        else:
+            last[:] = [self, dict(evidence)]
+            calls.append((dict(evidence), [tuple(asked)]))
+        return original(self, evidence, asked)
 
     monkeypatch.setattr(_Elimination, method, counting)
     return calls

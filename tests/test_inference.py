@@ -35,14 +35,15 @@ from margmap.inference import (
     _max_message,
     _MinFill,
     _sum_message,
-    _sum_out,
 )
 from margmap.uaiio import write_uai
 
 from conftest import (
     WEATHER_JOINT,
     differential_models,
+    enumerated_joint,
     entropy_by_formula,
+    eval_potential,
     hub_model,
     joint_by_enumeration,
     mar_by_enumeration,
@@ -243,10 +244,11 @@ class TestSharedElimination:
                     # two multi-variable keeps from the middle of the min-fill order
                     mid = len(path) // 2 - 1
                     keeps += [path[mid : mid + 2], (path[mid + 2], path[mid])]
-                shared = _Elimination(model, order).tables(evidence, keeps)
-                assert isinstance(shared, list) and len(shared) == len(keeps)
-                for keep, (table, log_scale) in zip(keeps, shared):
-                    fresh, fresh_log_scale = _sum_out(model, evidence, keep, order)
+                # one core answers every keep in turn, so later keeps meet earlier ones' messages
+                elimination = _Elimination(model, order)
+                for keep in keeps:
+                    table, log_scale = elimination.table(evidence, keep)
+                    fresh, fresh_log_scale = _Elimination(model, order).table(evidence, keep)
                     assert table.scope == fresh.scope == tuple(keep)
                     assert np.array_equal(table.values, fresh.values)
                     assert log_scale == fresh_log_scale
@@ -265,9 +267,9 @@ class TestSharedElimination:
                     before = _restricted(elimination)
                     free = [v for v in range(model.n_vars) if v not in evidence]
                     keeps = [(v,) for v in free] + [()]
-                    shared = elimination.tables(evidence, keeps)
-                    for keep, (table, log_scale) in zip(keeps, shared):
-                        fresh, fresh_log_scale = _sum_out(model, evidence, keep, order)
+                    for keep in keeps:
+                        table, log_scale = elimination.table(evidence, keep)
+                        fresh, fresh_log_scale = _Elimination(model, order).table(evidence, keep)
                         reference = reference_sum_out(model, evidence, keep, order)
                         assert table.scope == fresh.scope == reference[0].scope == keep
                         assert np.array_equal(table.values, fresh.values)
@@ -304,12 +306,11 @@ class TestSharedElimination:
                 continue
             moved = {v for v in first.keys() | second.keys() if first.get(v) != second.get(v)}
             elimination, fresh = _Elimination(model), _Elimination(model)
-            elimination.tables(first, [()])
+            elimination.table(first, ())
             before = _restricted(elimination)
-            keeps = [(v,) for v in range(model.n_vars) if v not in second] + [()]
-            for (table, log_scale), (again, again_log_scale) in zip(
-                elimination.tables(second, keeps), fresh.tables(second, keeps)
-            ):
+            for keep in [(v,) for v in range(model.n_vars) if v not in second] + [()]:
+                table, log_scale = elimination.table(second, keep)
+                again, again_log_scale = fresh.table(second, keep)
                 assert table.values.tobytes() == again.values.tobytes()
                 assert log_scale == again_log_scale
             after, again = _restricted(elimination), _restricted(fresh)
@@ -373,11 +374,11 @@ class TestSharedElimination:
                     free = [v for v in range(model.n_vars) if v not in evidence]
                     # single variables of mixed cardinalities, one of them twice, and the empty keep
                     keeps = [(v,) for v in free] + [(free[0],), ()]
-                    tables = elimination.tables(evidence, keeps)
-                    held = twin.held(evidence, keeps)
-                    for keep, (table, log_scale), (factors, held_scale) in zip(keeps, tables, held):
+                    for keep in keeps:
+                        table, log_scale = elimination.table(evidence, keep)
+                        factors, held_scale = twin.held(evidence, keep)
                         assert all(set(f.scope) <= set(keep) for f in factors)
-                        fresh, fresh_log_scale = _sum_out(model, evidence, keep)
+                        fresh, fresh_log_scale = _Elimination(model).table(evidence, keep)
                         assert table.scope == keep
                         assert table.values.shape == tuple(cards[v] for v in keep)
                         joined = _joined(factors, keep, cards)
@@ -402,22 +403,57 @@ class TestSharedElimination:
         # under {0: 0}, keep (1,)'s own two factors multiply to 1e400; the other keeps
         # sum variable 1 out of that product on the way
         for keeps in ([(1,)], [(2,), (1,), (1,), ()], [()]):
-            with pytest.raises(ValueError) as raised:
-                _Elimination(model).tables({0: 0}, keeps)
-            assert str(raised.value) == message
+            elimination = _Elimination(model)
+            for keep in keeps:  # every keep on one core, each after the last one raised
+                with pytest.raises(ValueError) as raised:
+                    elimination.table({0: 0}, keep)
+                assert str(raised.value) == message
 
+    def test_the_message_memo_turns_over_with_the_evidence(self, monkeypatch):
+        # two chains, 0-1-2 and 3-4-5: evidence on the second leaves the first's messages alone
+        rng = np.random.default_rng(70)
+        scopes = [(0,), (0, 1), (1, 2), (3,), (3, 4), (4, 5)]
+        model = GraphicalModel(
+            (2,) * 6, tuple(Potential(s, rng.uniform(0.1, 2.0, (2,) * len(s))) for s in scopes)
+        )
+        computed = []  # the variable each computed message sums out
+        sum_message = inference._sum_message
 
-def _enumerated(model):
-    """The unnormalized joint by enumeration, one axis per variable: every state at once.
+        def counting(bucket, v):
+            computed.append(v)
+            return sum_message(bucket, v)
 
-    Each potential is indexed by the grid of joint states, so entry s is the
-    product of the potentials' entries at s, as in ``joint_by_enumeration``.
-    """
-    states = np.indices(model.cardinalities)  # states[v]: variable v's state at each joint state
-    joint = np.ones(model.cardinalities)
-    for p in model.potentials:
-        joint = joint * p.values[tuple(states[v] for v in p.scope)]
-    return joint
+        monkeypatch.setattr(inference, "_sum_message", counting)
+        first, grown, full = {3: 0}, {3: 0, 4: 1}, {3: 0, 4: 1, 5: 0}
+
+        def check(elimination, evidence, keep):
+            """The variables of the messages the call computed; its table is a fresh core's."""
+            computed.clear()
+            table, log_scale = elimination.table(evidence, keep)
+            mine = sorted(computed)
+            fresh, fresh_log_scale = _Elimination(model).table(evidence, keep)
+            assert table.values.tobytes() == fresh.values.tobytes()
+            assert log_scale == fresh_log_scale
+            return mine
+
+        elimination = _Elimination(model)
+        assert check(elimination, first, (0,)) == [1, 2, 4, 5]
+        # the same question under the same evidence computes no message
+        assert check(elimination, first, (0,)) == []
+        # another keep under the same evidence does not look up 1's and 2's messages ...
+        assert check(elimination, first, (1, 2)) == [0]
+        # ... but the calls under one evidence share one generation of the memo, so grown
+        # evidence reuses every message of the last evidence: only 5's bucket changed
+        assert check(elimination, grown, (0,)) == [5]
+        # the chain 0-1-2's messages were looked up under the last evidence, so they live on
+        assert check(elimination, full, (0,)) == []
+
+        elimination = _Elimination(model)
+        assert check(elimination, first, (0,)) == [1, 2, 4, 5]
+        # under the grown evidence nothing looks up the messages that sum out 1 and 2 ...
+        assert check(elimination, grown, (1, 2)) == [0, 5]
+        # ... so they are gone once the next evidence starts, and are computed again
+        assert check(elimination, full, (0,)) == [1, 2]
 
 
 class TestBucketTree:
@@ -427,8 +463,15 @@ class TestBucketTree:
         rng = np.random.default_rng(67)
         gap = 0.0  # the largest |tree entropy - walk entropy| seen
         for model in differential_models(67):
-            joint = _enumerated(model)
-            if joint.size <= 1 << 8:  # the one-state-at-a-time enumeration is slow on the others
+            joint = enumerated_joint(model)
+            if joint.size <= 1 << 8:  # a loop over one joint state at a time is slow on the others
+                by_state = []
+                for state in itertools.product(*map(range, model.cardinalities)):
+                    value = 1.0
+                    for p in model.potentials:
+                        value *= eval_potential(p, dict(enumerate(state)))
+                    by_state.append(value)
+                assert joint.ravel().tolist() == by_state
                 assert joint.ravel().tolist() == list(joint_by_enumeration(model).values())
             # an evidence sequence as a greedy meets it, and one evidence under a caller's order
             permutation = tuple(int(v) for v in rng.permutation(model.n_vars))
@@ -441,7 +484,7 @@ class TestBucketTree:
                     # a screened round: the tree, then the walks on the same state
                     free = [v for v in range(model.n_vars) if v not in evidence]
                     tree = elimination.tree(evidence, free)
-                    forks = elimination.tables(evidence, [(v,) for v in free])
+                    forks = [elimination.table(evidence, (v,)) for v in free]
                     at = tuple(evidence.get(v, slice(None)) for v in range(model.n_vars))
                     for i, (v, table, (fork, _)) in enumerate(zip(free, tree, forks)):
                         assert table.shape == (model.cardinalities[v],)
@@ -1122,7 +1165,7 @@ class TestBruteForceMmap:
         rng = np.random.default_rng(33)
         for model in differential_models(33):
             if math.prod(model.cardinalities) > 1 << 16:
-                continue  # the pure-Python enumeration would take seconds
+                continue  # the loop below over every joint state would take seconds
             joint = joint_by_enumeration(model)
             total = sum(joint.values())
             for _ in range(3):
