@@ -34,14 +34,6 @@ from .model import (
 from .inference import _Elimination, _entropy, _log_z, _over_z
 
 
-# A round with this many targets or more is screened by one bucket-tree pass
-# before its near-best targets are scored, each on its own elimination walk.
-# Per round, the screen wins from 3 to 8 targets on binary and ternary 4x4 to
-# 6x6 grids and on a 5x5 grid of 12-state variables, whose buckets reach 12^5
-# entries, and the walks win below that; the line is the largest of those
-# crossovers. So a 5-target run on the 12-state grid is never screened.
-_SCREEN_CANDIDATES = 8
-
 # How far above the least tree entropy a target is still scored. Tree and
 # walk entropies differ by rounding only, some 1e-15, so no target that could
 # win or tie is left out.
@@ -71,16 +63,17 @@ class ExplanationTrace:
     probability in its step's marginal. ``break_entropy`` is the entropy of
     the marginal that failed the threshold, when one did. ``mar_calls``
     counts the logical marginal queries, one per candidate per round
-    (k(k+1)/2 for a full run over k targets), although each round scores
-    its candidates on one elimination, with one min-fill walk each through a
-    shared message memo, and a round of ``_SCREEN_CANDIDATES`` candidates or
-    more screens them first and walks only for the near-best: one bucket
-    tree answers the candidates the last committed variable could reach, and
-    the others keep their entropy from the round before. ``mar_seconds`` is
-    the time spent scoring this run's rounds, entropies included. Inside
-    :func:`_sharing_rounds`, a round an earlier call already scored is
-    replayed, not scored again, and still adds the seconds it took when it
-    was scored, so ``mar_seconds`` is the cost of this run, not wall time.
+    (k(k+1)/2 for a full run over k targets), although each round of two
+    candidates or more screens them first and walks only for the near-best:
+    one bucket tree answers the candidates the last committed variable could
+    reach, and the others keep their entropy from the round before. The
+    walks, one min-fill walk per near-best candidate (and the only candidate
+    of the last round), run on one elimination through a shared message
+    memo. ``mar_seconds`` is the time spent scoring this run's rounds,
+    entropies included. Inside :func:`_sharing_rounds`, a round an earlier
+    call already scored is replayed, not scored again, and still adds the
+    seconds it took when it was scored, so ``mar_seconds`` is the cost of
+    this run, not wall time.
     """
 
     steps: tuple[ExplanationStep, ...]
@@ -271,13 +264,13 @@ def _score_round(
 ) -> tuple[ExplanationStep, float]:
     """Score the round after ``log``'s: the least entropic target's step, and the seconds taken.
 
-    A round of ``_SCREEN_CANDIDATES`` targets or more is screened first by
-    :func:`_screen`, and only the targets whose screen entropy is within
-    ``_SCREEN_MARGIN`` of the least, or whose tree mass is zero or not
-    finite, are scored. Scoring is the same in every round: the scored
-    targets, in target order, get their tables from the elimination's walks,
-    one :meth:`~margmap.inference._Elimination.table` call each, and the
-    first of least entropy wins, so ties keep the lowest variable id. A
+    A round of two targets or more is screened first by :func:`_screen`,
+    and only the targets whose screen entropy is within ``_SCREEN_MARGIN``
+    of the least, or whose tree mass is zero or not finite, are scored; a
+    round of one target scores it. Scoring is the same in every round: the
+    scored targets, in target order, get their tables from the elimination's
+    walks, one :meth:`~margmap.inference._Elimination.table` call each, and
+    the first of least entropy wins, so ties keep the lowest variable id. A
     screen entropy differs from its walk entropy by rounding only, some
     1e-15: if every difference is below half the margin, the winner's screen
     entropy is within the margin of the least, so the winner is scored, and
@@ -290,7 +283,7 @@ def _score_round(
     """
     start = time.perf_counter()
     screen, scored = None, targets
-    if len(targets) >= _SCREEN_CANDIDATES:
+    if len(targets) > 1:
         screen = _screen(log, working, targets)
         line = min([h for h in screen.values() if h is not None], default=0.0) + _SCREEN_MARGIN
         scored = [v for v in targets if screen[v] is None or screen[v] <= line]

@@ -26,16 +26,20 @@ memo turns over when the evidence changes, so a round's calls, however
 many, share one generation of it. Each table is bit-identical to a separate
 query. ``pr``, ``mar`` and the oracle use a fresh core per query.
 
-For a round with many candidates the greedy first asks ``tree`` for the
-candidates' tables from one bucket tree (Shafer & Shenoy 1990): one upward
-pass along the same min-fill path over the components that hold them,
-through the same steps and message memo, and one downward pass over only
-the buckets on the way to the candidates, which sums each bucket by one
-string-subscript ``np.einsum`` call per message or table on plain arrays
-(``_bucket_sums``), contracted pairwise in numpy's order from
-``_MATMUL_ENTRIES`` joint states on. Its
-tables are exact, but their last bits are the tree's own, so the greedy
-uses them only to choose which candidates to score on their own walks:
+For a round of two candidates or more the greedy first asks ``tree`` for
+the candidates' tables from one bucket tree (Shafer & Shenoy 1990): one
+upward pass along the same min-fill path over the components that hold
+them, through the same steps and message memo, and one downward pass over
+only the buckets on the way to the candidates, which sums each bucket by
+one string-subscript ``np.einsum`` call per message or table on plain
+arrays (``_bucket_sums``), contracted pairwise along numpy's greedy path
+from ``_PATH_STATES`` joint states on. What those calls are depends on
+the bucket's scopes and sums alone, so it is planned once per model
+(``_bucket_plan``) and kept on the model beside its partition function:
+the subscripts, the operands of ones, the folds and the contraction paths
+repeat round after round and run after run. Its tables are exact, but
+their last bits are the tree's own, so the greedy uses them only to choose
+which candidates to score on their own walks:
 those whose tree entropy is within 1e-9 of the least, and those whose tree
 mass is zero or not finite. A candidate that the last committed variable
 could not reach keeps its marginal, so the greedy carries its last tree
@@ -85,19 +89,27 @@ DEFAULT_ORACLE_CAP = 1 << 22
 
 # A walk's summed bucket whose product would hold this many entries or more is
 # not built but summed out by one matrix product (``_contracted``), several
-# times faster from this size on; a bucket tree's bucket of this many joint
-# states or more is summed by ``np.einsum`` with ``optimize=True``, pairwise
-# and through BLAS where numpy can. Smaller buckets keep the product's, or the
-# one einsum loop's, arithmetic and so their bits: every bucket of a binary
-# grid up to 10x10 and of a ternary 4x4 grid is below it.
+# times faster from this size on. Smaller buckets keep the product's
+# arithmetic and so their bits: every bucket of a binary grid up to 10x10 and
+# of a ternary 4x4 grid is below it.
 _MATMUL_ENTRIES = 1 << 16
+
+# A bucket tree's bucket of this many joint states or more is summed by
+# ``np.einsum`` along the contraction path that ``optimize=True`` would find,
+# pairwise and through BLAS where numpy can; a smaller one by einsum's one
+# loop over every joint state. The path is planned once per model, so it pays
+# from this size on: on the 12^4-state buckets of a 12-state grid, a sum of
+# four factors takes 42-50 us along it against 116-140 us in the one loop
+# (three factors: 34 against 22 us). Every bucket of the 6x6 binary and 4x4
+# ternary grids is below it; the largest of a 10x10 binary grid meets it.
+_PATH_STATES = 1 << 14
 
 # The most factors one ``np.einsum`` call of the bucket tree takes, a factor
 # of ones for a kept variable included. einsum refuses more than 31 operands
 # on numpy 1.x (63 on 2.x).
 _EINSUM_FACTORS = 30
 
-# einsum's subscript labels, in the order :func:`_bucket_sums` hands them out
+# einsum's subscript labels, in the order :func:`_bucket_plan` hands them out
 _LABELS = string.ascii_letters
 
 class OracleTooLargeError(ValueError):
@@ -329,11 +341,12 @@ class _Elimination:
     one a fresh elimination would give.
     """
 
-    __slots__ = ("model", "base", "started", "messages", "earlier")
+    __slots__ = ("model", "ordered", "base", "started", "messages", "earlier")
 
     def __init__(self, model: GraphicalModel, order: Sequence[int] | None = None):
         self.model = model
         rank = _rank(model, order)
+        self.ordered = rank is not None
         graph = _interaction_graph(model) if rank is None else [0] * model.n_vars
         holders: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
         for entry in enumerate(model.potentials):
@@ -410,10 +423,11 @@ class _Elimination:
     def linked(self, variables: Iterable[int]) -> int:
         """The free variables the last start's graph connects to ``variables``, as a bitmask.
 
-        Only a min-fill core's graph has edges: under a caller's order every
-        variable is linked to itself alone.
+        Only a min-fill core's graph has edges, so under a caller's order,
+        whose stepper's graph is edgeless, every free variable counts as linked.
         """
-        return _reach(self.started[1].adjacency, _mask(variables))
+        path = self.started[1]
+        return _mask(path.remaining) if self.ordered else _reach(path.adjacency, _mask(variables))
 
     def _eliminate(
         self, v: int, holders: list, scalars: list, numbers: Iterator[int]
@@ -474,16 +488,19 @@ class _Elimination:
         factors and the parent's own downward message down to the bucket's
         upward message's scope. A variable's table sums its bucket's factors and
         downward message down to it. :func:`_bucket_sums` takes all of a
-        bucket's sums, each by one ``np.einsum`` call on plain arrays, and each
-        downward message is rescaled to max entry 1, so a table's scale, and its
-        last bits, are the tree's own; the tables are meant for ranking, not for
-        answers. A table holds every factor of its variable's component; the
-        scalars shared by all (fully observed potentials and the messages that
-        close the other walked components) only scale it, unless their product
-        is zero or not finite, which every table then takes. A component that
-        holds no requested variable is not walked, so its mass is not seen. The
-        components come from :meth:`linked`, so the tree needs a min-fill core,
-        not a caller's order, unless every free variable is requested.
+        bucket's sums, each by one ``np.einsum`` call on plain arrays, as
+        :func:`_bucket_plan` planned them; the plans are kept on the model under
+        the bucket's scopes and sums, since its cardinalities never change.
+        Each downward message is rescaled to max entry 1, so a table's scale,
+        and its last bits, are the tree's own; the tables are meant for ranking,
+        not for answers. A table holds every factor of its variable's
+        component; the scalars shared by all (fully observed potentials and the
+        messages that close the other walked components) only scale it, unless
+        their product is zero or not finite, which every table then takes. A
+        component that holds no requested variable is not walked, so its mass
+        is not seen. The components come from :meth:`linked`, which under a
+        caller's order gives every free variable, so such a core's tree walks
+        them all.
         """
         path, holders, scalars = self._start(evidence)
         holders, scalars = list(holders), list(scalars)
@@ -515,19 +532,19 @@ class _Elimination:
         down: list[tuple | None] = [None] * len(steps)  # (scope, values) into each bucket
         tables: dict[int, np.ndarray] = {}
         requested = {at[v] for v in variables}
+        plans = vars(self.model).setdefault("_plans", {})  # kept as ``_log_z`` is
         with np.errstate(over="ignore", invalid="ignore"):
             for p in sorted(wanted, reverse=True):  # a parent comes after its children
                 bucket = steps[p][0]
-                scopes = [f.scope for _, f in bucket]
-                arrays = [f.values for _, f in bucket]
-                if down[p] is not None:
-                    scopes.append(down[p][0])
-                    arrays.append(down[p][1])
+                factors = [(f.scope, f.values) for _, f in bucket] + ([down[p]] if down[p] else [])
+                scopes, arrays = zip(*factors)
                 kids = children.get(p, ())
                 outs = [(bucket.index(steps[i][1]), steps[i][1][1].scope) for i in kids]
                 if p in requested:
                     outs.append((len(arrays), (order[p],)))
-                sums = _bucket_sums(scopes, arrays, outs, cards)
+                key = (scopes, tuple(outs))
+                plan = plans.get(key) or plans.setdefault(key, _bucket_plan(*key, cards))
+                sums = _bucket_sums(plan, arrays)
                 for i, (_, scope), values in zip(kids, outs, sums):
                     peak = float(values.max())
                     down[i] = (scope, values / peak if peak > 0.0 and peak != 1.0 else values)
@@ -621,55 +638,80 @@ def _rescaled(scope: tuple[int, ...], values: np.ndarray) -> tuple[Potential, fl
     return Potential._result(scope, values), 0.0
 
 
-def _bucket_sums(
-    scopes: list[tuple[int, ...]],
-    arrays: list[np.ndarray],
-    outs: Sequence[tuple[int, tuple[int, ...]]],
+def _bucket_plan(
+    scopes: tuple[tuple[int, ...], ...],
+    outs: tuple[tuple[int, tuple[int, ...]], ...],
     cards: Sequence[int],
-) -> list[np.ndarray]:
-    """Per (left out, keep) of ``outs``, the product of one bucket's factors but one, summed to ``keep``.
+) -> tuple:
+    """The einsum calls that give one bucket's sums, for :func:`_bucket_sums` to run.
 
-    The factors are ``arrays`` over ``scopes``; ``left out`` is the position
-    of the one left out, or the number of factors to leave none out, and
-    each ``keep`` lies in the bucket. The bucket's variables are labelled
-    once, and each sum is one string-subscript ``np.einsum`` call; a ``keep``
-    variable that only the left-out factor holds gets ones. Past einsum's
-    52 labels, which only one-state variables can make up in tables that fit
-    in memory, their axes are dropped and put back on each sum. Past
+    Each (left out, keep) of ``outs`` asks for the product of the bucket's
+    factors but one, summed to ``keep``. The factors' scopes are ``scopes``;
+    ``left out`` is the position of the one left out, or the number of
+    factors to leave none out, and each ``keep`` lies in the bucket. The
+    bucket's variables are labelled once, and each sum is one
+    string-subscript ``np.einsum`` call; a ``keep`` variable that only the
+    left-out factor holds gets an operand of ones. Past einsum's 52 labels,
+    which only one-state variables can make up in tables that fit in memory,
+    their axes are dropped and put back on each sum. Past
     ``_EINSUM_FACTORS`` factors (a hub's bucket takes one message per leaf),
-    they are folded from the left in parts of that many, each summed down
-    to the variables that ``keep`` or the factors after it still hold. A
-    bucket of ``_MATMUL_ENTRIES`` joint states or more passes
-    ``optimize=True``, so numpy sums it pairwise, through BLAS where it can,
-    instead of in one loop over every joint state.
+    they are folded from the left in parts of that many, each summed down to
+    the variables that ``keep`` or the factors after it still hold. A bucket
+    of ``_PATH_STATES`` joint states or more gets numpy's greedy
+    contraction path, the one ``optimize=True`` would find, so numpy sums it
+    pairwise, through BLAS where it can, instead of in one loop over every
+    joint state.
+
+    The plan depends on the scopes, ``outs`` and the cardinalities alone. It
+    is (the shapes to drop one-state axes by and to put them back, or
+    ``None``; the operands of ones; per einsum call, its subscripts, where
+    its operands sit among the factors, the ones and the calls before it,
+    and its path or ``False``; where each sum sits).
     """
     held = dict.fromkeys([u for scope in scopes for u in scope])
     if len(held) > len(_LABELS):
-        scopes = [tuple(u for u in scope if cards[u] > 1) for scope in scopes]
-        arrays = [a.reshape([cards[u] for u in s]) for a, s in zip(arrays, scopes)]
-        wide = [(j, tuple(u for u in keep if cards[u] > 1)) for j, keep in outs]
-        sums = _bucket_sums(scopes, arrays, wide, cards)
-        return [s.reshape([cards[u] for u in keep]) for s, (_, keep) in zip(sums, outs)]
+        narrow = tuple(tuple(u for u in scope if cards[u] > 1) for scope in scopes)
+        wide = tuple((j, tuple(u for u in keep if cards[u] > 1)) for j, keep in outs)
+        shapes = [[cards[u] for u in s] for s in narrow], [[cards[u] for u in k] for _, k in outs]
+        return shapes, *_bucket_plan(narrow, wide, cards)[1:]
     label = dict(zip(held, _LABELS)).__getitem__
-    terms = [("".join(map(label, scope)), values) for scope, values in zip(scopes, arrays)]
-    optimize = math.prod([cards[u] for u in held]) >= _MATMUL_ENTRIES
-    sums = []
-    for j, keep in outs:
-        out = "".join(map(label, keep))
-        part = terms[:j] + terms[j + 1 :]
-        spec = ",".join([s for s, _ in part])
-        alone = [u for u in keep if label(u) not in spec]  # held by the left-out factor alone
-        if alone:
-            part.append(("".join(map(label, alone)), np.ones([cards[u] for u in alone])))
-        while len(part) > _EINSUM_FACTORS:
-            folded, part = part[:_EINSUM_FACTORS], part[_EINSUM_FACTORS:]
-            needed = out + "".join([s for s, _ in part])
-            to = "".join(dict.fromkeys(c for s, _ in folded for c in s if c in needed))
-            spec = ",".join([s for s, _ in folded]) + "->" + to
-            part.insert(0, (to, np.einsum(spec, *[a for _, a in folded], optimize=optimize)))
-        spec = ",".join([s for s, _ in part]) + "->" + out
-        sums.append(np.einsum(spec, *[a for _, a in part], optimize=optimize))
-    return sums
+    size = {label(u): cards[u] for u in held}
+    terms = ["".join(map(label, scope)) for scope in scopes]
+    large = math.prod(size.values()) >= _PATH_STATES
+    # a keep variable that only the left-out factor holds gets an operand of ones
+    rest = [scopes[:j] + scopes[j + 1 :] for j, _ in outs]  # the scopes each sum multiplies
+    alone = [[u for u in k if all(u not in s for s in r)] for r, (_, k) in zip(rest, outs)]
+    ones = [np.ones([cards[u] for u in a]) for a in alone if a]
+    calls, ends, numbers = [], [], itertools.count(len(terms))
+    for (j, keep), a in zip(outs, alone):
+        out, part = "".join(map(label, keep)), [(t, i) for i, t in enumerate(terms) if i != j]
+        if a:
+            part.append(("".join(map(label, a)), next(numbers)))
+        while True:  # fold from the left, then sum to ``out``
+            head, part = part[:_EINSUM_FACTORS], part[_EINSUM_FACTORS:]
+            kept = out + "".join([t for t, _ in part])
+            to = "".join(dict.fromkeys(c for t, _ in head for c in t if c in kept)) if part else out
+            spec = ",".join([t for t, _ in head]) + "->" + to
+            dummies = large and [np.broadcast_to(0.0, [size[c] for c in t]) for t, _ in head]
+            path = large and np.einsum_path(spec, *dummies)[0]  # the path optimize=True finds
+            calls.append((spec, [i for _, i in head], path))
+            if not part:
+                break
+            part.insert(0, (to, len(terms) + len(ones) + len(calls) - 1))
+        ends.append(len(terms) + len(ones) + len(calls) - 1)
+    return None, ones, calls, ends
+
+
+def _bucket_sums(plan: tuple, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The sums :func:`_bucket_plan` planned, of one bucket's factors ``arrays``."""
+    shapes, ones, calls, ends = plan
+    if shapes is not None:
+        arrays = [a.reshape(s) for a, s in zip(arrays, shapes[0])]
+    operands = [*arrays, *ones]
+    for spec, take, path in calls:
+        operands.append(np.einsum(spec, *[operands[i] for i in take], optimize=path))
+    sums = [operands[i] for i in ends]
+    return sums if shapes is None else [x.reshape(s) for x, s in zip(sums, shapes[1])]
 
 
 def _joined(factors: Iterable[Potential], keep: tuple[int, ...], cards: Sequence[int]) -> Potential:

@@ -493,6 +493,11 @@ def _linked(model, evidence, v):
     return reached
 
 
+def _score_every_target(log, working, targets):
+    """A stand-in for ``heuristic._screen`` that screens nothing out: every target is scored."""
+    return dict.fromkeys(targets)
+
+
 class TestScreen:
     """Rounds screened by a bucket tree give, bit for bit, the traces of scoring every target."""
 
@@ -553,12 +558,11 @@ class TestScreen:
         cut = random_grid_model(6, 6, 2, rng=rng, sigma=1.0)
         evidence = {v: int(rng.integers(2)) for v in range(36) if v % 6 == 2 or v // 6 == 3}
         instances.append((cut, evidence, [v for v in range(36) if v not in evidence]))
-        # a differential model of two components, with targets enough to screen at the line
+        # a differential model of two components, with 8 targets or more
         split = next(
             m
             for m in differential_models(91)
-            if len(_linked(m, {}, 0)) < m.n_vars
-            and sum(c >= 2 for c in m.cardinalities) >= heuristic._SCREEN_CANDIDATES
+            if len(_linked(m, {}, 0)) < m.n_vars and sum(c >= 2 for c in m.cardinalities) >= 8
         )
         instances.append((split, {}, [v for v in range(split.n_vars) if split.cardinalities[v] >= 2]))
         if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # an array of 61 axes
@@ -567,13 +571,14 @@ class TestScreen:
             instances.append((crowd, {}, [0, *range(61, 75)]))
         trees = _count_calls(monkeypatch, "tree")
         screens = self._record_screens(monkeypatch, trees)
+        recording = heuristic._screen
         compared = screened_rounds = carried = 0
         asked = []  # the variables each screened round asked the tree for
         for model, evidence, targets in instances:
             for epsilon in (None, float(rng.uniform(0.2, 0.9))):
                 outcomes = []
-                for line in (2, max(len(targets), heuristic._SCREEN_CANDIDATES) + 1):
-                    monkeypatch.setattr(heuristic, "_SCREEN_CANDIDATES", line)
+                for screen in (recording, _score_every_target):
+                    monkeypatch.setattr(heuristic, "_screen", screen)
                     screens.clear()
                     try:
                         if epsilon is None:
@@ -584,7 +589,7 @@ class TestScreen:
                         outcomes.append(str(err))
                     else:
                         outcomes.append(_bits(trace))
-                    if line == 2:
+                    if screen is recording:
                         asked += [variables for *_, calls in screens for _, variables in calls]
                         screened_rounds += len(screens)
                         carried += self._check_carry(model, screens)
@@ -601,10 +606,11 @@ class TestScreen:
         # the hub's bucket holds 70 leaf messages, past einsum's operand limit
         model = hub_model(70, np.random.default_rng(93))
         trees = _count_calls(monkeypatch, "tree")
+        screened = heuristic._screen
         for targets, evidence in ((range(1, 21), {30: 1}), ([0, *range(40, 56)], {})):
             outcomes = []
-            for line in (2, heuristic._SCREEN_CANDIDATES + 100):
-                monkeypatch.setattr(heuristic, "_SCREEN_CANDIDATES", line)
+            for screen in (screened, _score_every_target):
+                monkeypatch.setattr(heuristic, "_screen", screen)
                 outcomes.append(_bits(mmap2mar(model, targets, evidence)))
             assert outcomes[0] == outcomes[1]
         # Every round of 2 targets or more is screened. In the first run the free hub
@@ -623,8 +629,8 @@ class TestScreen:
             (Potential((0, 3), [[1.0, 0.0], [1.0, 0.0]]), Potential((1, 2), [[1.0, 9.0], [1.0, 9.0]])),
         )
         messages = []
-        for line in (2, 3):
-            monkeypatch.setattr(heuristic, "_SCREEN_CANDIDATES", line)
+        for screen in (heuristic._screen, _score_every_target):
+            monkeypatch.setattr(heuristic, "_screen", screen)
             with pytest.raises(ZeroProbabilityEvidenceError) as raised:
                 mmap2mar(model, [1, 2], {3: 1})
             messages.append(str(raised.value))
@@ -649,13 +655,13 @@ class TestScreen:
                 assert h is None
 
     def test_the_line(self, monkeypatch):
-        line = heuristic._SCREEN_CANDIDATES
-        model = random_grid_model(2, line // 2 + 1, 2, rng=np.random.default_rng(92), sigma=1.0)
+        # a 1-target round walks its only target; a round of 2 targets or more asks the tree
+        model = random_grid_model(2, 2, 2, rng=np.random.default_rng(92), sigma=1.0)
         trees = _count_calls(monkeypatch, "tree")
-        for k, screened in ((line - 1, []), (line, [list(range(line))])):
+        for k, screened in ((1, []), (2, [[0, 1]])):
             trees.clear()
             trace = mmap2mar(model, range(k))
-            assert [variables for _, variables in trees] == screened  # round 1 of k = line only
+            assert [variables for _, variables in trees] == screened  # round 1 of 2 targets only
             assert trace.mar_calls == k * (k + 1) // 2
 
 

@@ -518,14 +518,14 @@ class TestBucketTree:
     def test_large_clusters_match_mar(self, monkeypatch):
         # every min-fill cluster of a 12-state 4x4 grid but the last few holds 12^5 entries
         model = random_grid_model(4, 4, 12, rng=np.random.default_rng(69), sigma=1.0)
-        sizes = []  # the joint states of each bucket the tree summed
-        bucket_sums = inference._bucket_sums
+        sizes = []  # the joint states of each bucket the tree planned its sums for
+        bucket_plan = inference._bucket_plan
 
-        def sizing(scopes, arrays, outs, cards):
+        def sizing(scopes, outs, cards):
             sizes.append(math.prod(cards[u] for u in set().union(*scopes)))
-            return bucket_sums(scopes, arrays, outs, cards)
+            return bucket_plan(scopes, outs, cards)
 
-        monkeypatch.setattr(inference, "_bucket_sums", sizing)
+        monkeypatch.setattr(inference, "_bucket_plan", sizing)
         for evidence in ({}, {5: 3, 10: 7}):
             free = [v for v in range(16) if v not in evidence]
             tables = _Elimination(model).tree(evidence, free)
@@ -533,7 +533,7 @@ class TestBucketTree:
                 np.testing.assert_allclose(
                     table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
                 )
-        assert max(sizes) >= _MATMUL_ENTRIES
+        assert max(sizes) >= inference._PATH_STATES
 
     def test_a_zero_shared_scalar_zeroes_every_table(self):
         # under {0: 1}, potential (0,) is fully observed at 0; the other component
@@ -554,6 +554,45 @@ class TestBucketTree:
         # a component that holds no requested variable is not walked
         tables = _Elimination(model).tree({}, [1, 2])
         np.testing.assert_allclose([t / t.sum() for t in tables], [[0.3, 0.7], [0.4, 0.6]], atol=1e-15)
+
+    def test_some_variables_under_a_callers_order(self):
+        # under a caller's order the stepper's graph has no edges, so the upward
+        # pass walks every free variable, not only those joined to the requested
+        model = random_grid_model(3, 3, 2, rng=np.random.default_rng(1))
+        for evidence in ({}, {3: 1}):
+            tables = _Elimination(model, range(9)).tree(evidence, [0, 4])
+            for v, table in zip((0, 4), tables):
+                np.testing.assert_allclose(
+                    table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
+                )
+
+    def test_a_second_run_on_a_model_plans_no_sum_again(self, monkeypatch):
+        # unobserved, the first rounds' buckets reach 12^5 joint states and get
+        # contraction paths; every bucket's plan is kept on the model
+        model = random_grid_model(5, 5, 12, rng=np.random.default_rng(0), sigma=1.0)
+        paths, plans = [], []
+        einsum_path, bucket_plan = np.einsum_path, inference._bucket_plan
+
+        def path(*operands, **options):
+            paths.append(operands[0])
+            return einsum_path(*operands, **options)
+
+        def plan(scopes, outs, cards):
+            plans.append(scopes)
+            return bucket_plan(scopes, outs, cards)
+
+        monkeypatch.setattr(np, "einsum_path", path)
+        monkeypatch.setattr(inference, "_bucket_plan", plan)
+        first = mmap2mar(model, range(25))
+        assert paths and len(plans) == len(vars(model)["_plans"])
+        paths.clear()
+        plans.clear()
+        second = mmap2mar(model, range(25))
+        assert paths == [] and plans == []
+        assert [(s.variable, s.chosen_state, s.marginal.probs.tobytes()) for s in second.steps] == [
+            (s.variable, s.chosen_state, s.marginal.probs.tobytes()) for s in first.steps
+        ]
+        assert (second.p_tilde, second.confidence) == (first.p_tilde, first.confidence)
 
     def test_only_the_requested_variables_are_answered(self):
         model = random_grid_model(3, 3, 2, rng=np.random.default_rng(5))
@@ -686,13 +725,21 @@ class TestMatmulKernel:
         # either side, on both, or held by the left-out factor alone; the tree's
         # keeps always lie in their bucket, here in a left-out factor of ones
         rng = np.random.default_rng(93)
+        other = np.random.default_rng(94)
 
         def summed(cards, factors, keep):
             j = len(keep) % (len(factors) + 1)  # where the factor of ones goes
             ones = Potential(keep, np.ones([cards[u] for u in keep]))
             bucket = [*factors[:j], ones, *factors[j:]]
-            scopes, arrays = [f.scope for f in bucket], [f.values for f in bucket]
-            return inference._bucket_sums(scopes, arrays, [(j, keep)], cards)[0]
+            scopes, arrays = tuple(f.scope for f in bucket), [f.values for f in bucket]
+            plan = inference._bucket_plan(scopes, ((j, keep),), cards)
+            # a plan is kept and used again on other values: it gives the sums,
+            # bit for bit, that a plan made for these values gives
+            inference._bucket_sums(plan, [other.uniform(0.5, 2.0, a.shape) for a in arrays])
+            (cached,) = inference._bucket_sums(plan, arrays)
+            (fresh,) = inference._bucket_sums(inference._bucket_plan(scopes, ((j, keep),), cards), arrays)
+            assert np.array_equal(cached, fresh)
+            return cached
 
         cards = (5,) * 9
         large = 0
@@ -704,7 +751,7 @@ class TestMatmulKernel:
                 factors.append(Potential(scope, rng.uniform(0.1, 2.0, size=(5,) * len(scope))))
             keep = tuple(int(u) for u in rng.choice(9, size=int(rng.integers(0, 4)), replace=False))
             held = {u for f in factors for u in f.scope}
-            large += 5 ** len(held.union(keep)) >= _MATMUL_ENTRIES
+            large += 5 ** len(held.union(keep)) >= inference._PATH_STATES
             operands = [x for f in factors for x in (f.values, list(f.scope))]
             expected = np.einsum(*operands, [u for u in keep if u in held], optimize=True)
             expected = np.broadcast_to(
