@@ -33,11 +33,13 @@ them, through the same steps and message memo, and one downward pass over
 only the buckets on the way to the candidates, which sums each bucket by
 one string-subscript ``np.einsum`` call per message or table on plain
 arrays (``_bucket_sums``), contracted pairwise along numpy's greedy path
-from ``_PATH_STATES`` joint states on. What those calls are depends on
+from ``_MATMUL_ENTRIES`` joint states on. What those calls are depends on
 the bucket's scopes and sums alone, so it is planned once per model
 (``_bucket_plan``) and kept on the model beside its partition function:
 the subscripts, the operands of ones, the folds and the contraction paths
-repeat round after round and run after run. Its tables are exact, but
+repeat round after round and run after run. Each new evidence pattern can
+add plans, so a model keeps at most about ``_PLANS`` of them and drops them
+all when it has that many. Its tables are exact, but
 their last bits are the tree's own, so the greedy uses them only to choose
 which candidates to score on their own walks:
 those whose tree entropy is within 1e-9 of the least, and those whose tree
@@ -91,18 +93,18 @@ DEFAULT_ORACLE_CAP = 1 << 22
 # not built but summed out by one matrix product (``_contracted``), several
 # times faster from this size on. Smaller buckets keep the product's
 # arithmetic and so their bits: every bucket of a binary grid up to 10x10 and
-# of a ternary 4x4 grid is below it.
+# of a ternary 4x4 grid is below it. A bucket tree's bucket of this many joint
+# states or more is summed by ``np.einsum`` along the contraction path that
+# ``optimize=True`` would find, planned once per model by :func:`_bucket_plan`,
+# pairwise and through BLAS where numpy can; a smaller one by einsum's one loop
+# over every joint state.
 _MATMUL_ENTRIES = 1 << 16
 
-# A bucket tree's bucket of this many joint states or more is summed by
-# ``np.einsum`` along the contraction path that ``optimize=True`` would find,
-# pairwise and through BLAS where numpy can; a smaller one by einsum's one
-# loop over every joint state. The path is planned once per model, so it pays
-# from this size on: on the 12^4-state buckets of a 12-state grid, a sum of
-# four factors takes 42-50 us along it against 116-140 us in the one loop
-# (three factors: 34 against 22 us). Every bucket of the 6x6 binary and 4x4
-# ternary grids is below it; the largest of a 10x10 binary grid meets it.
-_PATH_STATES = 1 << 14
+# The most bucket-tree sum plans one model keeps. Each distinct evidence
+# pattern a model meets can add plans, so past this many they are dropped and
+# made again as rounds need them: the 6x6 binary grid's greedy makes about 800
+# under one evidence pool, the 5x5 12-state grid's about 1,900 (about 0.9 KB each).
+_PLANS = 1 << 12
 
 # The most factors one ``np.einsum`` call of the bucket tree takes, a factor
 # of ones for a kept variable included. einsum refuses more than 31 operands
@@ -490,7 +492,8 @@ class _Elimination:
         downward message down to it. :func:`_bucket_sums` takes all of a
         bucket's sums, each by one ``np.einsum`` call on plain arrays, as
         :func:`_bucket_plan` planned them; the plans are kept on the model under
-        the bucket's scopes and sums, since its cardinalities never change.
+        the bucket's scopes and sums, since its cardinalities never change, and
+        dropped all at once when there are ``_PLANS`` of them.
         Each downward message is rescaled to max entry 1, so a table's scale,
         and its last bits, are the tree's own; the tables are meant for ranking,
         not for answers. A table holds every factor of its variable's
@@ -511,9 +514,8 @@ class _Elimination:
         steps: list[tuple[tuple, tuple[int, Potential]]] = []  # (bucket, message entry)
         order = list(iter(walk.eliminate_next, None))
         at = {v: i for i, v in enumerate(order)}  # each variable's step
-        for v in order:
-            bucket = holders[v]
-            steps.append((bucket, self._eliminate(v, holders, scalars, numbers)[0]))
+        for v in order:  # each bucket as it stands when its variable is eliminated
+            steps.append((holders[v], self._eliminate(v, holders, scalars, numbers)[0]))
         made = {entry[0]: i for i, (_, entry) in enumerate(steps)}
         parent: list[int | None] = [None] * len(steps)
         for i, (bucket, _) in enumerate(steps):
@@ -532,7 +534,9 @@ class _Elimination:
         down: list[tuple | None] = [None] * len(steps)  # (scope, values) into each bucket
         tables: dict[int, np.ndarray] = {}
         requested = {at[v] for v in variables}
-        plans = vars(self.model).setdefault("_plans", {})  # kept as ``_log_z`` is
+        # kept as ``_log_z`` is, and dropped once there are ``_PLANS`` of them
+        if len(plans := vars(self.model).setdefault("_plans", {})) >= _PLANS:
+            plans.clear()
         with np.errstate(over="ignore", invalid="ignore"):
             for p in sorted(wanted, reverse=True):  # a parent comes after its children
                 bucket = steps[p][0]
@@ -657,7 +661,7 @@ def _bucket_plan(
     ``_EINSUM_FACTORS`` factors (a hub's bucket takes one message per leaf),
     they are folded from the left in parts of that many, each summed down to
     the variables that ``keep`` or the factors after it still hold. A bucket
-    of ``_PATH_STATES`` joint states or more gets numpy's greedy
+    of ``_MATMUL_ENTRIES`` joint states or more gets numpy's greedy
     contraction path, the one ``optimize=True`` would find, so numpy sums it
     pairwise, through BLAS where it can, instead of in one loop over every
     joint state.
@@ -677,7 +681,7 @@ def _bucket_plan(
     label = dict(zip(held, _LABELS)).__getitem__
     size = {label(u): cards[u] for u in held}
     terms = ["".join(map(label, scope)) for scope in scopes]
-    large = math.prod(size.values()) >= _PATH_STATES
+    large = math.prod(size.values()) >= _MATMUL_ENTRIES
     # a keep variable that only the left-out factor holds gets an operand of ones
     rest = [scopes[:j] + scopes[j + 1 :] for j, _ in outs]  # the scopes each sum multiplies
     alone = [[u for u in k if all(u not in s for s in r)] for r, (_, k) in zip(rest, outs)]

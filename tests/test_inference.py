@@ -533,7 +533,7 @@ class TestBucketTree:
                 np.testing.assert_allclose(
                     table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
                 )
-        assert max(sizes) >= inference._PATH_STATES
+        assert max(sizes) >= _MATMUL_ENTRIES
 
     def test_a_zero_shared_scalar_zeroes_every_table(self):
         # under {0: 1}, potential (0,) is fully observed at 0; the other component
@@ -593,6 +593,36 @@ class TestBucketTree:
             (s.variable, s.chosen_state, s.marginal.probs.tobytes()) for s in first.steps
         ]
         assert (second.p_tilde, second.confidence) == (first.p_tilde, first.confidence)
+
+    def test_the_plans_kept_on_a_model_are_capped(self, monkeypatch):
+        # each new evidence leaves new bucket scopes, so new plans; once there
+        # are _PLANS of them a tree call drops them all, and no answer changes
+        model = random_grid_model(4, 4, 2, rng=np.random.default_rng(7), sigma=1.0)
+        made, bucket_plan = [], inference._bucket_plan
+
+        def plan(scopes, outs, cards):
+            made.append(scopes)
+            return bucket_plan(scopes, outs, cards)
+
+        monkeypatch.setattr(inference, "_bucket_plan", plan)
+        monkeypatch.setattr(inference, "_PLANS", 40)
+        rng = np.random.default_rng(8)
+        kept = []
+        for _ in range(12):
+            observed = rng.choice(16, size=3, replace=False)
+            evidence = {int(v): int(rng.integers(2)) for v in observed}
+            targets = [v for v in range(16) if v not in evidence]
+            trace = mmap2mar(model, targets, evidence)
+            kept.append(len(vars(model)["_plans"]))
+            # a model with no plans yet gives the same trace, bit for bit
+            fresh = mmap2mar(GraphicalModel(model.cardinalities, model.potentials), targets, evidence)
+            assert [(s.variable, s.chosen_state, s.marginal.probs.tobytes()) for s in trace.steps] == [
+                (s.variable, s.chosen_state, s.marginal.probs.tobytes()) for s in fresh.steps
+            ]
+            assert (trace.p_tilde, trace.confidence) == (fresh.p_tilde, fresh.confidence)
+        assert len(made) > 2 * 40  # the cap was passed, more than once
+        # a tree call adds at most one plan per bucket, and there is one bucket per variable
+        assert max(kept) < 40 + 16
 
     def test_only_the_requested_variables_are_answered(self):
         model = random_grid_model(3, 3, 2, rng=np.random.default_rng(5))
@@ -751,7 +781,7 @@ class TestMatmulKernel:
                 factors.append(Potential(scope, rng.uniform(0.1, 2.0, size=(5,) * len(scope))))
             keep = tuple(int(u) for u in rng.choice(9, size=int(rng.integers(0, 4)), replace=False))
             held = {u for f in factors for u in f.scope}
-            large += 5 ** len(held.union(keep)) >= inference._PATH_STATES
+            large += 5 ** len(held.union(keep)) >= _MATMUL_ENTRIES
             operands = [x for f in factors for x in (f.values, list(f.scope))]
             expected = np.einsum(*operands, [u for u in keep if u in held], optimize=True)
             expected = np.broadcast_to(

@@ -3,17 +3,20 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --label plan                 # 10 pairs on every workload
-    python3 tools/bench_pairs.py --label x --workloads greedy-all --pairs 3 --seconds 10
+    python3 tools/bench_pairs.py --label x --workloads greedy-all --pairs 3
 
 The base revision (``HEAD`` unless ``--base`` names another) is unpacked
 with ``git archive`` into a temporary directory. For each workload and each
 seed ``first_seed + i``, ``python3 perfbench/run.py --workload W --seed i
---seconds S --trace 0`` runs once in the base tree and once in the working
-tree, one after the other; the side that goes first alternates from pair to
-pair. ``BENCH_<label>.json`` gets the machine, the Python and numpy
-versions, both revisions, the seeds, the last JSON line of every run, and
-per workload and side the median of each metric. Nothing under
-``perfbench/`` is changed.
+--trace 0`` runs once in the base tree and once in the working tree, one
+after the other; the side that goes first alternates from pair to pair.
+Each run lasts the benchmark's own ``RUN_SECONDS`` (``perfbench/manifest.py``).
+``BENCH_<label>.json`` gets the machine, the Python and numpy versions, the
+base revision, the working tree's (its ``HEAD``, and one sha256 over its
+uncommitted diff and its untracked files, named), the base's
+``RUN_SECONDS``, the seeds, the last JSON line of every run, and per
+workload and side the median of each metric. Nothing under ``perfbench/``
+is changed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import hashlib
 import json
 import os
 import platform
+import runpy
 import statistics
 import subprocess
 import sys
@@ -50,11 +54,27 @@ def unpack(revision: str, into: Path) -> None:
     archive.unlink()
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def working_tree() -> dict:
+    """The working tree: its ``HEAD``, its untracked files (not the ignored ones),
+    and one sha256 over ``git diff HEAD`` and each untracked file's name and
+    bytes, or ``None`` when it holds nothing beyond ``HEAD``."""
+    diff = git("diff", "HEAD")
+    untracked = git("ls-files", "--others", "--exclude-standard").splitlines()
+    digest = hashlib.sha256(diff.encode())
+    for name in untracked:
+        digest.update(name.encode() + b"\0" + (ROOT / name).read_bytes())
+    return {
+        "head": git("rev-parse", "HEAD"),
+        "untracked": untracked,
+        "uncommitted_sha256": digest.hexdigest() if diff or untracked else None,
+    }
+
+
+def run(tree: Path, workload: str, seed: int) -> dict:
     """One perfbench run in ``tree``: its last output line, parsed."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--trace", "0",
     ]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -75,15 +95,9 @@ def main(argv=None) -> int:
     p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=25.0)
     args = p.parse_args(argv)
 
     base = git("rev-parse", args.base)
-    diff = git("diff", "HEAD")
-    change = {
-        "head": git("rev-parse", "HEAD"),
-        "uncommitted_diff_sha256": hashlib.sha256(diff.encode()).hexdigest() if diff else None,
-    }
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     record = {
         "machine": {
@@ -94,20 +108,21 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "base": base,
-        "change": change,
-        "command": "perfbench/run.py --workload W --seed i --seconds S --trace 0",
-        "seconds": args.seconds,
+        "change": working_tree(),
+        "command": "perfbench/run.py --workload W --seed i --trace 0",
         "seeds": seeds,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
         unpack(base, Path(scratch))
         trees = {"base": Path(scratch) / "tree", "change": ROOT}
+        manifest = runpy.run_path(str(trees["base"] / "perfbench" / "manifest.py"))
+        record["run_seconds"] = manifest["RUN_SECONDS"]
         for workload in args.workloads.split(","):
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for i, seed in enumerate(seeds):
                 for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                    runs[side].append(run(trees[side], workload, seed, args.seconds))
+                    runs[side].append(run(trees[side], workload, seed))
                     last = runs[side][-1]
                     print(
                         f"{workload} seed {seed} {side}: correct {last['correct']}, failed "
