@@ -33,12 +33,12 @@ them, through the same steps and message memo, and one downward pass over
 only the buckets on the way to the candidates, which sums each bucket by
 one string-subscript ``np.einsum`` call per message or table on plain
 arrays (``_bucket_sums``), contracted pairwise along numpy's greedy path
-from ``_MATMUL_ENTRIES`` joint states on. What those calls are depends on
+from ``_PATH_STATES`` joint states on. What those calls are depends on
 the bucket's scopes and sums alone, so it is planned once per model
-(``_bucket_plan``) and kept on the model beside its partition function:
+(``_planned``) and kept on the model beside its partition function:
 the subscripts, the operands of ones, the folds and the contraction paths
 repeat round after round and run after run. Each new evidence pattern can
-add plans, so a model keeps at most about ``_PLANS`` of them and drops them
+add plans, so a model keeps at most ``_PLANS`` of them and drops them
 all when it has that many. Its tables are exact, but
 their last bits are the tree's own, so the greedy uses them only to choose
 which candidates to score on their own walks:
@@ -51,14 +51,13 @@ are among those scored, and each round's answer is the walks', bit for
 bit.
 
 Every maxed bucket (``_max_message``), every summed one (``_sum_message``)
-whose product would hold fewer than ``_MATMUL_ENTRIES`` entries, and every
-final table (``_joined``) is multiplied by ``model._chain``'s arithmetic:
-left to right into arrays, wrapping only the result in a ``Potential``. A
-summed bucket of that size or more is never multiplied out: its factors but
-the largest are chained, and one batched ``np.matmul`` sums the variable
-out against the largest (``_contracted``), so the last bits of those
-messages follow the BLAS build. Which kernel runs depends on the bucket
-alone, so fresh and shared eliminations still agree bit for bit.
+of fewer than ``_PATH_STATES`` joint states, and every final table
+(``_joined``) is multiplied by ``model._chain``'s arithmetic: left to right
+into arrays, wrapping only the result in a ``Potential``. A summed bucket of
+that size or more is never multiplied out: it is one ``_bucket_sums`` call
+on the same planned einsum as the tree's buckets, so the last bits of those
+messages follow numpy's contraction path. Which sum runs depends on the
+bucket alone, so fresh and shared eliminations still agree bit for bit.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,26 +88,24 @@ from .model import (
 
 DEFAULT_ORACLE_CAP = 1 << 22
 
-# A walk's summed bucket whose product would hold this many entries or more is
-# not built but summed out by one matrix product (``_contracted``), several
-# times faster from this size on. Smaller buckets keep the product's
-# arithmetic and so their bits: every bucket of a binary grid up to 10x10 and
-# of a ternary 4x4 grid is below it. A bucket tree's bucket of this many joint
-# states or more is summed by ``np.einsum`` along the contraction path that
-# ``optimize=True`` would find, planned once per model by :func:`_bucket_plan`,
-# pairwise and through BLAS where numpy can; a smaller one by einsum's one loop
-# over every joint state.
-_MATMUL_ENTRIES = 1 << 16
+# A summed bucket of this many joint states or more, a walk's or the bucket
+# tree's, is not built but summed by ``np.einsum`` along the contraction path
+# that ``optimize=True`` would find, planned once per model by
+# :func:`_planned`, pairwise and through BLAS where numpy can. Below it a
+# walk's bucket keeps the product's arithmetic and so its bits (every bucket
+# of a binary grid up to 10x10 and of a ternary 4x4 grid is below it), and a
+# tree's bucket is summed by einsum's one loop over every joint state.
+_PATH_STATES = 1 << 16
 
-# The most bucket-tree sum plans one model keeps. Each distinct evidence
-# pattern a model meets can add plans, so past this many they are dropped and
-# made again as rounds need them: the 6x6 binary grid's greedy makes about 800
-# under one evidence pool, the 5x5 12-state grid's about 1,900 (about 0.9 KB each).
+# The most bucket sum plans one model keeps. Each distinct evidence pattern a
+# model meets can add plans, so past this many they are dropped and made
+# again as needed: the 6x6 binary grid's greedy makes about 800 under one
+# evidence pool, the 5x5 12-state grid's about 2,240 (about 0.9 KB each).
 _PLANS = 1 << 12
 
-# The most factors one ``np.einsum`` call of the bucket tree takes, a factor
-# of ones for a kept variable included. einsum refuses more than 31 operands
-# on numpy 1.x (63 on 2.x).
+# The most factors one ``np.einsum`` call of a planned bucket sum takes, a
+# factor of ones for a kept variable included. einsum refuses more than 31
+# operands on numpy 1.x (63 on 2.x).
 _EINSUM_FACTORS = 30
 
 # einsum's subscript labels, in the order :func:`_bucket_plan` hands them out
@@ -308,8 +305,8 @@ class _Elimination:
     ``held`` and ``table`` answer one evidence and one ``keep``, a set of
     kept variables. Each step computes its message with
     :func:`_sum_message`, which multiplies the bucket left to right through
-    one :func:`_chain` call, or for a large bucket chains all but its largest
-    factor into one matrix product, and wraps only the message; each message
+    one :func:`_chain` call, or sums a large bucket on its planned einsum,
+    and wraps only the message; each message
     is rescaled to max entry 1 so long eliminations cannot underflow. The
     order is that of one :class:`_MinFill` stepper over the free variables:
     min-fill on the evidence-conditioned graph, or, when ``order`` (a
@@ -445,7 +442,7 @@ class _Elimination:
         if found is None:
             found = self.earlier.pop(key, None)
             if found is None:
-                found = (*_sum_message([f for _, f in bucket], v), bucket)
+                found = (*_sum_message([f for _, f in bucket], v, self.model), bucket)
             self.messages[key] = found
         out, log_peak, _ = found
         entry = (next(numbers), out)
@@ -491,9 +488,7 @@ class _Elimination:
         upward message's scope. A variable's table sums its bucket's factors and
         downward message down to it. :func:`_bucket_sums` takes all of a
         bucket's sums, each by one ``np.einsum`` call on plain arrays, as
-        :func:`_bucket_plan` planned them; the plans are kept on the model under
-        the bucket's scopes and sums, since its cardinalities never change, and
-        dropped all at once when there are ``_PLANS`` of them.
+        :func:`_planned` planned them once per model.
         Each downward message is rescaled to max entry 1, so a table's scale,
         and its last bits, are the tree's own; the tables are meant for ranking,
         not for answers. A table holds every factor of its variable's
@@ -508,7 +503,6 @@ class _Elimination:
         path, holders, scalars = self._start(evidence)
         holders, scalars = list(holders), list(scalars)
         numbers = itertools.count(len(self.model.potentials))
-        cards = self.model.cardinalities
         linked = self.linked(variables)
         walk = path.fork([v for v in path.remaining if not linked >> v & 1])
         steps: list[tuple[tuple, tuple[int, Potential]]] = []  # (bucket, message entry)
@@ -534,9 +528,6 @@ class _Elimination:
         down: list[tuple | None] = [None] * len(steps)  # (scope, values) into each bucket
         tables: dict[int, np.ndarray] = {}
         requested = {at[v] for v in variables}
-        # kept as ``_log_z`` is, and dropped once there are ``_PLANS`` of them
-        if len(plans := vars(self.model).setdefault("_plans", {})) >= _PLANS:
-            plans.clear()
         with np.errstate(over="ignore", invalid="ignore"):
             for p in sorted(wanted, reverse=True):  # a parent comes after its children
                 bucket = steps[p][0]
@@ -546,9 +537,7 @@ class _Elimination:
                 outs = [(bucket.index(steps[i][1]), steps[i][1][1].scope) for i in kids]
                 if p in requested:
                     outs.append((len(arrays), (order[p],)))
-                key = (scopes, tuple(outs))
-                plan = plans.get(key) or plans.setdefault(key, _bucket_plan(*key, cards))
-                sums = _bucket_sums(plan, arrays)
+                sums = _bucket_sums(_planned(self.model, scopes, tuple(outs)), arrays)
                 for i, (_, scope), values in zip(kids, outs, sums):
                     peak = float(values.max())
                     down[i] = (scope, values / peak if peak > 0.0 and peak != 1.0 else values)
@@ -561,59 +550,29 @@ class _Elimination:
         return result
 
 
-def _sum_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float]:
+def _sum_message(
+    bucket: Sequence[Potential], v: int, model: GraphicalModel
+) -> tuple[Potential, float]:
     """Sum ``v`` out of the product of ``bucket``: the message, rescaled, and its log scale.
 
-    A product of fewer than ``_MATMUL_ENTRIES`` entries is built: the bucket's
-    factors are multiplied left to right by :func:`_chain` and ``v``'s axis is
-    summed. A larger one is never built; :func:`_contracted` sums ``v`` out
-    by one matrix product instead. Either sum is divided by its largest entry
-    (when that is neither 0 nor 1), whose log is returned.
+    A bucket of fewer than ``_PATH_STATES`` joint states is built: its
+    factors are multiplied left to right by :func:`_chain` and ``v``'s axis
+    is summed. A larger one is never built; it is summed down to its other
+    variables, in order of first appearance, by :func:`_bucket_sums` on
+    ``model``'s plan for it. Either sum is divided by its largest entry (when
+    that is neither 0 nor 1), whose log is returned.
     """
-    # the factors' sizes multiplied bound the product's size, and are cheaper to take
-    if len(bucket) > 1 and math.prod([f.values.size for f in bucket]) >= _MATMUL_ENTRIES:
-        cards: dict[int, int] = {}
-        for f in bucket:
-            cards.update(zip(f.scope, f.values.shape))
-        if math.prod(cards.values()) >= _MATMUL_ENTRIES:
-            return _rescaled(*_contracted(bucket, v, cards))
+    # the factors' sizes multiplied bound the joint states, and are cheaper to take
+    if len(bucket) > 1 and math.prod([f.values.size for f in bucket]) >= _PATH_STATES:
+        held = dict.fromkeys([u for f in bucket for u in f.scope])
+        if math.prod([model.cardinalities[u] for u in held]) >= _PATH_STATES:
+            keep = tuple(u for u in held if u != v)
+            plan = _planned(model, tuple(f.scope for f in bucket), ((len(bucket), keep),))
+            return _rescaled(keep, _bucket_sums(plan, [f.values for f in bucket])[0])
     first = bucket[0]
     scope, values = _chain(first.scope, first.values, bucket[1:])
     axis = scope.index(v)
     return _rescaled(scope[:axis] + scope[axis + 1 :], values.sum(axis=axis))
-
-
-def _contracted(
-    bucket: Sequence[Potential], v: int, cards: Mapping[int, int]
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Sum ``v``, which every factor of ``bucket`` holds, out of their product by one matmul.
-
-    The largest factor (the first of that size) stays as it is; the others
-    are multiplied left to right by :func:`_chain`. The variables other than
-    ``v`` fall in three groups: those of both sides, in the largest factor's
-    order; the rest's own; the largest factor's own. With the rest laid out
-    as (shared, own, ``v``) and the largest factor as (shared, ``v``, own),
-    each group flattened to one axis, the batched matrix product sums ``v``
-    out. Returns the sum's scope, which is the three groups in that order,
-    and its values. The sum's last bits follow the BLAS build's order of
-    additions.
-    """
-    i = max(range(len(bucket)), key=lambda j: bucket[j].values.size)
-    large, rest = bucket[i], [*bucket[:i], *bucket[i + 1 :]]
-    left, left_values = _chain(rest[0].scope, rest[0].values, rest[1:])
-    right = large.scope
-    shared = [u for u in right if u in left and u != v]
-    own = [u for u in left if u not in right]
-    right_own = [u for u in right if u not in left]
-    groups = [math.prod([cards[u] for u in g]) for g in (shared, own, right_own)]
-    left_values = left_values.transpose([left.index(u) for u in (*shared, *own, v)])
-    right_values = large.values.transpose([right.index(u) for u in (*shared, v, *right_own)])
-    product = np.matmul(
-        left_values.reshape(groups[0], groups[1], cards[v]),
-        right_values.reshape(groups[0], cards[v], groups[2]),
-    )
-    out = (*shared, *own, *right_own)
-    return out, product.reshape([cards[u] for u in out])
 
 
 def _max_message(bucket: Sequence[Potential], v: int) -> tuple[Potential, float, np.ndarray]:
@@ -642,6 +601,21 @@ def _rescaled(scope: tuple[int, ...], values: np.ndarray) -> tuple[Potential, fl
     return Potential._result(scope, values), 0.0
 
 
+def _planned(model: GraphicalModel, scopes: tuple, outs: tuple) -> tuple:
+    """:func:`_bucket_plan`'s plan for one bucket of ``model``, made once per model.
+
+    The plans are kept on the model, as ``_log_z`` is, under the bucket's
+    scopes and sums, since its cardinalities never change. A new plan that
+    finds ``_PLANS`` of them kept drops them all first.
+    """
+    plans = vars(model).setdefault("_plans", {})
+    if (plan := plans.get((scopes, outs))) is None:
+        if len(plans) >= _PLANS:
+            plans.clear()
+        plan = plans[scopes, outs] = _bucket_plan(scopes, outs, model.cardinalities)
+    return plan
+
+
 def _bucket_plan(
     scopes: tuple[tuple[int, ...], ...],
     outs: tuple[tuple[int, tuple[int, ...]], ...],
@@ -661,7 +635,7 @@ def _bucket_plan(
     ``_EINSUM_FACTORS`` factors (a hub's bucket takes one message per leaf),
     they are folded from the left in parts of that many, each summed down to
     the variables that ``keep`` or the factors after it still hold. A bucket
-    of ``_MATMUL_ENTRIES`` joint states or more gets numpy's greedy
+    of ``_PATH_STATES`` joint states or more gets numpy's greedy
     contraction path, the one ``optimize=True`` would find, so numpy sums it
     pairwise, through BLAS where it can, instead of in one loop over every
     joint state.
@@ -681,7 +655,7 @@ def _bucket_plan(
     label = dict(zip(held, _LABELS)).__getitem__
     size = {label(u): cards[u] for u in held}
     terms = ["".join(map(label, scope)) for scope in scopes]
-    large = math.prod(size.values()) >= _MATMUL_ENTRIES
+    large = math.prod(size.values()) >= _PATH_STATES
     # a keep variable that only the left-out factor holds gets an operand of ones
     rest = [scopes[:j] + scopes[j + 1 :] for j, _ in outs]  # the scopes each sum multiplies
     alone = [[u for u in k if all(u not in s for s in r)] for r, (_, k) in zip(rest, outs)]

@@ -185,9 +185,10 @@ def differential_models(seed):
     exactly, and last, models of cardinality 8 to 10. numpy sums 8 or more
     contiguous entries pairwise, so from that size on a message's last bits
     depend on the memory layout of its bucket product. Some buckets of the
-    last two models, with up to 10^5 entries, reach the size from which the
-    engine sums a bucket out by a matrix product instead of building it, so
-    there its messages agree with the pairwise factor ops only to rounding.
+    last two models, with up to 10^5 joint states, reach the size from which
+    the engine sums a bucket along a planned einsum path instead of building
+    it, so there its messages agree with the pairwise factor ops only to
+    rounding.
     """
     rng = np.random.default_rng(seed)
     models = [random_model(int(rng.integers(3, 10)), rng=rng) for _ in range(30)]

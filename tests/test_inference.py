@@ -28,7 +28,7 @@ from margmap import (
 from margmap import heuristic, inference
 from margmap.generate import random_grid_model, random_model
 from margmap.inference import (
-    _MATMUL_ENTRIES,
+    _PATH_STATES,
     _Elimination,
     _fill_count,
     _joined,
@@ -206,19 +206,19 @@ class TestMinFillOrder:
 def _check_against_reference(table, log_scale, reference, reference_log_scale, largest):
     """The engine's table and log scale against ``reference_sum_out``'s.
 
-    Bit for bit when every bucket product of the elimination has fewer than
-    ``_MATMUL_ENTRIES`` entries, the ones the engine builds as the reference
-    does. From that size on the engine sums by a matrix product, whose
-    additions run in the BLAS build's order, so there they agree within
-    1e-12 relative. Returns which of the two held.
+    Bit for bit when every bucket of the elimination has fewer than
+    ``_PATH_STATES`` joint states, the ones the engine builds as the
+    reference does. From that size on the engine sums along a planned
+    einsum contraction path, whose additions run in their own order, so
+    there they agree within 1e-12 relative. Returns which of the two held.
     """
-    if largest < _MATMUL_ENTRIES:
+    if largest < _PATH_STATES:
         assert np.array_equal(table.values, reference.values)
         assert log_scale == reference_log_scale
         return "product"
     np.testing.assert_allclose(table.values, reference.values, rtol=1e-12, atol=0.0)
     assert log_scale == pytest.approx(reference_log_scale, rel=1e-12, abs=1e-12)
-    return "matmul"
+    return "path"
 
 
 def _restricted(elimination):
@@ -284,7 +284,7 @@ class TestSharedElimination:
                             assert (after[i] is before[i]) == grown.isdisjoint(p.scope)
                         assert (after[i] is p) == evidence.keys().isdisjoint(p.scope)
                     previous = evidence
-        assert kernels == {"product", "matmul"}
+        assert kernels == {"product", "path"}
 
     @pytest.mark.parametrize("change", ["grow", "drop", "change"])
     def test_only_the_potentials_holding_a_changed_evidence_are_restricted_again(self, change):
@@ -419,9 +419,9 @@ class TestSharedElimination:
         computed = []  # the variable each computed message sums out
         sum_message = inference._sum_message
 
-        def counting(bucket, v):
+        def counting(bucket, v, model):
             computed.append(v)
-            return sum_message(bucket, v)
+            return sum_message(bucket, v, model)
 
         monkeypatch.setattr(inference, "_sum_message", counting)
         first, grown, full = {3: 0}, {3: 0, 4: 1}, {3: 0, 4: 1, 5: 0}
@@ -529,11 +529,11 @@ class TestBucketTree:
         for evidence in ({}, {5: 3, 10: 7}):
             free = [v for v in range(16) if v not in evidence]
             tables = _Elimination(model).tree(evidence, free)
+            assert max(sizes) >= _PATH_STATES  # the walks of ``mar`` below plan theirs too
             for v, table in zip(free, tables):
                 np.testing.assert_allclose(
                     table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
                 )
-        assert max(sizes) >= _MATMUL_ENTRIES
 
     def test_a_zero_shared_scalar_zeroes_every_table(self):
         # under {0: 1}, potential (0,) is fully observed at 0; the other component
@@ -595,9 +595,9 @@ class TestBucketTree:
         assert (second.p_tilde, second.confidence) == (first.p_tilde, first.confidence)
 
     def test_the_plans_kept_on_a_model_are_capped(self, monkeypatch):
-        # each new evidence leaves new bucket scopes, so new plans; once there
-        # are _PLANS of them a tree call drops them all, and no answer changes
-        model = random_grid_model(4, 4, 2, rng=np.random.default_rng(7), sigma=1.0)
+        # each new evidence leaves new bucket scopes, so new plans, for the tree's
+        # buckets and for a walk's large ones; a new plan that finds _PLANS of
+        # them drops them all first, so no call leaves more, and no answer changes
         made, bucket_plan = [], inference._bucket_plan
 
         def plan(scopes, outs, cards):
@@ -606,14 +606,14 @@ class TestBucketTree:
 
         monkeypatch.setattr(inference, "_bucket_plan", plan)
         monkeypatch.setattr(inference, "_PLANS", 40)
+        model = random_grid_model(4, 4, 2, rng=np.random.default_rng(7), sigma=1.0)
         rng = np.random.default_rng(8)
-        kept = []
         for _ in range(12):
             observed = rng.choice(16, size=3, replace=False)
             evidence = {int(v): int(rng.integers(2)) for v in observed}
             targets = [v for v in range(16) if v not in evidence]
             trace = mmap2mar(model, targets, evidence)
-            kept.append(len(vars(model)["_plans"]))
+            assert len(vars(model)["_plans"]) <= 40
             # a model with no plans yet gives the same trace, bit for bit
             fresh = mmap2mar(GraphicalModel(model.cardinalities, model.potentials), targets, evidence)
             assert [(s.variable, s.chosen_state, s.marginal.probs.tobytes()) for s in trace.steps] == [
@@ -621,8 +621,16 @@ class TestBucketTree:
             ]
             assert (trace.p_tilde, trace.confidence) == (fresh.p_tilde, fresh.confidence)
         assert len(made) > 2 * 40  # the cap was passed, more than once
-        # a tree call adds at most one plan per bucket, and there is one bucket per variable
-        assert max(kept) < 40 + 16
+        # a 12-state grid's walks meet buckets of 12^5 joint states, and plan their sums
+        monkeypatch.setattr(inference, "_PLANS", 10)
+        wide = random_grid_model(4, 4, 12, rng=np.random.default_rng(9), sigma=1.0)
+        queries = [(e, v) for e in ({}, {0: 3}) for v in range(16) if v not in e]
+        fresh = [mar(GraphicalModel(wide.cardinalities, wide.potentials), *q).probs for q in queries]
+        made.clear()
+        for query, expected in zip(queries, fresh):
+            assert mar(wide, *query).probs.tobytes() == expected.tobytes()
+            assert len(vars(wide)["_plans"]) <= 10
+        assert len(made) > 2 * 10
 
     def test_only_the_requested_variables_are_answered(self):
         model = random_grid_model(3, 3, 2, rng=np.random.default_rng(5))
@@ -679,7 +687,9 @@ class TestBucketKernel:
             product = self._chain_product(bucket, cards)
             summed = factor_marginalize(product, {v}, cards)
             values, log_peak = self._rescale(summed.values)
-            message, message_log_peak = _sum_message(bucket, v)
+            # the model only lends its cardinalities; no bucket here reaches _PATH_STATES
+            model = GraphicalModel(cards, (Potential(tuple(range(len(cards))), np.ones(cards)),))
+            message, message_log_peak = _sum_message(bucket, v, model)
             assert message.scope == summed.scope
             assert np.array_equal(message.values, values)
             assert message_log_peak == log_peak
@@ -702,38 +712,53 @@ class TestBucketKernel:
             assert np.array_equal(argmax, product.values.argmax(axis=axis))
 
 
-class TestMatmulKernel:
-    """Buckets of ``_MATMUL_ENTRIES`` entries or more, summed out by one matrix product."""
+class TestLargeBuckets:
+    """Buckets of ``_PATH_STATES`` joint states or more, summed along a planned einsum path."""
 
     @staticmethod
     def _count_calls(monkeypatch):
+        """The einsum calls of each planned sum's plan, in call order.
+
+        ``mar`` and ``pr`` ask no bucket tree, so under them every planned sum is a walk's.
+        """
         calls = []
-        kernel = inference._contracted
+        bucket_sums = inference._bucket_sums
 
-        def counted(bucket, v, cards):
-            calls.append(v)
-            return kernel(bucket, v, cards)
+        def counted(plan, arrays):
+            calls.append(len(plan[2]))
+            return bucket_sums(plan, arrays)
 
-        monkeypatch.setattr(inference, "_contracted", counted)
+        monkeypatch.setattr(inference, "_bucket_sums", counted)
         return calls
 
     def test_every_pair_of_ten_state_variables_matches_the_joint(self, monkeypatch):
         # a pairwise factor between every two of 5 variables: eliminating the
-        # first one multiplies all 5, a bucket of 10^5 entries, like the joint
+        # first one multiplies all 5, a bucket of 10^5 joint states, like the
+        # joint; and a binary star of 16 leaves, each tied to the centre by two
+        # pairwise factors, with the centre eliminated first: its bucket of 33
+        # factors and 2^17 joint states takes more than one einsum call
         rng = np.random.default_rng(91)
-        cards = (10,) * 5
         pairs = itertools.combinations(range(5), 2)
-        model = GraphicalModel(
-            cards, tuple(Potential(p, rng.uniform(0.1, 2.0, size=(10, 10))) for p in pairs)
+        clique = GraphicalModel(
+            (10,) * 5, tuple(Potential(p, rng.uniform(0.1, 2.0, size=(10, 10))) for p in pairs)
+        )
+        ties = [(0,)] + [(0, leaf) for leaf in range(1, 17) for _ in range(2)]
+        star = GraphicalModel(
+            (2,) * 17, tuple(Potential(s, rng.uniform(0.1, 2.0, size=(2,) * len(s))) for s in ties)
         )
         calls = self._count_calls(monkeypatch)
-        joint = brute_force_joint(model)
-        for v in range(5):
-            expected = factor_marginalize(joint, set(range(5)) - {v}, cards).values
-            np.testing.assert_allclose(mar(model, {}, v).probs, expected, rtol=1e-12, atol=0.0)
-        assert calls
+        for model, order, einsums in ((clique, None, 1), (star, tuple(range(17)), 2)):
+            calls.clear()
+            joint = brute_force_joint(model)
+            everything = set(range(model.n_vars))
+            for v in everything:
+                expected = factor_marginalize(joint, everything - {v}, model.cardinalities).values
+                probs = mar(model, {}, v, order=order).probs
+                np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0.0)
+            assert calls and max(calls) == einsums  # the star's bucket is folded once
+        joint = brute_force_joint(clique)
         expected = float(joint.values[:, 3, :, :, 7].sum())
-        assert pr(model, {1: 3, 4: 7}) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert pr(clique, {1: 3, 4: 7}) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_wide_grid_matches_the_reference_and_stays_below_the_oracle(self, monkeypatch):
         model = random_grid_model(4, 4, 12, rng=np.random.default_rng(92), sigma=1.0)
@@ -741,7 +766,7 @@ class TestMatmulKernel:
         for v in range(16):
             # unobserved, every keep's min-fill elimination has a bucket of 12^5 entries
             reference, _, largest = reference_sum_out(model, {}, (v,))
-            assert largest >= _MATMUL_ENTRIES
+            assert largest >= _PATH_STATES
             expected = reference.values / reference.values.sum()
             np.testing.assert_allclose(mar(model, {}, v).probs, expected, rtol=1e-12, atol=0.0)
         assert len(calls) >= 16
@@ -781,7 +806,7 @@ class TestMatmulKernel:
                 factors.append(Potential(scope, rng.uniform(0.1, 2.0, size=(5,) * len(scope))))
             keep = tuple(int(u) for u in rng.choice(9, size=int(rng.integers(0, 4)), replace=False))
             held = {u for f in factors for u in f.scope}
-            large += 5 ** len(held.union(keep)) >= _MATMUL_ENTRIES
+            large += 5 ** len(held.union(keep)) >= _PATH_STATES
             operands = [x for f in factors for x in (f.values, list(f.scope))]
             expected = np.einsum(*operands, [u for u in keep if u in held], optimize=True)
             expected = np.broadcast_to(
@@ -829,7 +854,7 @@ class TestMatmulKernel:
             joined = set().union(*[s for s in scopes if v in s])
             largest = max(largest, card ** len(joined))
             scopes = [s for s in scopes if v not in s] + [joined - {v}]
-        assert largest < _MATMUL_ENTRIES
+        assert largest < _PATH_STATES
 
 
 def _summed_by_joint(factors, keep, cards):

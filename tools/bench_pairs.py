@@ -15,8 +15,10 @@ Each run lasts the benchmark's own ``RUN_SECONDS`` (``perfbench/manifest.py``).
 base revision, the working tree's (its ``HEAD``, and one sha256 over its
 uncommitted diff and its untracked files, named), the base's
 ``RUN_SECONDS``, the seeds, the last JSON line of every run, and per
-workload and side the median of each metric. Nothing under ``perfbench/``
-is changed.
+workload and side the median of each metric. A run whose answers are not
+``correct`` or that has ``failed`` operations stops the script with a
+non-zero exit that names its workload, seed and side, and no file is
+written. Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -124,11 +126,15 @@ def main(argv=None) -> int:
                 for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
                     runs[side].append(run(trees[side], workload, seed))
                     last = runs[side][-1]
-                    print(
-                        f"{workload} seed {seed} {side}: correct {last['correct']}, failed "
-                        f"{last['failed']}, ops_per_s {last['metrics']['ops_per_s']['value']:.2f}",
-                        flush=True,
+                    said = (
+                        f"{workload} seed {seed} {side}: "
+                        f"correct {last['correct']}, failed {last['failed']}"
                     )
+                    # run.py exits 0 on wrong answers and failed operations too
+                    if last["correct"] is not True or last["failed"]:
+                        raise SystemExit(f"{said}; no BENCH file is written")
+                    ops = last["metrics"]["ops_per_s"]["value"]
+                    print(f"{said}, ops_per_s {ops:.2f}", flush=True)
             record["workloads"][workload] = {
                 "runs": runs,
                 "medians": {side: medians(r) for side, r in runs.items()},
