@@ -735,8 +735,8 @@ class TestLargeBuckets:
         # a pairwise factor between every two of 5 variables: eliminating the
         # first one multiplies all 5, a bucket of 10^5 joint states, like the
         # joint; and a binary star of 16 leaves, each tied to the centre by two
-        # pairwise factors, with the centre eliminated first: its bucket of 33
-        # factors and 2^17 joint states takes more than one einsum call
+        # pairwise factors, with a unary one on the centre, eliminated first: its
+        # bucket of 33 factors and 2^17 joint states takes more than one einsum call
         rng = np.random.default_rng(91)
         pairs = itertools.combinations(range(5), 2)
         clique = GraphicalModel(
