@@ -34,6 +34,9 @@ from .inference import (
 from .heuristic import _check_epsilon, _explainable, _sharing_rounds, epsilon_mmap2mar
 from .uaiio import parse_uai
 
+# The most evidence draws :func:`generate_instance` makes before it gives up.
+_MAX_ATTEMPTS = 100
+
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
@@ -98,24 +101,18 @@ class SkippedInstance:
     reason: str
 
 
-def generate_instance(
-    model: GraphicalModel,
-    k: int,
-    rng: np.random.Generator,
-    *,
-    max_attempts: int = 100,
-) -> dict[int, int]:
+def generate_instance(model: GraphicalModel, k: int, rng: np.random.Generator) -> dict[int, int]:
     """Draw k distinct variables uniformly, then a uniform state for each.
 
     Draws are consumed in a fixed order (all variables, then one state per
     drawn variable), so a seeded generator reproduces the instance exactly.
-    Evidence with zero probability is redrawn up to ``max_attempts`` times
-    before giving up.
+    Evidence with zero probability is redrawn, up to ``_MAX_ATTEMPTS`` draws
+    in all before giving up.
     """
     n = model.n_vars
     if not 0 < k < n:
         raise ValueError(f"k must satisfy 0 < k < {n}, got {k}")
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         variables = rng.choice(n, size=k, replace=False)
         evidence = {
             int(v): int(rng.integers(model.cardinalities[int(v)])) for v in variables
@@ -123,7 +120,7 @@ def generate_instance(
         if pr(model, evidence) > 0.0:
             return evidence
     raise ZeroProbabilityEvidenceError(
-        f"no evidence with positive probability found in {max_attempts} draws"
+        f"no evidence with positive probability found in {_MAX_ATTEMPTS} draws"
     )
 
 

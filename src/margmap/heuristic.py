@@ -275,11 +275,17 @@ def _score_round(
     1e-15: if every difference is below half the margin, the winner's screen
     entropy is within the margin of the least, so the winner is scored, and
     the round picks the same target, and the step holds the same entropy and
-    marginal, bit for bit, as a round that scores every target. If a scored
-    table has no mass, every target is scored, so the error names the
-    variable an unscreened round names. Round 1 (nothing logged yet) also keeps
-    P(evidence)'s grand sum on the log. On impossible evidence a model
-    without joint mass is named as such before the step is.
+    marginal, bit for bit, as a round that scores every target. A tree
+    table is its own component's, up to scale, so it can have mass where the
+    joint has none: a fully observed potential of zero, or a component
+    without mass that the tree did not walk or that holds other targets.
+    One retry is the only path for a round without mass: if a scored table
+    has none, every target is scored, so the error names the variable an
+    unscreened round names. A walk whose table overflowed raises its
+    ``ValueError`` as an unscreened round does. Round 1 (nothing logged
+    yet) also keeps P(evidence)'s grand sum on the log. On impossible
+    evidence a model without joint mass is named as such before the step
+    is.
     """
     start = time.perf_counter()
     screen, scored = None, targets

@@ -34,21 +34,24 @@ only the buckets on the way to the candidates, which sums each bucket by
 one string-subscript ``np.einsum`` call per message or table on plain
 arrays (``_bucket_sums``), contracted pairwise along numpy's greedy path
 from ``_PATH_STATES`` joint states on. What those calls are depends on
-the bucket's scopes and sums alone, so it is planned once per model
-(``_planned``) and kept on the model beside its partition function:
-the subscripts, the operands of ones, the folds and the contraction paths
-repeat round after round and run after run. Each new evidence pattern can
-add plans, so a model keeps at most ``_PLANS`` of them and drops them
-all when it has that many. Its tables are exact, but
-their last bits are the tree's own, so the greedy uses them only to choose
-which candidates to score on their own walks:
+the bucket's scopes, sums and cardinalities alone, so ``_bucket_plan`` is
+one ``functools.lru_cache`` memo of the ``_PLANS`` most recent plans,
+shared by every model: the subscripts, the operands of ones, the folds and
+the contraction paths repeat round after round, run after run, and on
+every model parsed from the same text. Each tree table is its own
+component's, up to scale: a component that holds no requested variable
+is not walked, and the scalars that close the others are not applied. The
+tables are exact, but their last bits are the tree's own, so the greedy
+uses them only to choose which candidates to score on their own walks:
 those whose tree entropy is within 1e-9 of the least, and those whose tree
 mass is zero or not finite. A candidate that the last committed variable
 could not reach keeps its marginal, so the greedy carries its last tree
 entropy instead of asking again. Tree and walk entropies differ by
 rounding only, some 1e-15, so the winner and every candidate tied with it
 are among those scored, and each round's answer is the walks', bit for
-bit.
+bit. A round without mass, in a component the tree saw or not, is found
+by the walks of the scored candidates, and the greedy then scores every
+candidate, as an unscreened round does.
 
 Every maxed bucket (``_max_message``), every summed one (``_sum_message``)
 of fewer than ``_PATH_STATES`` joint states, and every final table
@@ -62,6 +65,7 @@ bucket alone, so fresh and shared eliminations still agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import string
@@ -90,17 +94,18 @@ DEFAULT_ORACLE_CAP = 1 << 22
 
 # A summed bucket of this many joint states or more, a walk's or the bucket
 # tree's, is not built but summed by ``np.einsum`` along the contraction path
-# that ``optimize=True`` would find, planned once per model by
-# :func:`_planned`, pairwise and through BLAS where numpy can. Below it a
-# walk's bucket keeps the product's arithmetic and so its bits (every bucket
-# of a binary grid up to 10x10 and of a ternary 4x4 grid is below it), and a
-# tree's bucket is summed by einsum's one loop over every joint state.
+# that ``optimize=True`` would find, planned once by :func:`_bucket_plan`,
+# pairwise and through BLAS where numpy can. Below it a walk's bucket keeps
+# the product's arithmetic and so its bits (every bucket of a binary grid up
+# to 10x10 and of a ternary 4x4 grid is below it), and a tree's bucket is
+# summed by einsum's one loop over every joint state.
 _PATH_STATES = 1 << 16
 
-# The most bucket sum plans one model keeps. Each distinct evidence pattern a
-# model meets can add plans, so past this many they are dropped and made
-# again as needed: the 6x6 binary grid's greedy makes about 800 under one
-# evidence pool, the 5x5 12-state grid's about 2,240 (about 0.9 KB each).
+# The most bucket sum plans :func:`_bucket_plan`'s memo keeps, for every model
+# together. Each distinct evidence pattern a model meets can add plans, so
+# past this many the least recently used is dropped and made again when
+# needed: the 6x6 binary grid's greedy makes about 800 under one evidence
+# pool, the 5x5 12-state grid's about 2,240 (about 0.9 KB each).
 _PLANS = 1 << 12
 
 # The most factors one ``np.einsum`` call of a planned bucket sum takes, a
@@ -442,7 +447,7 @@ class _Elimination:
         if found is None:
             found = self.earlier.pop(key, None)
             if found is None:
-                found = (*_sum_message([f for _, f in bucket], v, self.model), bucket)
+                found = (*_sum_message([f for _, f in bucket], v, self.model.cardinalities), bucket)
             self.messages[key] = found
         out, log_peak, _ = found
         entry = (next(numbers), out)
@@ -488,17 +493,17 @@ class _Elimination:
         upward message's scope. A variable's table sums its bucket's factors and
         downward message down to it. :func:`_bucket_sums` takes all of a
         bucket's sums, each by one ``np.einsum`` call on plain arrays, as
-        :func:`_planned` planned them once per model.
+        :func:`_bucket_plan` planned them.
         Each downward message is rescaled to max entry 1, so a table's scale,
         and its last bits, are the tree's own; the tables are meant for ranking,
         not for answers. A table holds every factor of its variable's
-        component; the scalars shared by all (fully observed potentials and the
-        messages that close the other walked components) only scale it, unless
-        their product is zero or not finite, which every table then takes. A
-        component that holds no requested variable is not walked, so its mass
-        is not seen. The components come from :meth:`linked`, which under a
-        caller's order gives every free variable, so such a core's tree walks
-        them all.
+        component and nothing else, so it is that component's own, up to
+        scale: neither the fully observed potentials nor the messages that
+        close the other walked components enter it, and a component that holds
+        no requested variable is not walked. So a table can have mass where the
+        joint has none; the walks find that. The components come from
+        :meth:`linked`, which under a caller's order gives every free variable,
+        so such a core's tree walks them all.
         """
         path, holders, scalars = self._start(evidence)
         holders, scalars = list(holders), list(scalars)
@@ -510,12 +515,8 @@ class _Elimination:
         at = {v: i for i, v in enumerate(order)}  # each variable's step
         for v in order:  # each bucket as it stands when its variable is eliminated
             steps.append((holders[v], self._eliminate(v, holders, scalars, numbers)[0]))
-        made = {entry[0]: i for i, (_, entry) in enumerate(steps)}
-        parent: list[int | None] = [None] * len(steps)
-        for i, (bucket, _) in enumerate(steps):
-            for n, _ in bucket:
-                if n in made:
-                    parent[made[n]] = i
+        # a message goes to the bucket of the first of its variables eliminated
+        parent = [min([at[u] for u in entry[1].scope], default=None) for _, entry in steps]
         wanted, children = set(), {}
         for v in variables:
             i = at[v]
@@ -537,21 +538,18 @@ class _Elimination:
                 outs = [(bucket.index(steps[i][1]), steps[i][1][1].scope) for i in kids]
                 if p in requested:
                     outs.append((len(arrays), (order[p],)))
-                sums = _bucket_sums(_planned(self.model, scopes, tuple(outs)), arrays)
+                plan = _bucket_plan(scopes, tuple(outs), self.model.cardinalities)
+                sums = _bucket_sums(plan, arrays)
                 for i, (_, scope), values in zip(kids, outs, sums):
                     peak = float(values.max())
                     down[i] = (scope, values / peak if peak > 0.0 and peak != 1.0 else values)
                 if p in requested:
                     tables[p] = sums[-1]
-            shared = math.prod([float(f.values) for _, f in scalars])
-            result = [tables[at[v]] for v in variables]
-            if not 0.0 < shared < math.inf:
-                result = [t * shared for t in result]
-        return result
+        return [tables[at[v]] for v in variables]
 
 
 def _sum_message(
-    bucket: Sequence[Potential], v: int, model: GraphicalModel
+    bucket: Sequence[Potential], v: int, cards: tuple[int, ...]
 ) -> tuple[Potential, float]:
     """Sum ``v`` out of the product of ``bucket``: the message, rescaled, and its log scale.
 
@@ -559,15 +557,16 @@ def _sum_message(
     factors are multiplied left to right by :func:`_chain` and ``v``'s axis
     is summed. A larger one is never built; it is summed down to its other
     variables, in order of first appearance, by :func:`_bucket_sums` on
-    ``model``'s plan for it. Either sum is divided by its largest entry (when
-    that is neither 0 nor 1), whose log is returned.
+    :func:`_bucket_plan`'s plan for it under the cardinalities ``cards``.
+    Either sum is divided by its largest entry (when that is neither 0 nor
+    1), whose log is returned.
     """
     # the factors' sizes multiplied bound the joint states, and are cheaper to take
     if len(bucket) > 1 and math.prod([f.values.size for f in bucket]) >= _PATH_STATES:
         held = dict.fromkeys([u for f in bucket for u in f.scope])
-        if math.prod([model.cardinalities[u] for u in held]) >= _PATH_STATES:
+        if math.prod([cards[u] for u in held]) >= _PATH_STATES:
             keep = tuple(u for u in held if u != v)
-            plan = _planned(model, tuple(f.scope for f in bucket), ((len(bucket), keep),))
+            plan = _bucket_plan(tuple(f.scope for f in bucket), ((len(bucket), keep),), cards)
             return _rescaled(keep, _bucket_sums(plan, [f.values for f in bucket])[0])
     first = bucket[0]
     scope, values = _chain(first.scope, first.values, bucket[1:])
@@ -601,21 +600,7 @@ def _rescaled(scope: tuple[int, ...], values: np.ndarray) -> tuple[Potential, fl
     return Potential._result(scope, values), 0.0
 
 
-def _planned(model: GraphicalModel, scopes: tuple, outs: tuple) -> tuple:
-    """:func:`_bucket_plan`'s plan for one bucket of ``model``, made once per model.
-
-    The plans are kept on the model, as ``_log_z`` is, under the bucket's
-    scopes and sums, since its cardinalities never change. A new plan that
-    finds ``_PLANS`` of them kept drops them all first.
-    """
-    plans = vars(model).setdefault("_plans", {})
-    if (plan := plans.get((scopes, outs))) is None:
-        if len(plans) >= _PLANS:
-            plans.clear()
-        plan = plans[scopes, outs] = _bucket_plan(scopes, outs, model.cardinalities)
-    return plan
-
-
+@functools.lru_cache(maxsize=_PLANS)
 def _bucket_plan(
     scopes: tuple[tuple[int, ...], ...],
     outs: tuple[tuple[int, tuple[int, ...]], ...],
@@ -640,7 +625,9 @@ def _bucket_plan(
     pairwise, through BLAS where it can, instead of in one loop over every
     joint state.
 
-    The plan depends on the scopes, ``outs`` and the cardinalities alone. It
+    The plan depends on the scopes, ``outs`` and the cardinalities alone, so
+    it is made once and kept in this function's memo of ``_PLANS`` plans,
+    which drops the least recently used; callers must not change it. It
     is (the shapes to drop one-state axes by and to put them back, or
     ``None``; the operands of ones; per einsum call, its subscripts, where
     its operands sit among the factors, the ones and the calls before it,

@@ -228,6 +228,29 @@ def differential_models(seed):
     return models
 
 
+def trace_bits(trace):
+    """A trace's fields, every float as its bytes, apart from ``mar_seconds``."""
+    return (
+        np.float64(trace.p_tilde).tobytes(),
+        np.float64(trace.confidence).tobytes(),
+        trace.mar_calls,
+        [
+            (
+                s.variable,
+                s.chosen_state,
+                np.float64(s.entropy_at_selection).tobytes(),
+                s.marginal.variable,
+                s.marginal.probs.tobytes(),
+            )
+            for s in trace.steps
+        ],
+        trace.explained,
+        trace.unexplained,
+        repr(trace.break_entropy),
+        trace.epsilon,
+    )
+
+
 def random_evidence(model, rng, max_size=2):
     """Up to ``max_size`` observed variables, each at a uniform state."""
     k = int(rng.integers(0, min(max_size, model.n_vars - 1) + 1))

@@ -75,14 +75,16 @@ class TestGenerateInstance:
             evidence = generate_instance(model, 1, rng)
             assert pr(model, evidence) > 0.0
 
-    def test_gives_up_after_max_attempts(self):
+    def test_gives_up_after_max_attempts(self, monkeypatch):
         model = GraphicalModel(
             (2, 2),
             (Potential((0,), [1.0, 0.0]), Potential((1,), [0.5, 0.5])),
         )
         # seed 1's first draw observes X0 in its impossible state
+        monkeypatch.setattr(bench, "_MAX_ATTEMPTS", 1)
         with pytest.raises(ZeroProbabilityEvidenceError, match="1 draws"):
-            generate_instance(model, 1, np.random.default_rng(1), max_attempts=1)
+            generate_instance(model, 1, np.random.default_rng(1))
+        monkeypatch.undo()
         # with retries allowed the same stream recovers
         evidence = generate_instance(model, 1, np.random.default_rng(1))
         assert pr(model, evidence) > 0.0

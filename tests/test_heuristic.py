@@ -25,6 +25,7 @@ from conftest import (
     hub_model,
     one_state_crowd_model,
     random_evidence,
+    trace_bits,
 )
 
 
@@ -365,29 +366,6 @@ def _count_calls(monkeypatch, method="table"):
     return calls
 
 
-def _bits(trace):
-    """A trace's fields, every float as its bytes, apart from ``mar_seconds``."""
-    return (
-        np.float64(trace.p_tilde).tobytes(),
-        np.float64(trace.confidence).tobytes(),
-        trace.mar_calls,
-        [
-            (
-                s.variable,
-                s.chosen_state,
-                np.float64(s.entropy_at_selection).tobytes(),
-                s.marginal.variable,
-                s.marginal.probs.tobytes(),
-            )
-            for s in trace.steps
-        ],
-        trace.explained,
-        trace.unexplained,
-        repr(trace.break_entropy),
-        trace.epsilon,
-    )
-
-
 def _explainable_instances(seed):
     """(model, evidence, targets) on every fifth differential model, with random evidence."""
     rng = np.random.default_rng(seed)
@@ -416,8 +394,8 @@ class TestRoundLog:
                 with _sharing_rounds():
                     for e in order:
                         shared = epsilon_mmap2mar(model, targets, evidence, epsilon=float(e))
-                        assert _bits(shared) == _bits(fresh[float(e)])
-                    assert _bits(mmap2mar(model, targets, evidence)) == _bits(fresh[None])
+                        assert trace_bits(shared) == trace_bits(fresh[float(e)])
+                    assert trace_bits(mmap2mar(model, targets, evidence)) == trace_bits(fresh[None])
                 monkeypatch.undo()
                 assert len(scored) == len(targets)  # one full run's rounds, each scored once
                 compared += 1
@@ -437,7 +415,7 @@ class TestRoundLog:
         a = mmap2mar(model, targets, evidence)
         b = mmap2mar(model, targets, evidence)
         assert len(scored) == 2 * len(targets)
-        assert _bits(a) == _bits(b) == _bits(fresh)
+        assert trace_bits(a) == trace_bits(b) == trace_bits(fresh)
         assert _round_logs.get() is None
 
     def test_other_evidence_or_target_order_misses_the_log(self, monkeypatch):
@@ -588,7 +566,7 @@ class TestScreen:
                     except ZeroProbabilityEvidenceError as err:
                         outcomes.append(str(err))
                     else:
-                        outcomes.append(_bits(trace))
+                        outcomes.append(trace_bits(trace))
                     if screen is recording:
                         asked += [variables for *_, calls in screens for _, variables in calls]
                         screened_rounds += len(screens)
@@ -611,7 +589,7 @@ class TestScreen:
             outcomes = []
             for screen in (screened, _score_every_target):
                 monkeypatch.setattr(heuristic, "_screen", screen)
-                outcomes.append(_bits(mmap2mar(model, targets, evidence)))
+                outcomes.append(trace_bits(mmap2mar(model, targets, evidence)))
             assert outcomes[0] == outcomes[1]
         # Every round of 2 targets or more is screened. In the first run the free hub
         # joins all leaves, so each of its 19 screened rounds asks the tree. In the
@@ -622,20 +600,34 @@ class TestScreen:
         assert len(trees) == 19 + 2
 
     def test_a_massless_component_without_targets_gives_the_unscreened_error(self, monkeypatch):
-        # under {3: 1}, component {0} has no mass; the tree walks only {1, 2},
-        # where 2's marginal (0.1, 0.9) alone is near-best
-        model = GraphicalModel(
-            (2, 2, 2, 2),
-            (Potential((0, 3), [[1.0, 0.0], [1.0, 0.0]]), Potential((1, 2), [[1.0, 9.0], [1.0, 9.0]])),
-        )
+        # Each tree table is its own component's, up to scale, so a round without
+        # mass elsewhere is found by the walks, and the unscreened retry names the
+        # variable. Under {3: 1}, component {0} has no mass; the tree walks only
+        # {1, 2}, where 2's marginal (0.1, 0.9) alone is near-best.
+        pair = Potential((1, 2), [[1.0, 9.0], [1.0, 9.0]])
+        instances = [
+            (
+                GraphicalModel((2,) * 4, (Potential((0, 3), [[1.0, 0.0], [1.0, 0.0]]), pair)),
+                {3: 1},
+                [1, 2],
+            ),
+            # a fully observed potential of zero
+            (GraphicalModel((2,) * 3, (Potential((0,), [1.0, 0.0]), pair)), {0: 1}, [1, 2]),
+            # a walked component of zero mass, so the model has none
+            (GraphicalModel((2,) * 3, (Potential((0,), [0.0, 0.0]), pair)), {}, [1, 2, 0]),
+        ]
         messages = []
-        for screen in (heuristic._screen, _score_every_target):
-            monkeypatch.setattr(heuristic, "_screen", screen)
-            with pytest.raises(ZeroProbabilityEvidenceError) as raised:
-                mmap2mar(model, [1, 2], {3: 1})
-            messages.append(str(raised.value))
-        assert messages[0] == messages[1]
-        assert "while scoring variable 1" in messages[0]
+        for model, evidence, targets in instances:
+            errors = []
+            for screen in (heuristic._screen, _score_every_target):
+                monkeypatch.setattr(heuristic, "_screen", screen)
+                with pytest.raises(ZeroProbabilityEvidenceError) as raised:
+                    mmap2mar(model, targets, evidence)
+                errors.append((type(raised.value), str(raised.value)))
+            assert errors[0] == errors[1]
+            messages.append(errors[0][1])
+        assert all("while scoring variable 1" in m for m in messages[:2])
+        assert messages[2] == "the model's joint mass is identically zero"
 
     def test_screen_entropies_are_those_of_entropy(self):
         rng = np.random.default_rng(94)

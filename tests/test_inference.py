@@ -1,5 +1,6 @@
 """Variable elimination, entropy, and the brute-force oracles."""
 
+import functools
 import itertools
 import math
 
@@ -36,7 +37,7 @@ from margmap.inference import (
     _MinFill,
     _sum_message,
 )
-from margmap.uaiio import write_uai
+from margmap.uaiio import parse_uai, write_uai
 
 from conftest import (
     WEATHER_JOINT,
@@ -51,6 +52,7 @@ from conftest import (
     random_evidence,
     reference_min_fill_order,
     reference_sum_out,
+    trace_bits,
 )
 
 
@@ -419,9 +421,9 @@ class TestSharedElimination:
         computed = []  # the variable each computed message sums out
         sum_message = inference._sum_message
 
-        def counting(bucket, v, model):
+        def counting(bucket, v, cards):
             computed.append(v)
-            return sum_message(bucket, v, model)
+            return sum_message(bucket, v, cards)
 
         monkeypatch.setattr(inference, "_sum_message", counting)
         first, grown, full = {3: 0}, {3: 0, 4: 1}, {3: 0, 4: 1, 5: 0}
@@ -488,9 +490,13 @@ class TestBucketTree:
                     at = tuple(evidence.get(v, slice(None)) for v in range(model.n_vars))
                     for i, (v, table, (fork, _)) in enumerate(zip(free, tree, forks)):
                         assert table.shape == (model.cardinalities[v],)
+                        # a table is its own component's alone, up to scale: without
+                        # mass there, the joint has none; with it, another component
+                        # or a fully observed potential may still have none
                         mass = float(table.sum())
+                        if mass == 0.0:
+                            assert float(fork.values.sum()) == 0.0
                         if float(fork.values.sum()) == 0.0:
-                            assert mass == 0.0
                             continue
                         probs = table / mass
                         np.testing.assert_allclose(
@@ -535,23 +541,12 @@ class TestBucketTree:
                     table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
                 )
 
-    def test_a_zero_shared_scalar_zeroes_every_table(self):
-        # under {0: 1}, potential (0,) is fully observed at 0; the other component
-        # ({1, 2}) alone would have mass
-        model = GraphicalModel(
-            (2, 2, 2),
-            (Potential((0,), [1.0, 0.0]), Potential((1, 2), [[1.0, 2.0], [3.0, 4.0]])),
-        )
-        tables = _Elimination(model).tree({0: 1}, [1, 2])
-        assert [t.tolist() for t in tables] == [[0.0, 0.0], [0.0, 0.0]]
-        # a component of zero mass zeroes the tables of the others walked with it
+    def test_a_component_without_requested_variables_is_not_walked(self):
+        # component {0} has no mass; the tables of {1, 2} are their component's alone
         model = GraphicalModel(
             (2, 2, 2),
             (Potential((0,), [0.0, 0.0]), Potential((1, 2), [[1.0, 2.0], [3.0, 4.0]])),
         )
-        tables = _Elimination(model).tree({}, [1, 2, 0])
-        assert [t.tolist() for t in tables] == [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
-        # a component that holds no requested variable is not walked
         tables = _Elimination(model).tree({}, [1, 2])
         np.testing.assert_allclose([t / t.sum() for t in tables], [[0.3, 0.7], [0.4, 0.6]], atol=1e-15)
 
@@ -566,71 +561,74 @@ class TestBucketTree:
                     table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
                 )
 
+    @staticmethod
+    def _memo(monkeypatch, size):
+        """A fresh memo of ``size`` bucket sum plans in place of ``_bucket_plan``'s own."""
+        memo = functools.lru_cache(maxsize=size)(inference._bucket_plan.__wrapped__)
+        monkeypatch.setattr(inference, "_bucket_plan", memo)
+        return memo
+
     def test_a_second_run_on_a_model_plans_no_sum_again(self, monkeypatch):
         # unobserved, the first rounds' buckets reach 12^5 joint states and get
-        # contraction paths; every bucket's plan is kept on the model
+        # contraction paths; every bucket's plan is kept in the memo
         model = random_grid_model(5, 5, 12, rng=np.random.default_rng(0), sigma=1.0)
-        paths, plans = [], []
-        einsum_path, bucket_plan = np.einsum_path, inference._bucket_plan
+        paths = []
+        einsum_path = np.einsum_path
 
         def path(*operands, **options):
             paths.append(operands[0])
             return einsum_path(*operands, **options)
 
-        def plan(scopes, outs, cards):
-            plans.append(scopes)
-            return bucket_plan(scopes, outs, cards)
-
         monkeypatch.setattr(np, "einsum_path", path)
-        monkeypatch.setattr(inference, "_bucket_plan", plan)
+        memo = self._memo(monkeypatch, inference._PLANS)
         first = mmap2mar(model, range(25))
-        assert paths and len(plans) == len(vars(model)["_plans"])
+        made = memo.cache_info()
+        assert paths and made.misses == made.currsize < inference._PLANS
         paths.clear()
-        plans.clear()
         second = mmap2mar(model, range(25))
-        assert paths == [] and plans == []
-        assert [(s.variable, s.chosen_state, s.marginal.probs.tobytes()) for s in second.steps] == [
-            (s.variable, s.chosen_state, s.marginal.probs.tobytes()) for s in first.steps
-        ]
-        assert (second.p_tilde, second.confidence) == (first.p_tilde, first.confidence)
+        assert paths == [] and memo.cache_info().misses == made.misses
+        assert trace_bits(second) == trace_bits(first)
+
+    def test_a_model_parsed_again_plans_no_sum_again(self, monkeypatch):
+        # the plans depend on scopes and cardinalities alone, so a second model
+        # parsed from the same text, as each bench operation parses its own, uses
+        # the first one's plans
+        text = write_uai(random_grid_model(4, 4, 3, rng=np.random.default_rng(3), sigma=1.0))
+        evidence, targets = {5: 2, 10: 0}, [v for v in range(16) if v not in (5, 10)]
+        memo = self._memo(monkeypatch, inference._PLANS)
+        first = mmap2mar(parse_uai(text), targets, evidence)
+        made = memo.cache_info().misses
+        assert made
+        second = mmap2mar(parse_uai(text), targets, evidence)
+        assert memo.cache_info().misses == made
+        assert trace_bits(second) == trace_bits(first)
 
     def test_the_plans_kept_on_a_model_are_capped(self, monkeypatch):
         # each new evidence leaves new bucket scopes, so new plans, for the tree's
-        # buckets and for a walk's large ones; a new plan that finds _PLANS of
-        # them drops them all first, so no call leaves more, and no answer changes
-        made, bucket_plan = [], inference._bucket_plan
-
-        def plan(scopes, outs, cards):
-            made.append(scopes)
-            return bucket_plan(scopes, outs, cards)
-
-        monkeypatch.setattr(inference, "_bucket_plan", plan)
-        monkeypatch.setattr(inference, "_PLANS", 40)
+        # buckets and for a walk's large ones; the memo keeps the most recent ones
+        # and makes an evicted one again, and no answer changes
         model = random_grid_model(4, 4, 2, rng=np.random.default_rng(7), sigma=1.0)
         rng = np.random.default_rng(8)
+        runs = []
         for _ in range(12):
             observed = rng.choice(16, size=3, replace=False)
             evidence = {int(v): int(rng.integers(2)) for v in observed}
-            targets = [v for v in range(16) if v not in evidence]
-            trace = mmap2mar(model, targets, evidence)
-            assert len(vars(model)["_plans"]) <= 40
-            # a model with no plans yet gives the same trace, bit for bit
-            fresh = mmap2mar(GraphicalModel(model.cardinalities, model.potentials), targets, evidence)
-            assert [(s.variable, s.chosen_state, s.marginal.probs.tobytes()) for s in trace.steps] == [
-                (s.variable, s.chosen_state, s.marginal.probs.tobytes()) for s in fresh.steps
-            ]
-            assert (trace.p_tilde, trace.confidence) == (fresh.p_tilde, fresh.confidence)
-        assert len(made) > 2 * 40  # the cap was passed, more than once
+            runs.append(([v for v in range(16) if v not in evidence], evidence))
+        expected = [trace_bits(mmap2mar(model, *run)) for run in runs]
         # a 12-state grid's walks meet buckets of 12^5 joint states, and plan their sums
-        monkeypatch.setattr(inference, "_PLANS", 10)
         wide = random_grid_model(4, 4, 12, rng=np.random.default_rng(9), sigma=1.0)
         queries = [(e, v) for e in ({}, {0: 3}) for v in range(16) if v not in e]
-        fresh = [mar(GraphicalModel(wide.cardinalities, wide.potentials), *q).probs for q in queries]
-        made.clear()
-        for query, expected in zip(queries, fresh):
-            assert mar(wide, *query).probs.tobytes() == expected.tobytes()
-            assert len(vars(wide)["_plans"]) <= 10
-        assert len(made) > 2 * 10
+        fresh = [mar(wide, *q).probs.tobytes() for q in queries]
+        memo = self._memo(monkeypatch, 40)
+        for run, bits in zip(runs, expected):
+            assert trace_bits(mmap2mar(model, *run)) == bits
+            assert memo.cache_info().currsize <= 40
+        assert memo.cache_info().misses > 2 * 40  # the cap was passed, more than once
+        memo = self._memo(monkeypatch, 10)
+        for query, bits in zip(queries, fresh):
+            assert mar(wide, *query).probs.tobytes() == bits
+            assert memo.cache_info().currsize <= 10
+        assert memo.cache_info().misses > 2 * 10
 
     def test_only_the_requested_variables_are_answered(self):
         model = random_grid_model(3, 3, 2, rng=np.random.default_rng(5))
@@ -687,9 +685,8 @@ class TestBucketKernel:
             product = self._chain_product(bucket, cards)
             summed = factor_marginalize(product, {v}, cards)
             values, log_peak = self._rescale(summed.values)
-            # the model only lends its cardinalities; no bucket here reaches _PATH_STATES
-            model = GraphicalModel(cards, (Potential(tuple(range(len(cards))), np.ones(cards)),))
-            message, message_log_peak = _sum_message(bucket, v, model)
+            # no bucket here reaches _PATH_STATES
+            message, message_log_peak = _sum_message(bucket, v, cards)
             assert message.scope == summed.scope
             assert np.array_equal(message.values, values)
             assert message_log_peak == log_peak
@@ -792,7 +789,8 @@ class TestLargeBuckets:
             # bit for bit, that a plan made for these values gives
             inference._bucket_sums(plan, [other.uniform(0.5, 2.0, a.shape) for a in arrays])
             (cached,) = inference._bucket_sums(plan, arrays)
-            (fresh,) = inference._bucket_sums(inference._bucket_plan(scopes, ((j, keep),), cards), arrays)
+            made = inference._bucket_plan.__wrapped__(scopes, ((j, keep),), cards)
+            (fresh,) = inference._bucket_sums(made, arrays)
             assert np.array_equal(cached, fresh)
             return cached
 

@@ -15,7 +15,10 @@ Each run lasts the benchmark's own ``RUN_SECONDS`` (``perfbench/manifest.py``).
 base revision, the working tree's (its ``HEAD``, and one sha256 over its
 uncommitted diff and its untracked files, named), the base's
 ``RUN_SECONDS``, the seeds, the last JSON line of every run, and per
-workload and side the median of each metric. A run whose answers are not
+workload and side the median of each metric. Per workload it also gets, for
+each end-to-end metric of the base's ``BENCHMARK.json``, how many pairs the
+change won in that metric's ``better`` direction and the distance between
+the base's quartiles as a share of the base's median. A run whose answers are not
 ``correct`` or that has ``failed`` operations stops the script with a
 non-zero exit that names its workload, seed and side, and no file is
 written. Nothing under ``perfbench/`` is changed.
@@ -90,6 +93,33 @@ def medians(runs: list[dict]) -> dict[str, float]:
     return {n: statistics.median(r["metrics"][n]["value"] for r in runs) for n in names}
 
 
+def end_to_end(runs: dict[str, list[dict]], better: dict[str, str]) -> dict[str, dict]:
+    """Per end-to-end metric: the pairs the change won, and the base's spread.
+
+    A pair is the base's and the change's run on one seed; the change wins it
+    when its value is strictly better in the metric's ``better`` direction.
+    The spread is the distance between the base's quartiles (as
+    ``statistics.quantiles`` takes them by default) over the base's median,
+    or ``None`` from a single pair.
+    """
+    summary = {}
+    for name, direction in better.items():
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = 1.0 if direction == "higher" else -1.0
+        spread = None
+        if len(base) > 1:
+            q1, _, q3 = statistics.quantiles(base, n=4)
+            spread = (q3 - q1) / statistics.median(base)
+        summary[name] = {
+            "better": direction,
+            "pairs_won": sum(sign * (c - b) > 0.0 for b, c in zip(base, change)),
+            "pairs": len(base),
+            "base_iqr_share": spread,
+        }
+    return summary
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -120,6 +150,8 @@ def main(argv=None) -> int:
         trees = {"base": Path(scratch) / "tree", "change": ROOT}
         manifest = runpy.run_path(str(trees["base"] / "perfbench" / "manifest.py"))
         record["run_seconds"] = manifest["RUN_SECONDS"]
+        declared = json.loads((trees["base"] / "BENCHMARK.json").read_text())["end_to_end"]
+        better = {m["name"]: m["better"] for m in declared}
         for workload in args.workloads.split(","):
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for i, seed in enumerate(seeds):
@@ -138,7 +170,15 @@ def main(argv=None) -> int:
             record["workloads"][workload] = {
                 "runs": runs,
                 "medians": {side: medians(r) for side, r in runs.items()},
+                "end_to_end": end_to_end(runs, better),
             }
+            for name, got in record["workloads"][workload]["end_to_end"].items():
+                spread = got["base_iqr_share"]
+                print(
+                    f"{workload} {name}: change won {got['pairs_won']}/{got['pairs']} pairs, "
+                    f"base IQR {'-' if spread is None else f'{spread:.1%}'} of its median",
+                    flush=True,
+                )
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
