@@ -34,10 +34,10 @@ from .model import (
 from .inference import _Elimination, _entropy, _log_z, _over_z
 
 
-# How far above the least tree entropy a target is still scored. Tree and
-# walk entropies differ by rounding only, some 1e-15, so no target that could
-# win or tie is left out.
-_SCREEN_MARGIN = 1e-9
+# A target whose tree entropy is within this of the least ties for the win,
+# and a tie goes to the lowest variable id. Tree and walk entropies differ by
+# rounding only, some 1e-15, so exact ties among the walks are ties here too.
+_TIED = 1e-9
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -64,12 +64,12 @@ class ExplanationTrace:
     the marginal that failed the threshold, when one did. ``mar_calls``
     counts the logical marginal queries, one per candidate per round
     (k(k+1)/2 for a full run over k targets), although each round of two
-    candidates or more screens them first and walks only for the near-best:
-    one bucket tree answers the candidates the last committed variable could
-    reach, and the others keep their entropy from the round before. The
-    walks, one min-fill walk per near-best candidate (and the only candidate
-    of the last round), run on one elimination through a shared message
-    memo. ``mar_seconds`` is the time spent scoring this run's rounds,
+    candidates or more is ranked by one bucket tree and walks only its
+    winner: the tree keeps the tables of the candidates the last committed
+    variable could not reach and computes the others. The winner's walk,
+    one min-fill walk (as for the only candidate of the last round), runs
+    on one elimination through a shared message memo. ``mar_seconds`` is
+    the time spent scoring this run's rounds,
     entropies included. Inside :func:`_sharing_rounds`, a round an earlier
     call already scored is replayed, not scored again, and still adds the
     seconds it took when it was scored, so ``mar_seconds`` is the cost of
@@ -94,8 +94,9 @@ def mmap2mar(
 ) -> ExplanationTrace:
     """Explain every target variable, committing the least entropic marginal each round.
 
-    Issues exactly k(k+1)/2 marginal queries for k target variables. Entropy
-    ties pick the lowest variable id; state ties pick the lowest state index.
+    Issues exactly k(k+1)/2 marginal queries for k target variables.
+    Entropies within 1e-9 of the least tie, and entropy ties pick the lowest
+    variable id; state ties pick the lowest state index.
     """
     return _greedy(model, explain, {} if evidence is None else evidence, epsilon=None)
 
@@ -110,6 +111,8 @@ def epsilon_mmap2mar(
 
     A step is committed only under a strict ``entropy < epsilon``, so
     ``epsilon=0`` explains nothing unless a marginal is exactly degenerate.
+    Ties break as in :func:`mmap2mar`: entropies within 1e-9 of the least
+    tie, and the lowest variable id wins.
     """
     epsilon = _check_epsilon(epsilon)
     return _greedy(model, explain, {} if evidence is None else evidence, epsilon=epsilon)
@@ -137,19 +140,15 @@ class _RoundLog:
     variable, state and marginal) and the round's seconds; ``elimination``
     has run exactly those rounds, so it goes on with the next one as a fresh
     run would; ``evidence_sum`` is round 1's P(evidence) table and log scale,
-    kept when there is evidence. ``carry`` is ``None`` unless the last
-    scored round was screened; then it holds that round's screen entropy of
-    each of its targets and, as a bitmask, the free variables its winner
-    could reach in that round's graph, which :func:`_screen` asks again.
+    kept when there is evidence.
     """
 
-    __slots__ = ("elimination", "evidence_sum", "rounds", "carry")
+    __slots__ = ("elimination", "evidence_sum", "rounds")
 
     def __init__(self, model: GraphicalModel):
         self.elimination = _Elimination(model)
         self.evidence_sum: tuple[Potential, float] | None = None
         self.rounds: list[tuple[ExplanationStep, float]] = []
-        self.carry: tuple[dict[int, float | None], int] | None = None
 
 
 _round_logs: ContextVar[dict[tuple, _RoundLog] | None] = ContextVar("_round_logs", default=None)
@@ -187,12 +186,11 @@ def _greedy(
     The run reads its rounds from a :class:`_RoundLog`: the one kept under
     its inputs in an open :func:`_sharing_rounds` scope, or a new one. It
     replays each logged round until epsilon stops it, and scores a round only
-    past the logged ones. Scoring asks the log's
-    :class:`~margmap.inference._Elimination` for each candidate's table in
-    turn, under the round's one evidence, so the round's calls share one
-    generation of its message memo, and scores each one straight from its
-    table, with the arithmetic of ``normalize`` and ``entropy``; only the
-    winner becomes a :class:`MassFunction`. Round 1 also asks for the empty
+    past the logged ones. Scoring (:func:`_score_round`) asks the log's
+    :class:`~margmap.inference._Elimination` for the round's bucket tree
+    and its winner's table, under the round's one evidence, so the round's
+    calls share one generation of its message memo; only the winner becomes
+    a :class:`MassFunction`. Round 1 also asks for the empty
     keep when there is evidence: its table and log scale are those of
     ``pr``'s own elimination, so P(evidence), the start of p~, comes out
     bit-identical without a second elimination. The ratio to the partition
@@ -264,93 +262,47 @@ def _score_round(
 ) -> tuple[ExplanationStep, float]:
     """Score the round after ``log``'s: the least entropic target's step, and the seconds taken.
 
-    A round of two targets or more is screened first by :func:`_screen`,
-    and only the targets whose screen entropy is within ``_SCREEN_MARGIN``
-    of the least, or whose tree mass is zero or not finite, are scored; a
-    round of one target scores it. Scoring is the same in every round: the
-    scored targets, in target order, get their tables from the elimination's
-    walks, one :meth:`~margmap.inference._Elimination.table` call each, and
-    the first of least entropy wins, so ties keep the lowest variable id. A
-    screen entropy differs from its walk entropy by rounding only, some
-    1e-15: if every difference is below half the margin, the winner's screen
-    entropy is within the margin of the least, so the winner is scored, and
-    the round picks the same target, and the step holds the same entropy and
-    marginal, bit for bit, as a round that scores every target. A tree
-    table is its own component's, up to scale, so it can have mass where the
-    joint has none: a fully observed potential of zero, or a component
-    without mass that the tree did not walk or that holds other targets.
-    One retry is the only path for a round without mass: if a scored table
-    has none, every target is scored, so the error names the variable an
-    unscreened round names. A walk whose table overflowed raises its
-    ``ValueError`` as an unscreened round does. Round 1 (nothing logged
-    yet) also keeps P(evidence)'s grand sum on the log. On impossible
-    evidence a model without joint mass is named as such before the step
-    is.
+    A round of two targets or more takes its winner from the entropies of
+    :meth:`~margmap.inference._Elimination.tree`'s tables: the first
+    target, in id order, within ``_TIED`` of the least. A target whose tree
+    table has no mass never wins, since the joint then has none; when none
+    has mass the first target is walked. A round of one target takes it.
+    The winner alone is walked, by one
+    :meth:`~margmap.inference._Elimination.table` call, and its marginal and
+    entropy come from the walk's table, with the arithmetic of
+    ``normalize`` and ``entropy``. A tree table is its own component's, up
+    to scale, so the walk can find no mass where the tree found some: the
+    error then names the first target, as it does when every target is
+    scored, since then every target's walk has no mass. A tree or walk
+    table that overflowed raises ``ValueError``. Round 1 (nothing
+    logged yet) also keeps P(evidence)'s grand sum on the log. On
+    impossible evidence a model without joint mass is named as such before
+    the step is.
     """
     start = time.perf_counter()
-    screen, scored = None, targets
+    elimination = log.elimination
+    chosen = targets[0]
     if len(targets) > 1:
-        screen = _screen(log, working, targets)
-        line = min([h for h in screen.values() if h is not None], default=0.0) + _SCREEN_MARGIN
-        scored = [v for v in targets if screen[v] is None or screen[v] <= line]
+        entropies = _entropies(elimination.tree(working, targets))
+        line = min([h for h in entropies if h is not None], default=math.inf) + _TIED
+        tied = [v for v, h in zip(targets, entropies) if h is not None and h <= line]
+        chosen = tied[0] if tied else chosen
+    table, _ = elimination.table(working, (chosen,))
+    if working and not log.rounds:
+        log.evidence_sum = elimination.table(working, ())
     try:
-        h, chosen, probs = _least(log, working, scored)
-    except ZeroProbabilityEvidenceError:
-        if scored is targets:
-            raise
-        h, chosen, probs = _least(log, working, targets)
-    log.carry = None if screen is None else (screen, log.elimination.linked((chosen,)))
+        probs = _normalized(table)
+    except ZeroProbabilityEvidenceError as err:
+        _log_z(elimination.model)
+        raise ZeroProbabilityEvidenceError(
+            f"working evidence became impossible at step {len(log.rounds) + 1} "
+            f"while scoring variable {targets[0]}"
+        ) from err
+    h = _entropy(probs)
     seconds = time.perf_counter() - start
     marginal = MassFunction(chosen, probs)
     state = int(np.argmax(marginal.probs))  # ties keep the lowest state index
     return ExplanationStep(chosen, state, h, marginal), seconds
-
-
-def _least(
-    log: _RoundLog, working: Evidence, scored: list[int]
-) -> tuple[float, int, np.ndarray]:
-    """The first of least entropy among ``scored``, from the walks: its entropy, id and probabilities.
-
-    Every target's table is asked for before any is scored, then round 1's
-    empty keep, so an overflow anywhere raises before a target without mass.
-    """
-    elimination = log.elimination
-    best: tuple[float, int, np.ndarray] | None = None
-    tables = [elimination.table(working, (v,)) for v in scored]
-    if working and not log.rounds:
-        log.evidence_sum = elimination.table(working, ())
-    for v, (table, _) in zip(scored, tables):
-        try:
-            probs = _normalized(table)
-        except ZeroProbabilityEvidenceError as err:
-            _log_z(elimination.model)
-            raise ZeroProbabilityEvidenceError(
-                f"working evidence became impossible at step {len(log.rounds) + 1} "
-                f"while scoring variable {v}"
-            ) from err
-        h = _entropy(probs)
-        if best is None or h < best[0]:  # ties keep the lowest variable id
-            best = (h, v, probs)
-    return best
-
-
-def _screen(log: _RoundLog, working: Evidence, targets: list[int]) -> dict[int, float | None]:
-    """Each target's screen entropy: ``None`` where its tree mass is zero or not finite.
-
-    A target the last round's winner w cannot reach keeps its entropy from
-    the last screened round: when w was in another component of that round's
-    free graph, observing w leaves the target's marginal as it was. The
-    bucket tree (:meth:`~margmap.inference._Elimination.tree`) answers the
-    others, walking only their components.
-    """
-    entropies, asked = {}, targets
-    if log.carry is not None:
-        carried, linked = log.carry
-        entropies = {v: carried[v] for v in targets}
-        asked = [v for v in targets if linked >> v & 1]
-    if asked:
-        entropies.update(zip(asked, _entropies(log.elimination.tree(working, asked))))
-    return entropies
 
 
 def _entropies(tables: list[np.ndarray]) -> list[float | None]:

@@ -11,47 +11,39 @@ Every elimination runs through one core, ``_Elimination``, which answers one
 question per call: it sums the model down to the factors one set of kept
 variables holds, under one evidence; ``table`` multiplies them into the
 set's table, and the oracle max-eliminates them instead. The greedy
-explainer keeps one core per run and asks it for each candidate of a round
-in turn. The core sets up the start without evidence once: a min-fill
-stepper over every variable, on bitsets with fill counts updated per step,
-and the potentials that hold each variable. A new evidence's start
-conditions on it the one way observing does: from the last evidence's start
-when the evidence only grew, from that base otherwise, each new variable is
-dropped from the stepper with no fill edges and only the potentials that
-hold it are restricted again. Each candidate then gets its own walk, a fork
-of the stepper without it, through one message memo, so the steps its walk
-shares with the walks before it, under this evidence and the last one, are
-memo hits: mostly what the newly observed variable touches is redone. The
-memo turns over when the evidence changes, so a round's calls, however
-many, share one generation of it. Each table is bit-identical to a separate
+explainer keeps one core per run, across its rounds. The core sets up the
+start without evidence once: a min-fill stepper over every variable, on
+bitsets with fill counts updated per step, and the potentials that hold
+each variable. A new evidence's start conditions on it the one way
+observing does: from the last evidence's start when the evidence only
+grew, from that base otherwise, each new variable is dropped from the
+stepper with no fill edges and only the potentials that hold it are
+restricted again. Each keep then gets its own walk, a fork of the stepper
+without it, through one message memo, so the steps its walk shares with
+the walks and bucket trees before it, under this evidence and the last
+one, are memo hits: mostly what the newly observed variable touches is
+redone. The memo turns over when the evidence changes, so a round's calls
+share one generation of it. Each table is bit-identical to a separate
 query. ``pr``, ``mar`` and the oracle use a fresh core per query.
 
-For a round of two candidates or more the greedy first asks ``tree`` for
-the candidates' tables from one bucket tree (Shafer & Shenoy 1990): one
-upward pass along the same min-fill path over the components that hold
-them, through the same steps and message memo, and one downward pass over
-only the buckets on the way to the candidates, which sums each bucket by
-one string-subscript ``np.einsum`` call per message or table on plain
-arrays (``_bucket_sums``), contracted pairwise along numpy's greedy path
-from ``_PATH_STATES`` joint states on. What those calls are depends on
-the bucket's scopes, sums and cardinalities alone, so ``_bucket_plan`` is
-one ``functools.lru_cache`` memo of the ``_PLANS`` most recent plans,
-shared by every model: the subscripts, the operands of ones, the folds and
-the contraction paths repeat round after round, run after run, and on
-every model parsed from the same text. Each tree table is its own
-component's, up to scale: a component that holds no requested variable
-is not walked, and the scalars that close the others are not applied. The
-tables are exact, but their last bits are the tree's own, so the greedy
-uses them only to choose which candidates to score on their own walks:
-those whose tree entropy is within 1e-9 of the least, and those whose tree
-mass is zero or not finite. A candidate that the last committed variable
-could not reach keeps its marginal, so the greedy carries its last tree
-entropy instead of asking again. Tree and walk entropies differ by
-rounding only, some 1e-15, so the winner and every candidate tied with it
-are among those scored, and each round's answer is the walks', bit for
-bit. A round without mass, in a component the tree saw or not, is found
-by the walks of the scored candidates, and the greedy then scores every
-candidate, as an unscreened round does.
+For a round of two candidates or more the greedy asks ``tree`` for every
+candidate's table from one bucket tree (Shafer & Shenoy 1990): one upward
+pass along the same min-fill path over the components that hold them,
+through the same steps and message memo, and one downward pass over only
+the buckets on the way to the candidates, which sums each bucket by one
+string-subscript ``np.einsum`` call per message or table on plain arrays
+(``_bucket_sums``), contracted pairwise along numpy's greedy path from
+``_PATH_STATES`` joint states on. What those calls are depends on the
+bucket's scopes, sums and cardinalities alone, so ``_bucket_plan`` is one
+``functools.lru_cache`` memo of the ``_PLANS`` most recent plans, shared by
+every model: the subscripts, the operands of ones, the folds and the
+contraction paths repeat round after round, run after run, and on every
+model parsed from the same text. Each tree table is its own component's, up
+to scale, so the core keeps the tables of the components a newly observed
+variable does not join and computes only the others. The tables are exact,
+but their last bits are the tree's own, so the greedy uses them only to
+rank: the winner, the first candidate within 1e-9 of the least tree
+entropy, gets its own walk, and its marginal and entropy are the walk's.
 
 Every maxed bucket (``_max_message``), every summed one (``_sum_message``)
 of fewer than ``_PATH_STATES`` joint states, and every final table
@@ -342,10 +334,11 @@ class _Elimination:
     in a live key is recycled. The memo turns over with the evidence: when a
     call's evidence differs from the last call's, an entry no step looked up
     under the last evidence is dropped. Every table is bit-identical to the
-    one a fresh elimination would give.
+    one a fresh elimination would give. :meth:`tree`'s tables carry too: a
+    new evidence keeps those of the components it leaves as they were.
     """
 
-    __slots__ = ("model", "ordered", "base", "started", "messages", "earlier")
+    __slots__ = ("model", "ordered", "base", "started", "messages", "earlier", "tables")
 
     def __init__(self, model: GraphicalModel, order: Sequence[int] | None = None):
         self.model = model
@@ -366,6 +359,8 @@ class _Elimination:
         # evidence before it not looked up yet
         self.messages: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
         self.earlier: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
+        # each variable's bucket-tree table that still holds under the last evidence
+        self.tables: dict[int, np.ndarray] = {}
 
     def table(self, evidence: Evidence, keep: Sequence[int]) -> tuple[Potential, float]:
         """The table over ``keep`` under ``evidence``, and its log scale.
@@ -392,19 +387,25 @@ class _Elimination:
         Either way the state is the one a fresh elimination's first call
         gives. A new evidence also turns the message memo over: the messages
         looked up under the last evidence become the earlier ones, and the
-        earlier ones not looked up again are dropped. The stepper and state
-        are kept for the next call, which reuses them, and the memo, when its
-        evidence is the same, as every call of a greedy round does. Callers
-        copy what they change.
+        earlier ones not looked up again are dropped, and so are the bucket
+        tree's tables that may no longer hold (see :meth:`tree`). The stepper
+        and state are kept for the next call, which reuses them, and the memo,
+        when its evidence is the same, as every call of a greedy round does.
+        Callers copy what they change.
         """
         started = self.started
         if started[0] == evidence:
             return started[1:]
         self.earlier, self.messages = self.messages, {}
-        if not started[0].items() <= evidence.items():
+        grew = started[0].items() <= evidence.items()
+        if not grew:
             started = self.base
         before, path, holders, observed = started
         new = [v for v in evidence if v not in before]
+        # a table holds while no newly observed variable joins its component; a
+        # caller's order has an edgeless graph, which shows no components
+        gone = _reach(path.adjacency, _mask(new)) if grew and not self.ordered else -1
+        self.tables = {v: t for v, t in self.tables.items() if not gone >> v & 1}
         path = path.fork(())
         for v in new:
             path.remaining.remove(v)
@@ -424,22 +425,13 @@ class _Elimination:
         self.started = (dict(evidence), path, tuple(holders), observed)
         return self.started[1:]
 
-    def linked(self, variables: Iterable[int]) -> int:
-        """The free variables the last start's graph connects to ``variables``, as a bitmask.
-
-        Only a min-fill core's graph has edges, so under a caller's order,
-        whose stepper's graph is edgeless, every free variable counts as linked.
-        """
-        path = self.started[1]
-        return _mask(path.remaining) if self.ordered else _reach(path.adjacency, _mask(variables))
-
     def _eliminate(
-        self, v: int, holders: list, scalars: list, numbers: Iterator[int]
+        self, v: int, holders: list, numbers: Iterator[int]
     ) -> tuple[tuple[int, Potential], float]:
         """Sum ``v`` out of the factors ``holders`` gives it: the message's entry and log scale.
 
-        The message goes to the holders of its scope, or to ``scalars`` when
-        it has none; the memo gives it when the bucket was met before.
+        The message goes to the holders of its scope; the memo gives it when
+        the bucket was met before.
         """
         bucket = holders[v]
         key = (v, *[id(f) for _, f in bucket])
@@ -454,8 +446,6 @@ class _Elimination:
         holders[v] = ()
         for u in out.scope:
             holders[u] = (*[e for e in holders[u] if e not in bucket], entry)
-        if not out.scope:
-            scalars.append(entry)
         return entry, log_peak
 
     def held(self, evidence: Evidence, keep: Sequence[int]) -> tuple[list[Potential], float]:
@@ -472,7 +462,10 @@ class _Elimination:
         numbers = itertools.count(len(self.model.potentials))
         log_scale = 0.0
         for v in iter(walk.eliminate_next, None):
-            log_scale += self._eliminate(v, factors, scalars, numbers)[1]
+            entry, log_peak = self._eliminate(v, factors, numbers)
+            if not entry[1].scope:
+                scalars.append(entry)
+            log_scale += log_peak
         left = dict(scalars)
         for v in keep:
             left.update(factors[v])
@@ -499,26 +492,38 @@ class _Elimination:
         not for answers. A table holds every factor of its variable's
         component and nothing else, so it is that component's own, up to
         scale: neither the fully observed potentials nor the messages that
-        close the other walked components enter it, and a component that holds
-        no requested variable is not walked. So a table can have mass where the
-        joint has none; the walks find that. The components come from
-        :meth:`linked`, which under a caller's order gives every free variable,
-        so such a core's tree walks them all.
+        close the other walked components enter it. So a table can have mass
+        where the joint has none, but a table without mass means the joint
+        has none. A table that is not finite, from a product that overflowed,
+        raises the walks' ``ValueError``.
+
+        The core keeps every table it gave under the last evidence, and
+        computes only those it does not hold: the upward pass walks only the
+        components that hold such a variable, or every free variable under a
+        caller's order. Observing variables leaves every other component's
+        factors as they were, so :meth:`_start` keeps the tables of the
+        components no newly observed variable joins in the last start's graph,
+        as the same array objects; it keeps none under a caller's order, whose
+        graph shows no components, or when the evidence did not only grow.
         """
-        path, holders, scalars = self._start(evidence)
-        holders, scalars = list(holders), list(scalars)
+        path, holders, _ = self._start(evidence)
+        tables = self.tables
+        missing = [v for v in variables if v not in tables]
+        if not missing:
+            return [tables[v] for v in variables]
+        holders = list(holders)
         numbers = itertools.count(len(self.model.potentials))
-        linked = self.linked(variables)
+        linked = _mask(path.remaining) if self.ordered else _reach(path.adjacency, _mask(missing))
         walk = path.fork([v for v in path.remaining if not linked >> v & 1])
         steps: list[tuple[tuple, tuple[int, Potential]]] = []  # (bucket, message entry)
         order = list(iter(walk.eliminate_next, None))
         at = {v: i for i, v in enumerate(order)}  # each variable's step
         for v in order:  # each bucket as it stands when its variable is eliminated
-            steps.append((holders[v], self._eliminate(v, holders, scalars, numbers)[0]))
+            steps.append((holders[v], self._eliminate(v, holders, numbers)[0]))
         # a message goes to the bucket of the first of its variables eliminated
         parent = [min([at[u] for u in entry[1].scope], default=None) for _, entry in steps]
         wanted, children = set(), {}
-        for v in variables:
+        for v in missing:
             i = at[v]
             while i not in wanted:
                 wanted.add(i)
@@ -527,8 +532,7 @@ class _Elimination:
                 children.setdefault(parent[i], []).append(i)
                 i = parent[i]
         down: list[tuple | None] = [None] * len(steps)  # (scope, values) into each bucket
-        tables: dict[int, np.ndarray] = {}
-        requested = {at[v] for v in variables}
+        requested = {at[v] for v in missing}
         with np.errstate(over="ignore", invalid="ignore"):
             for p in sorted(wanted, reverse=True):  # a parent comes after its children
                 bucket = steps[p][0]
@@ -544,8 +548,9 @@ class _Elimination:
                     peak = float(values.max())
                     down[i] = (scope, values / peak if peak > 0.0 and peak != 1.0 else values)
                 if p in requested:
-                    tables[p] = sums[-1]
-        return [tables[at[v]] for v in variables]
+                    _check_finite(sums[-1])
+                    tables[order[p]] = sums[-1]
+        return [tables[v] for v in variables]
 
 
 def _sum_message(

@@ -17,11 +17,17 @@ import pytest
 
 from margmap import (
     BenchmarkSpec,
+    ExplanationStep,
+    ExplanationTrace,
     GraphicalModel,
     Potential,
+    ZeroProbabilityEvidenceError,
+    entropy,
     factor_marginalize,
     factor_product,
     factor_restrict,
+    mar,
+    pr,
     run_benchmark,
 )
 from margmap.generate import random_grid_model, random_model
@@ -248,6 +254,54 @@ def trace_bits(trace):
         trace.unexplained,
         repr(trace.break_entropy),
         trace.epsilon,
+    )
+
+
+def reference_greedy(model, targets, evidence, epsilon=None):
+    """The greedy run as one separate ``mar`` query per candidate per round.
+
+    Each round commits the first candidate, in id order, whose entropy lies
+    within 1e-9 of the least. A round without mass raises the error the
+    greedy raises: the model's own when it has no joint mass, else one that
+    names the step and the first candidate. ``mar_seconds`` is 0.
+    """
+    targets, working = sorted(targets), dict(evidence)
+    steps, calls, break_entropy = [], 0, None
+    while targets:
+        scored = []
+        for v in targets:
+            try:
+                marginal = mar(model, working, v)
+            except ZeroProbabilityEvidenceError:
+                pr(model, {})  # a model without joint mass raises its own error
+                raise ZeroProbabilityEvidenceError(
+                    f"working evidence became impossible at step {len(steps) + 1} "
+                    f"while scoring variable {v}"
+                ) from None
+            calls += 1
+            scored.append((entropy(marginal), v, marginal))
+        line = min(h for h, _, _ in scored) + 1e-9
+        h, chosen, marginal = next(s for s in scored if s[0] <= line)
+        if epsilon is not None and not h < epsilon:
+            break_entropy = h
+            break
+        state = int(np.argmax(marginal.probs))
+        steps.append(ExplanationStep(chosen, state, h, marginal))
+        working[chosen] = state
+        targets.remove(chosen)
+    p_tilde = pr(model, evidence)
+    for s in steps:
+        p_tilde *= float(s.marginal.probs[s.chosen_state])
+    return ExplanationTrace(
+        steps=tuple(steps),
+        explained={s.variable: s.chosen_state for s in steps},
+        unexplained=frozenset(targets),
+        p_tilde=p_tilde,
+        confidence=min((1.0 - s.entropy_at_selection for s in steps), default=1.0),
+        epsilon=epsilon,
+        break_entropy=break_entropy,
+        mar_calls=calls,
+        mar_seconds=0.0,
     )
 
 

@@ -25,6 +25,7 @@ from conftest import (
     hub_model,
     one_state_crowd_model,
     random_evidence,
+    reference_greedy,
     trace_bits,
 )
 
@@ -271,30 +272,6 @@ class TestAccounting:
                 assert trace.confidence > 1.0 - eps
 
 
-def _reference_greedy(model, targets, evidence, epsilon):
-    """The greedy run as one separate ``mar`` query per candidate per round."""
-    targets, working = sorted(targets), dict(evidence)
-    steps, calls, break_entropy = [], 0, None
-    while targets:
-        scored = []
-        for v in targets:
-            marginal = mar(model, working, v)
-            calls += 1
-            scored.append((entropy(marginal), v, marginal))
-        h, chosen, marginal = min(scored, key=lambda s: s[0])  # first minimum: lowest id
-        if epsilon is not None and not h < epsilon:
-            break_entropy = h
-            break
-        state = int(np.argmax(marginal.probs))
-        steps.append((chosen, state, h, marginal))
-        working[chosen] = state
-        targets.remove(chosen)
-    p_tilde = pr(model, evidence)
-    for _, state, _, marginal in steps:
-        p_tilde *= float(marginal.probs[state])
-    return steps, targets, p_tilde, break_entropy, calls
-
-
 class TestSharedRounds:
     def test_trace_matches_one_mar_query_per_candidate(self):
         rng = np.random.default_rng(71)
@@ -315,25 +292,12 @@ class TestSharedRounds:
                     return epsilon_mmap2mar(model, targets, evidence, epsilon=epsilon)
 
                 try:
-                    steps, left, p_tilde, break_entropy, calls = _reference_greedy(
-                        model, targets, evidence, epsilon
-                    )
+                    expected = reference_greedy(model, targets, evidence, epsilon)
                 except ZeroProbabilityEvidenceError:
                     with pytest.raises(ZeroProbabilityEvidenceError):
                         run()
                     continue
-                trace = run()
-                committed = [(s.variable, s.chosen_state, s.entropy_at_selection) for s in trace.steps]
-                assert committed == [(v, state, h) for v, state, h, _ in steps]
-                for s, (_, _, _, marginal) in zip(trace.steps, steps):
-                    assert np.array_equal(s.marginal.probs, marginal.probs)
-                assert trace.explained == {v: state for v, state, _, _ in steps}
-                assert trace.unexplained == frozenset(left)
-                assert trace.p_tilde == p_tilde
-                assert trace.confidence == min((1.0 - h for _, _, h, _ in steps), default=1.0)
-                assert trace.epsilon == epsilon
-                assert trace.break_entropy == break_entropy
-                assert trace.mar_calls == calls
+                assert trace_bits(run()) == trace_bits(expected)
                 compared += 1
         assert compared >= 150
 
@@ -341,8 +305,8 @@ class TestSharedRounds:
 def _count_calls(monkeypatch, method="table"):
     """Record the calls of ``_Elimination.<method>``: each evidence and what it asked, copied.
 
-    ``tree`` is recorded per call, with its variables: once per screened
-    round that asks it for a target. ``table`` is recorded once per core and
+    ``tree`` is recorded per call, with its variables and the tables it
+    gave: once per round of two targets or more. ``table`` is recorded once per core and
     distinct evidence in a row, with every keep asked under it: once per
     scored round. A model's first p~ also computes its partition function on
     a core of its own, one more record, so count those only on a model that
@@ -354,8 +318,10 @@ def _count_calls(monkeypatch, method="table"):
 
     def counting(self, evidence, asked):
         if method == "tree":
-            calls.append((dict(evidence), list(asked)))
-        elif last[0] is self and last[1] == evidence:
+            tables = original(self, evidence, asked)
+            calls.append((dict(evidence), list(asked), tables))
+            return tables
+        if last[0] is self and last[1] == evidence:
             calls[-1][1].append(tuple(asked))
         else:
             last[:] = [self, dict(evidence)]
@@ -471,63 +437,56 @@ def _linked(model, evidence, v):
     return reached
 
 
-def _score_every_target(log, working, targets):
-    """A stand-in for ``heuristic._screen`` that screens nothing out: every target is scored."""
-    return dict.fromkeys(targets)
+def _outcome(run):
+    """``run()``'s trace as :func:`trace_bits`, or the type and text of its zero-mass error."""
+    try:
+        return trace_bits(run())
+    except ZeroProbabilityEvidenceError as err:
+        return type(err), str(err)
+
+
+def _screen_instances(rng):
+    """(model, evidence, targets): the differential models of seed 91 under random evidence."""
+    for model in differential_models(91):
+        evidence = random_evidence(model, rng)
+        targets = [
+            v for v in range(model.n_vars) if v not in evidence and model.cardinalities[v] >= 2
+        ]
+        if targets:
+            yield model, evidence, targets
 
 
 class TestScreen:
-    """Rounds screened by a bucket tree give, bit for bit, the traces of scoring every target."""
+    """Rounds ranked by the bucket tree give the traces of one ``mar`` per candidate, bit for bit."""
 
     @staticmethod
-    def _record_screens(monkeypatch, trees):
-        """Record each screened round: its evidence, targets, screen entropies and ``tree`` calls."""
-        screens = []
-        original = heuristic._screen
-
-        def recording(log, working, targets):
-            calls = len(trees)
-            entropies = original(log, working, targets)
-            screens.append((dict(working), list(targets), entropies, trees[calls:]))
-            return entropies
-
-        monkeypatch.setattr(heuristic, "_screen", recording)
-        return screens
-
-    @staticmethod
-    def _check_carry(model, screens):
-        """The first screened round of a run asks ``tree`` for every target; each later one
-        only for those joined to the variable the round before committed, and every other
-        target's carried entropy is a fresh tree's, to 1e-12. Returns how many were carried."""
-        carried = 0
-        for i, (evidence, targets, entropies, calls) in enumerate(screens):
-            asked = targets
-            if i:
-                before = screens[i - 1][0]
-                [(w, _)] = evidence.items() - before.items()
-                linked = _linked(model, before, w)
-                asked = [v for v in targets if v in linked]
-            assert [variables for _, variables in calls] == ([asked] if asked else [])
-            fresh = _Elimination(model).tree(evidence, targets)
-            for v, table in zip(targets, fresh):
-                if v in asked:
+    def _check_carry(model, trees):
+        """The core's carry over one run's ``tree`` calls. Each call after the first
+        computes the tables of the targets joined to the variable the round before
+        committed, and gives every other target's table as the array object the call
+        before gave; a carried table's entropy is a fresh tree's, to 1e-12. Returns how
+        many tables each call computed and how many were carried."""
+        computed, carried = [len(trees[0][1])] if trees else [], 0
+        for (before, targets, tables), (evidence, now, held) in zip(trees, trees[1:]):
+            [(w, _)] = evidence.items() - before.items()
+            linked = _linked(model, before, w)
+            last = dict(zip(targets, tables))
+            fresh = _Elimination(model).tree(evidence, now)
+            for v, table, new in zip(now, held, fresh):
+                assert (table is last[v]) == (v not in linked)
+                if v in linked:
                     continue
                 mass = float(table.sum())
-                assert 0.0 < mass < np.inf and entropies[v] is not None
-                assert abs(entropies[v] - inference._entropy(table / mass)) <= 1e-12
+                assert 0.0 < mass < np.inf
+                h = inference._entropy(table / mass)
+                assert abs(h - inference._entropy(new / new.sum())) <= 1e-12
                 carried += 1
-        return carried
+            computed.append(sum(v in linked for v in now))
+        return computed, carried
 
     def test_screened_traces_are_the_exhaustive_ones(self, monkeypatch):
         rng = np.random.default_rng(91)
-        instances = []
-        for model in differential_models(91):
-            evidence = random_evidence(model, rng)
-            targets = [
-                v for v in range(model.n_vars) if v not in evidence and model.cardinalities[v] >= 2
-            ]
-            if targets:
-                instances.append((model, evidence, targets))
+        instances = list(_screen_instances(rng))
         grid = random_grid_model(6, 6, 2, rng=rng, sigma=1.0)
         observed = [int(v) for v in rng.choice(36, size=4, replace=False)]
         evidence = {v: int(rng.integers(2)) for v in observed}
@@ -548,62 +507,51 @@ class TestScreen:
             crowd = one_state_crowd_model(60, 14, rng)
             instances.append((crowd, {}, [0, *range(61, 75)]))
         trees = _count_calls(monkeypatch, "tree")
-        screens = self._record_screens(monkeypatch, trees)
-        recording = heuristic._screen
-        compared = screened_rounds = carried = 0
-        asked = []  # the variables each screened round asked the tree for
+        compared = carried = errors = 0
+        computed = []  # the tables each ``tree`` call computed
         for model, evidence, targets in instances:
             for epsilon in (None, float(rng.uniform(0.2, 0.9))):
-                outcomes = []
-                for screen in (recording, _score_every_target):
-                    monkeypatch.setattr(heuristic, "_screen", screen)
-                    screens.clear()
-                    try:
-                        if epsilon is None:
-                            trace = mmap2mar(model, targets, evidence)
-                        else:
-                            trace = epsilon_mmap2mar(model, targets, evidence, epsilon=epsilon)
-                    except ZeroProbabilityEvidenceError as err:
-                        outcomes.append(str(err))
-                    else:
-                        outcomes.append(trace_bits(trace))
-                    if screen is recording:
-                        asked += [variables for *_, calls in screens for _, variables in calls]
-                        screened_rounds += len(screens)
-                        carried += self._check_carry(model, screens)
-                screened, exhaustive = outcomes
-                assert screened == exhaustive
+                trees.clear()
+                if epsilon is None:
+                    got = _outcome(lambda: mmap2mar(model, targets, evidence))
+                else:
+                    got = _outcome(
+                        lambda: epsilon_mmap2mar(model, targets, evidence, epsilon=epsilon)
+                    )
+                assert got == _outcome(lambda: reference_greedy(model, targets, evidence, epsilon))
+                made, kept = self._check_carry(model, trees)
+                computed += made
+                carried += kept
+                errors += got[0] is ZeroProbabilityEvidenceError
                 compared += 1
-        assert compared >= 180
-        assert screened_rounds >= 500
-        assert len(asked) < screened_rounds  # some rounds carried every target's entropy
+        assert compared >= 180 and errors >= 1
+        assert len(computed) >= 500
+        assert computed.count(0) >= 1  # some rounds carried every target's table
         assert carried >= 1000
-        assert max(len(variables) for variables in asked) == 32
+        assert max(computed) == 32
 
     def test_a_hub_of_many_leaves(self, monkeypatch):
         # the hub's bucket holds 70 leaf messages, past einsum's operand limit
         model = hub_model(70, np.random.default_rng(93))
         trees = _count_calls(monkeypatch, "tree")
-        screened = heuristic._screen
+        computed = []
         for targets, evidence in ((range(1, 21), {30: 1}), ([0, *range(40, 56)], {})):
-            outcomes = []
-            for screen in (screened, _score_every_target):
-                monkeypatch.setattr(heuristic, "_screen", screen)
-                outcomes.append(trace_bits(mmap2mar(model, targets, evidence)))
-            assert outcomes[0] == outcomes[1]
-        # Every round of 2 targets or more is screened. In the first run the free hub
-        # joins all leaves, so each of its 19 screened rounds asks the tree. In the
-        # second the hub wins round 1, and round 2 asks for the 16 leaves it joined;
-        # from then on each leaf is alone, and every entropy is carried.
-        assert outcomes[0][3][0][0] == 0
-        assert [len(variables) for _, variables in trees[19:]] == [17, 16]
-        assert len(trees) == 19 + 2
+            trees.clear()
+            bits = trace_bits(mmap2mar(model, targets, evidence))
+            assert bits == trace_bits(reference_greedy(model, targets, evidence))
+            computed.append(self._check_carry(model, trees)[0])
+        # Every round of 2 targets or more asks the tree. In the first run the free hub
+        # joins all leaves, so each of its 19 rounds computes every target's table. In
+        # the second the hub wins round 1, and round 2 computes the 16 leaves it joined;
+        # from then on each leaf is alone, and every table is carried.
+        assert bits[3][0][0] == 0
+        assert computed == [list(range(20, 1, -1)), [17, 16] + [0] * 14]
 
-    def test_a_massless_component_without_targets_gives_the_unscreened_error(self, monkeypatch):
+    def test_a_massless_component_without_targets_gives_the_unscreened_error(self):
         # Each tree table is its own component's, up to scale, so a round without
-        # mass elsewhere is found by the walks, and the unscreened retry names the
-        # variable. Under {3: 1}, component {0} has no mass; the tree walks only
-        # {1, 2}, where 2's marginal (0.1, 0.9) alone is near-best.
+        # mass elsewhere is found by the winner's walk, and the error names the
+        # first target, as the reference's does. Under {3: 1}, component {0} has
+        # no mass; the tree walks only {1, 2}, where 2's marginal (0.1, 0.9) wins.
         pair = Potential((1, 2), [[1.0, 9.0], [1.0, 9.0]])
         instances = [
             (
@@ -618,16 +566,36 @@ class TestScreen:
         ]
         messages = []
         for model, evidence, targets in instances:
-            errors = []
-            for screen in (heuristic._screen, _score_every_target):
-                monkeypatch.setattr(heuristic, "_screen", screen)
-                with pytest.raises(ZeroProbabilityEvidenceError) as raised:
-                    mmap2mar(model, targets, evidence)
-                errors.append((type(raised.value), str(raised.value)))
-            assert errors[0] == errors[1]
-            messages.append(errors[0][1])
+            got = _outcome(lambda: mmap2mar(model, targets, evidence))
+            assert got == _outcome(lambda: reference_greedy(model, targets, evidence))
+            assert got[0] is ZeroProbabilityEvidenceError
+            messages.append(got[1])
         assert all("while scoring variable 1" in m for m in messages[:2])
         assert messages[2] == "the model's joint mass is identically zero"
+
+    def test_exact_walk_ties_go_to_the_lowest_id(self, monkeypatch):
+        # Symmetric grids have candidates whose walk entropies tie exactly, while
+        # their tree entropies differ in the last bits; the tie rule takes the
+        # lowest id whatever the tree's strict minimum says.
+        trees = _count_calls(monkeypatch, "tree")
+        rounds = tied = 0
+        for model, evidence, targets in _screen_instances(np.random.default_rng(91)):
+            trees.clear()
+            try:
+                trace = mmap2mar(model, targets, evidence)
+            except ZeroProbabilityEvidenceError:
+                continue
+            for (working, variables, tables), step in zip(trees, trace.steps):
+                walks = [entropy(mar(model, working, v)) for v in variables]
+                lowest = variables[walks.index(min(walks))]
+                tree = [np.inf if h is None else h for h in heuristic._entropies(tables)]
+                strict = variables[int(np.argmin(tree))]
+                rounds += 1
+                if walks.count(min(walks)) > 1 and strict != lowest:
+                    assert step.variable == lowest
+                    tied += 1
+        assert rounds >= 300
+        assert tied >= 2  # both in one symmetric grid, in rounds 1 and 2
 
     def test_screen_entropies_are_those_of_entropy(self):
         rng = np.random.default_rng(94)
@@ -653,7 +621,7 @@ class TestScreen:
         for k, screened in ((1, []), (2, [[0, 1]])):
             trees.clear()
             trace = mmap2mar(model, range(k))
-            assert [variables for _, variables in trees] == screened  # round 1 of 2 targets only
+            assert [variables for _, variables, _ in trees] == screened  # round 1 of 2 targets only
             assert trace.mar_calls == k * (k + 1) // 2
 
 

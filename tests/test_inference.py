@@ -483,7 +483,7 @@ class TestBucketTree:
             ):
                 elimination = _Elimination(model, order)
                 for evidence in evidences:
-                    # a screened round: the tree, then the walks on the same state
+                    # a round's bucket tree, then the walks on the same state
                     free = [v for v in range(model.n_vars) if v not in evidence]
                     tree = elimination.tree(evidence, free)
                     forks = [elimination.table(evidence, (v,)) for v in free]
@@ -509,7 +509,7 @@ class TestBucketTree:
                         )
                         fork_entropy = inference._entropy(fork.values / fork.values.sum())
                         gap = max(gap, abs(inference._entropy(probs) - fork_entropy))
-        assert gap < 1e-12  # the screen scores everything within 1e-9 of the least
+        assert gap < 1e-12  # far below the greedy's tie line of 1e-9
 
     def test_a_hub_bucket_of_more_factors_than_einsum_takes(self):
         model = hub_model(70, np.random.default_rng(68))
@@ -636,6 +636,54 @@ class TestBucketTree:
         some = _Elimination(model).tree({4: 1}, [8, 0])
         np.testing.assert_allclose(some[0] / some[0].sum(), full[7] / full[7].sum(), atol=1e-15)
         np.testing.assert_allclose(some[1] / some[1].sum(), full[0] / full[0].sum(), atol=1e-15)
+
+
+class TestTreeCarry:
+    """The bucket tree's tables that the core keeps from one evidence to the next."""
+
+    @staticmethod
+    def _cut_grid():
+        """A 6x6 grid whose observed column 2 and row 3 cut it into four components."""
+        model = random_grid_model(6, 6, 2, rng=np.random.default_rng(95), sigma=1.0)
+        evidence = {v: v % 2 for v in range(36) if v % 6 == 2 or v // 6 == 3}
+        return model, evidence, [v for v in range(36) if v not in evidence]
+
+    def test_grown_evidence_recomputes_only_the_components_it_reaches(self):
+        model, evidence, free = self._cut_grid()
+        elimination = _Elimination(model)
+        first = dict(zip(free, elimination.tree(evidence, free)))
+        # the same evidence computes nothing
+        assert all(t is first[v] for v, t in zip(free, elimination.tree(evidence, free)))
+        for observed, component in ((0, {1, 6, 7, 12, 13}), (35, {27, 28, 29, 33, 34})):
+            evidence = {**evidence, observed: 1}
+            free.remove(observed)
+            tables = elimination.tree(evidence, free)
+            fresh = _Elimination(model).tree(evidence, free)
+            for v, table, new in zip(free, tables, fresh):
+                assert (table is first[v]) == (v not in component)
+                np.testing.assert_array_equal(table, new)
+            first = dict(zip(free, tables))
+
+    def test_nothing_is_carried_under_an_order_or_past_evidence_that_did_not_grow(self):
+        model, evidence, free = self._cut_grid()
+        flipped = {**evidence, 2: 1 - evidence[2]}  # another state of an observed variable
+        shrunk = {v: s for v, s in evidence.items() if v != 2}
+        grown = {**evidence, 0: 1}
+        runs = [
+            (_Elimination(model), flipped, free),
+            (_Elimination(model), shrunk, [*free, 2]),
+            (_Elimination(model, range(36)), grown, free[1:]),
+        ]
+        for elimination, then, asked in runs:
+            first = elimination.tree(evidence, free)
+            assert not any(t is u for t in elimination.tree(then, asked) for u in first)
+
+    def test_a_table_that_overflowed_raises(self):
+        # the upward pass sums the potential over the one state of 0; the table of 0
+        # sums it over the three states of 1, past float64's largest value
+        model = GraphicalModel((1, 3), (Potential((0, 1), np.full((1, 3), 1e308)),))
+        with pytest.raises(ValueError, match="finite"):
+            _Elimination(model).tree({}, [0, 1])
 
 
 class TestBucketKernel:
