@@ -34,9 +34,9 @@ from .model import (
 from .inference import _Elimination, _entropy, _log_z, _over_z
 
 
-# A target whose tree entropy is within this of the least ties for the win,
-# and a tie goes to the lowest variable id. Tree and walk entropies differ by
-# rounding only, some 1e-15, so exact ties among the walks are ties here too.
+# How far above the least tree entropy a target is still walked. Tree and
+# walk entropies differ by rounding only, some 1e-15, so no target that could
+# win or tie on its walk is left out.
 _TIED = 1e-9
 
 
@@ -64,16 +64,16 @@ class ExplanationTrace:
     the marginal that failed the threshold, when one did. ``mar_calls``
     counts the logical marginal queries, one per candidate per round
     (k(k+1)/2 for a full run over k targets), although each round of two
-    candidates or more is ranked by one bucket tree and walks only its
-    winner: the tree keeps the tables of the candidates the last committed
-    variable could not reach and computes the others. The winner's walk,
+    candidates or more is ranked by one bucket tree and walks only the
+    candidates within 1e-9 of the least tree entropy, almost always the
+    winner alone: the tree keeps the tables of the candidates the last
+    committed variable could not reach and computes the others. Each walk,
     one min-fill walk (as for the only candidate of the last round), runs
     on one elimination through a shared message memo. ``mar_seconds`` is
-    the time spent scoring this run's rounds,
-    entropies included. Inside :func:`_sharing_rounds`, a round an earlier
-    call already scored is replayed, not scored again, and still adds the
-    seconds it took when it was scored, so ``mar_seconds`` is the cost of
-    this run, not wall time.
+    the time spent scoring this run's rounds, entropies included. Inside
+    :func:`_sharing_rounds`, a round an earlier call already scored is
+    replayed, not scored again, and still adds the seconds it took when it
+    was scored, so ``mar_seconds`` is the cost of this run, not wall time.
     """
 
     steps: tuple[ExplanationStep, ...]
@@ -94,9 +94,8 @@ def mmap2mar(
 ) -> ExplanationTrace:
     """Explain every target variable, committing the least entropic marginal each round.
 
-    Issues exactly k(k+1)/2 marginal queries for k target variables.
-    Entropies within 1e-9 of the least tie, and entropy ties pick the lowest
-    variable id; state ties pick the lowest state index.
+    Issues exactly k(k+1)/2 marginal queries for k target variables. Entropy
+    ties pick the lowest variable id; state ties pick the lowest state index.
     """
     return _greedy(model, explain, {} if evidence is None else evidence, epsilon=None)
 
@@ -111,8 +110,6 @@ def epsilon_mmap2mar(
 
     A step is committed only under a strict ``entropy < epsilon``, so
     ``epsilon=0`` explains nothing unless a marginal is exactly degenerate.
-    Ties break as in :func:`mmap2mar`: entropies within 1e-9 of the least
-    tie, and the lowest variable id wins.
     """
     epsilon = _check_epsilon(epsilon)
     return _greedy(model, explain, {} if evidence is None else evidence, epsilon=epsilon)
@@ -188,9 +185,9 @@ def _greedy(
     replays each logged round until epsilon stops it, and scores a round only
     past the logged ones. Scoring (:func:`_score_round`) asks the log's
     :class:`~margmap.inference._Elimination` for the round's bucket tree
-    and its winner's table, under the round's one evidence, so the round's
-    calls share one generation of its message memo; only the winner becomes
-    a :class:`MassFunction`. Round 1 also asks for the empty
+    and its walked targets' tables, under the round's one evidence, so the
+    round's calls share one generation of its message memo; only the winner
+    becomes a :class:`MassFunction`. Round 1 also asks for the empty
     keep when there is evidence: its table and log scale are those of
     ``pr``'s own elimination, so P(evidence), the start of p~, comes out
     bit-identical without a second elimination. The ratio to the partition
@@ -262,61 +259,49 @@ def _score_round(
 ) -> tuple[ExplanationStep, float]:
     """Score the round after ``log``'s: the least entropic target's step, and the seconds taken.
 
-    A round of two targets or more takes its winner from the entropies of
-    :meth:`~margmap.inference._Elimination.tree`'s tables: the first
-    target, in id order, within ``_TIED`` of the least. A target whose tree
-    table has no mass never wins, since the joint then has none; when none
-    has mass the first target is walked. A round of one target takes it.
-    The winner alone is walked, by one
-    :meth:`~margmap.inference._Elimination.table` call, and its marginal and
-    entropy come from the walk's table, with the arithmetic of
-    ``normalize`` and ``entropy``. A tree table is its own component's, up
-    to scale, so the walk can find no mass where the tree found some: the
-    error then names the first target, as it does when every target is
-    scored, since then every target's walk has no mass. A tree or walk
-    table that overflowed raises ``ValueError``. Round 1 (nothing
-    logged yet) also keeps P(evidence)'s grand sum on the log. On
-    impossible evidence a model without joint mass is named as such before
-    the step is.
+    A round of two targets or more is ranked first by the entropies of
+    :meth:`~margmap.inference._Elimination.tree`'s tables, and only the
+    targets within ``_TIED`` of the least tree entropy, and any whose tree
+    entropy is ``None`` (a table of zero or non-finite mass), are walked; a
+    round of one target walks it. The walked targets get their tables from
+    one :meth:`~margmap.inference._Elimination.table` call each, all asked
+    before any is scored, so an overflow raises its ``ValueError`` first;
+    their marginals and entropies take the arithmetic of ``normalize`` and
+    ``entropy``, and the first of least walk entropy wins, so ties keep the
+    lowest variable id. A tree entropy differs from its walk's by rounding
+    only, some 1e-15, so the winner and every target tied with it are
+    walked: the step is, bit for bit, that of a round that walks every
+    target. A tree table is its own component's, up to scale, so the tree
+    can find mass where the joint has none; a walk without mass then raises
+    the error naming the first target, which a round that walks every
+    target names, since then every walk has none. Round 1 (nothing logged
+    yet) also keeps P(evidence)'s grand sum on the log. On impossible
+    evidence a model without joint mass is named as such before the step
+    is.
     """
     start = time.perf_counter()
     elimination = log.elimination
-    chosen = targets[0]
+    walked = targets
     if len(targets) > 1:
-        entropies = _entropies(elimination.tree(working, targets))
+        entropies = [h for _, h in elimination.tree(working, targets)]
         line = min([h for h in entropies if h is not None], default=math.inf) + _TIED
-        tied = [v for v, h in zip(targets, entropies) if h is not None and h <= line]
-        chosen = tied[0] if tied else chosen
-    table, _ = elimination.table(working, (chosen,))
+        walked = [v for v, h in zip(targets, entropies) if h is None or h <= line]
+    tables = [elimination.table(working, (v,))[0] for v in walked]
     if working and not log.rounds:
         log.evidence_sum = elimination.table(working, ())
-    try:
-        probs = _normalized(table)
-    except ZeroProbabilityEvidenceError as err:
-        _log_z(elimination.model)
-        raise ZeroProbabilityEvidenceError(
-            f"working evidence became impossible at step {len(log.rounds) + 1} "
-            f"while scoring variable {targets[0]}"
-        ) from err
-    h = _entropy(probs)
+    scored = []
+    for v, table in zip(walked, tables):
+        try:
+            probs = _normalized(table)
+        except ZeroProbabilityEvidenceError as err:
+            _log_z(elimination.model)
+            raise ZeroProbabilityEvidenceError(
+                f"working evidence became impossible at step {len(log.rounds) + 1} "
+                f"while scoring variable {targets[0]}"
+            ) from err
+        scored.append((_entropy(probs), v, probs))
+    h, chosen, probs = min(scored, key=lambda s: s[0])  # the first minimum: the lowest id
     seconds = time.perf_counter() - start
     marginal = MassFunction(chosen, probs)
     state = int(np.argmax(marginal.probs))  # ties keep the lowest state index
     return ExplanationStep(chosen, state, h, marginal), seconds
-
-
-def _entropies(tables: list[np.ndarray]) -> list[float | None]:
-    """Each table's normalised entropy, as :func:`~margmap.inference.entropy` takes it, in one pass.
-
-    ``None`` where a table's mass is zero or not finite.
-    """
-    sizes = np.array([t.size for t in tables])
-    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
-    flat = np.concatenate(tables)
-    with np.errstate(all="ignore"):  # a zero or infinite mass gives None
-        mass = np.add.reduceat(flat, starts)
-        probs = flat / np.repeat(mass, sizes)
-        terms = probs * np.log(np.where(probs > 0.0, probs, 1.0))  # 0 log 0 is 0
-        # a one-state table's only term is 1 log 1, so its entropy is 0
-        h = np.clip(-np.add.reduceat(terms, starts) / np.log(np.maximum(sizes, 2)), 0.0, 1.0)
-    return [float(x) if 0.0 < m < math.inf else None for x, m in zip(h, mass)]

@@ -27,7 +27,8 @@ share one generation of it. Each table is bit-identical to a separate
 query. ``pr``, ``mar`` and the oracle use a fresh core per query.
 
 For a round of two candidates or more the greedy asks ``tree`` for every
-candidate's table from one bucket tree (Shafer & Shenoy 1990): one upward
+candidate's table and its entropy from one bucket tree (Shafer & Shenoy
+1990): one upward
 pass along the same min-fill path over the components that hold them,
 through the same steps and message memo, and one downward pass over only
 the buckets on the way to the candidates, which sums each bucket by one
@@ -39,11 +40,12 @@ bucket's scopes, sums and cardinalities alone, so ``_bucket_plan`` is one
 every model: the subscripts, the operands of ones, the folds and the
 contraction paths repeat round after round, run after run, and on every
 model parsed from the same text. Each tree table is its own component's, up
-to scale, so the core keeps the tables of the components a newly observed
-variable does not join and computes only the others. The tables are exact,
-but their last bits are the tree's own, so the greedy uses them only to
-rank: the winner, the first candidate within 1e-9 of the least tree
-entropy, gets its own walk, and its marginal and entropy are the walk's.
+to scale, so the core keeps the tables, with their entropies, of the
+components a newly observed variable does not join and computes only the
+others. The tables are exact, but their last bits are the tree's own, so
+the greedy uses them only to rank: the candidates within 1e-9 of the least
+tree entropy, and any whose table's mass is zero or not finite, get their
+own walks, and the winner's marginal and entropy are its walk's.
 
 Every maxed bucket (``_max_message``), every summed one (``_sum_message``)
 of fewer than ``_PATH_STATES`` joint states, and every final table
@@ -359,8 +361,9 @@ class _Elimination:
         # evidence before it not looked up yet
         self.messages: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
         self.earlier: dict[tuple[int, ...], tuple[Potential, float, tuple]] = {}
-        # each variable's bucket-tree table that still holds under the last evidence
-        self.tables: dict[int, np.ndarray] = {}
+        # each variable's bucket-tree table, and its entropy, that still hold
+        # under the last evidence
+        self.tables: dict[int, tuple[np.ndarray, float | None]] = {}
 
     def table(self, evidence: Evidence, keep: Sequence[int]) -> tuple[Potential, float]:
         """The table over ``keep`` under ``evidence``, and its log scale.
@@ -471,8 +474,10 @@ class _Elimination:
             left.update(factors[v])
         return [f for _, f in sorted(left.items())], log_scale
 
-    def tree(self, evidence: Evidence, variables: Sequence[int]) -> list[np.ndarray]:
-        """Each of ``variables``' unnormalised table under ``evidence``, from one bucket tree.
+    def tree(
+        self, evidence: Evidence, variables: Sequence[int]
+    ) -> list[tuple[np.ndarray, float | None]]:
+        """Each of ``variables``' unnormalised table under ``evidence`` and its entropy, by a bucket tree.
 
         The upward pass walks the round's min-fill stepper over the free
         variables of the components that hold a requested variable (the stepper
@@ -494,17 +499,20 @@ class _Elimination:
         scale: neither the fully observed potentials nor the messages that
         close the other walked components enter it. So a table can have mass
         where the joint has none, but a table without mass means the joint
-        has none. A table that is not finite, from a product that overflowed,
-        raises the walks' ``ValueError``.
+        has none. Each table comes with its entropy by :func:`_entropies`,
+        ``None`` where its mass is zero or not finite: a bucket tree sums a
+        whole bucket at once, so its table can overflow where the walks,
+        which rescale after every variable, do not.
 
-        The core keeps every table it gave under the last evidence, and
-        computes only those it does not hold: the upward pass walks only the
-        components that hold such a variable, or every free variable under a
-        caller's order. Observing variables leaves every other component's
-        factors as they were, so :meth:`_start` keeps the tables of the
-        components no newly observed variable joins in the last start's graph,
-        as the same array objects; it keeps none under a caller's order, whose
-        graph shows no components, or when the evidence did not only grow.
+        The core keeps every table it gave under the last evidence, with its
+        entropy, and computes only those it does not hold: the upward pass
+        walks only the components that hold such a variable, or every free
+        variable under a caller's order. Observing variables leaves every
+        other component's factors as they were, so :meth:`_start` keeps the
+        tables of the components no newly observed variable joins in the last
+        start's graph, as the same (table, entropy) pairs; it keeps none under
+        a caller's order, whose graph shows no components, or when the
+        evidence did not only grow.
         """
         path, holders, _ = self._start(evidence)
         tables = self.tables
@@ -532,7 +540,7 @@ class _Elimination:
                 children.setdefault(parent[i], []).append(i)
                 i = parent[i]
         down: list[tuple | None] = [None] * len(steps)  # (scope, values) into each bucket
-        requested = {at[v] for v in missing}
+        requested, made = {at[v] for v in missing}, {}  # made: each requested table
         with np.errstate(over="ignore", invalid="ignore"):
             for p in sorted(wanted, reverse=True):  # a parent comes after its children
                 bucket = steps[p][0]
@@ -548,8 +556,8 @@ class _Elimination:
                     peak = float(values.max())
                     down[i] = (scope, values / peak if peak > 0.0 and peak != 1.0 else values)
                 if p in requested:
-                    _check_finite(sums[-1])
-                    tables[order[p]] = sums[-1]
+                    made[order[p]] = sums[-1]
+        tables.update(zip(made, zip(made.values(), _entropies([*made.values()]))))
         return [tables[v] for v in variables]
 
 
@@ -803,6 +811,23 @@ def _entropy(probs: np.ndarray) -> float:
     p = probs[probs > 0.0]
     h = float(-(p * np.log(p)).sum() / math.log(k))
     return min(max(h, 0.0), 1.0)
+
+
+def _entropies(tables: list[np.ndarray]) -> list[float | None]:
+    """Each table's normalised entropy, as :func:`~margmap.inference.entropy` takes it, in one pass.
+
+    ``None`` where a table's mass is zero or not finite.
+    """
+    sizes = np.array([t.size for t in tables])
+    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
+    flat = np.concatenate(tables)
+    with np.errstate(all="ignore"):  # a zero or infinite mass gives None
+        mass = np.add.reduceat(flat, starts)
+        probs = flat / np.repeat(mass, sizes)
+        terms = probs * np.log(np.where(probs > 0.0, probs, 1.0))  # 0 log 0 is 0
+        # a one-state table's only term is 1 log 1, so its entropy is 0
+        h = np.clip(-np.add.reduceat(terms, starts) / np.log(np.maximum(sizes, 2)), 0.0, 1.0)
+    return [float(x) if 0.0 < m < math.inf else None for x, m in zip(h, mass)]
 
 
 def brute_force_joint(

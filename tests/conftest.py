@@ -260,8 +260,8 @@ def trace_bits(trace):
 def reference_greedy(model, targets, evidence, epsilon=None):
     """The greedy run as one separate ``mar`` query per candidate per round.
 
-    Each round commits the first candidate, in id order, whose entropy lies
-    within 1e-9 of the least. A round without mass raises the error the
+    Each round commits the candidate of least entropy, the lowest id on
+    exact ties. A round without mass raises the error the
     greedy raises: the model's own when it has no joint mass, else one that
     names the step and the first candidate. ``mar_seconds`` is 0.
     """
@@ -280,8 +280,7 @@ def reference_greedy(model, targets, evidence, epsilon=None):
                 ) from None
             calls += 1
             scored.append((entropy(marginal), v, marginal))
-        line = min(h for h, _, _ in scored) + 1e-9
-        h, chosen, marginal = next(s for s in scored if s[0] <= line)
+        h, chosen, marginal = min(scored, key=lambda s: s[0])  # the first minimum: lowest id
         if epsilon is not None and not h < epsilon:
             break_entropy = h
             break

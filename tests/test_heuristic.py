@@ -14,7 +14,7 @@ from margmap import (
     mmap2mar,
     pr,
 )
-from margmap import heuristic, inference
+from margmap import inference
 from margmap.generate import random_grid_model, random_model
 from margmap.heuristic import _round_logs, _sharing_rounds
 from margmap.inference import _Elimination
@@ -305,10 +305,10 @@ class TestSharedRounds:
 def _count_calls(monkeypatch, method="table"):
     """Record the calls of ``_Elimination.<method>``: each evidence and what it asked, copied.
 
-    ``tree`` is recorded per call, with its variables and the tables it
-    gave: once per round of two targets or more. ``table`` is recorded once per core and
-    distinct evidence in a row, with every keep asked under it: once per
-    scored round. A model's first p~ also computes its partition function on
+    ``tree`` is recorded per call, with its variables and the (table,
+    entropy) pairs it gave: once per round of two targets or more. ``table``
+    is recorded once per core and distinct evidence in a row, with every
+    keep asked under it: once per scored round. A model's first p~ also computes its partition function on
     a core of its own, one more record, so count those only on a model that
     has already answered a query.
     """
@@ -318,9 +318,9 @@ def _count_calls(monkeypatch, method="table"):
 
     def counting(self, evidence, asked):
         if method == "tree":
-            tables = original(self, evidence, asked)
-            calls.append((dict(evidence), list(asked), tables))
-            return tables
+            ranked = original(self, evidence, asked)
+            calls.append((dict(evidence), list(asked), ranked))
+            return ranked
         if last[0] is self and last[1] == evidence:
             calls[-1][1].append(tuple(asked))
         else:
@@ -463,23 +463,24 @@ class TestScreen:
     def _check_carry(model, trees):
         """The core's carry over one run's ``tree`` calls. Each call after the first
         computes the tables of the targets joined to the variable the round before
-        committed, and gives every other target's table as the array object the call
-        before gave; a carried table's entropy is a fresh tree's, to 1e-12. Returns how
-        many tables each call computed and how many were carried."""
+        committed, and gives every other target's (table, entropy) pair as the object
+        the call before gave; a carried entropy is its table's and a fresh tree's, to
+        1e-12. Returns how many tables each call computed and how many were carried."""
         computed, carried = [len(trees[0][1])] if trees else [], 0
-        for (before, targets, tables), (evidence, now, held) in zip(trees, trees[1:]):
+        for (before, targets, ranked), (evidence, now, held) in zip(trees, trees[1:]):
             [(w, _)] = evidence.items() - before.items()
             linked = _linked(model, before, w)
-            last = dict(zip(targets, tables))
+            last = dict(zip(targets, ranked))
             fresh = _Elimination(model).tree(evidence, now)
-            for v, table, new in zip(now, held, fresh):
-                assert (table is last[v]) == (v not in linked)
+            for v, pair, (_, new) in zip(now, held, fresh):
+                assert (pair is last[v]) == (v not in linked)
                 if v in linked:
                     continue
+                table, h = pair
                 mass = float(table.sum())
                 assert 0.0 < mass < np.inf
-                h = inference._entropy(table / mass)
-                assert abs(h - inference._entropy(new / new.sum())) <= 1e-12
+                assert abs(h - inference._entropy(table / mass)) <= 1e-12
+                assert abs(h - new) <= 1e-12
                 carried += 1
             computed.append(sum(v in linked for v in now))
         return computed, carried
@@ -573,6 +574,19 @@ class TestScreen:
         assert all("while scoring variable 1" in m for m in messages[:2])
         assert messages[2] == "the model's joint mass is identically zero"
 
+    def test_a_tree_table_that_overflowed_is_walked(self):
+        # One potential over three binary variables. The tree sums the bucket of the
+        # first variable it eliminates over the other two at once: four entries, a
+        # mass past float64's largest value (and at 0.5e308 a table past it). A walk
+        # sums one variable at a time and rescales between, so it stays finite, and
+        # that target is walked beside the tree's least and can win.
+        for entry in (0.4e308, 0.5e308):
+            model = GraphicalModel((2, 2, 2), (Potential((0, 1, 2), np.full((2, 2, 2), entry)),))
+            assert [h for _, h in _Elimination(model).tree({}, [0, 1, 2])][0] is None
+            bits = trace_bits(mmap2mar(model, [0, 1, 2]))
+            assert bits == trace_bits(reference_greedy(model, [0, 1, 2], {}))
+            assert [step[0] for step in bits[3]] == [0, 1, 2]  # every walk ties at entropy 1
+
     def test_exact_walk_ties_go_to_the_lowest_id(self, monkeypatch):
         # Symmetric grids have candidates whose walk entropies tie exactly, while
         # their tree entropies differ in the last bits; the tie rule takes the
@@ -585,10 +599,10 @@ class TestScreen:
                 trace = mmap2mar(model, targets, evidence)
             except ZeroProbabilityEvidenceError:
                 continue
-            for (working, variables, tables), step in zip(trees, trace.steps):
+            for (working, variables, ranked), step in zip(trees, trace.steps):
                 walks = [entropy(mar(model, working, v)) for v in variables]
                 lowest = variables[walks.index(min(walks))]
-                tree = [np.inf if h is None else h for h in heuristic._entropies(tables)]
+                tree = [np.inf if h is None else h for _, h in ranked]
                 strict = variables[int(np.argmin(tree))]
                 rounds += 1
                 if walks.count(min(walks)) > 1 and strict != lowest:
@@ -605,7 +619,7 @@ class TestScreen:
         ]
         tables += [np.array(t) for t in ([0.0, 1e-300, 2.0], [1.0, 0.0], [3.0], [0.0, 0.0])]
         tables += [np.array(t) for t in ([np.inf, 1.0], [np.nan, 1.0], [1e308, 1e308])]
-        for table, h in zip(tables, heuristic._entropies(tables)):
+        for table, h in zip(tables, inference._entropies(tables)):
             with np.errstate(over="ignore"):
                 mass = float(table.sum())
             if 0.0 < mass < np.inf:

@@ -488,12 +488,13 @@ class TestBucketTree:
                     tree = elimination.tree(evidence, free)
                     forks = [elimination.table(evidence, (v,)) for v in free]
                     at = tuple(evidence.get(v, slice(None)) for v in range(model.n_vars))
-                    for i, (v, table, (fork, _)) in enumerate(zip(free, tree, forks)):
+                    for i, (v, (table, h), (fork, _)) in enumerate(zip(free, tree, forks)):
                         assert table.shape == (model.cardinalities[v],)
                         # a table is its own component's alone, up to scale: without
                         # mass there, the joint has none; with it, another component
                         # or a fully observed potential may still have none
                         mass = float(table.sum())
+                        assert (h is None) == (mass == 0.0)
                         if mass == 0.0:
                             assert float(fork.values.sum()) == 0.0
                         if float(fork.values.sum()) == 0.0:
@@ -509,6 +510,7 @@ class TestBucketTree:
                         )
                         fork_entropy = inference._entropy(fork.values / fork.values.sum())
                         gap = max(gap, abs(inference._entropy(probs) - fork_entropy))
+                        gap = max(gap, abs(h - fork_entropy))
         assert gap < 1e-12  # far below the greedy's tie line of 1e-9
 
     def test_a_hub_bucket_of_more_factors_than_einsum_takes(self):
@@ -516,7 +518,7 @@ class TestBucketTree:
         for evidence in ({}, {5: 0, 60: 1}):
             free = [v for v in range(model.n_vars) if v not in evidence]
             tables = _Elimination(model).tree(evidence, free)
-            for v, table in zip(free, tables):
+            for v, (table, _) in zip(free, tables):
                 np.testing.assert_allclose(
                     table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
                 )
@@ -536,7 +538,7 @@ class TestBucketTree:
             free = [v for v in range(16) if v not in evidence]
             tables = _Elimination(model).tree(evidence, free)
             assert max(sizes) >= _PATH_STATES  # the walks of ``mar`` below plan theirs too
-            for v, table in zip(free, tables):
+            for v, (table, _) in zip(free, tables):
                 np.testing.assert_allclose(
                     table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
                 )
@@ -548,7 +550,7 @@ class TestBucketTree:
             (Potential((0,), [0.0, 0.0]), Potential((1, 2), [[1.0, 2.0], [3.0, 4.0]])),
         )
         tables = _Elimination(model).tree({}, [1, 2])
-        np.testing.assert_allclose([t / t.sum() for t in tables], [[0.3, 0.7], [0.4, 0.6]], atol=1e-15)
+        np.testing.assert_allclose([t / t.sum() for t, _ in tables], [[0.3, 0.7], [0.4, 0.6]], atol=1e-15)
 
     def test_some_variables_under_a_callers_order(self):
         # under a caller's order the stepper's graph has no edges, so the upward
@@ -556,7 +558,7 @@ class TestBucketTree:
         model = random_grid_model(3, 3, 2, rng=np.random.default_rng(1))
         for evidence in ({}, {3: 1}):
             tables = _Elimination(model, range(9)).tree(evidence, [0, 4])
-            for v, table in zip((0, 4), tables):
+            for v, (table, _) in zip((0, 4), tables):
                 np.testing.assert_allclose(
                     table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
                 )
@@ -632,14 +634,14 @@ class TestBucketTree:
 
     def test_only_the_requested_variables_are_answered(self):
         model = random_grid_model(3, 3, 2, rng=np.random.default_rng(5))
-        full = _Elimination(model).tree({4: 1}, [v for v in range(9) if v != 4])
-        some = _Elimination(model).tree({4: 1}, [8, 0])
+        full = [t for t, _ in _Elimination(model).tree({4: 1}, [v for v in range(9) if v != 4])]
+        some = [t for t, _ in _Elimination(model).tree({4: 1}, [8, 0])]
         np.testing.assert_allclose(some[0] / some[0].sum(), full[7] / full[7].sum(), atol=1e-15)
         np.testing.assert_allclose(some[1] / some[1].sum(), full[0] / full[0].sum(), atol=1e-15)
 
 
 class TestTreeCarry:
-    """The bucket tree's tables that the core keeps from one evidence to the next."""
+    """The bucket tree's tables and entropies that the core keeps from one evidence to the next."""
 
     @staticmethod
     def _cut_grid():
@@ -653,15 +655,16 @@ class TestTreeCarry:
         elimination = _Elimination(model)
         first = dict(zip(free, elimination.tree(evidence, free)))
         # the same evidence computes nothing
-        assert all(t is first[v] for v, t in zip(free, elimination.tree(evidence, free)))
+        assert all(pair is first[v] for v, pair in zip(free, elimination.tree(evidence, free)))
         for observed, component in ((0, {1, 6, 7, 12, 13}), (35, {27, 28, 29, 33, 34})):
             evidence = {**evidence, observed: 1}
             free.remove(observed)
             tables = elimination.tree(evidence, free)
             fresh = _Elimination(model).tree(evidence, free)
-            for v, table, new in zip(free, tables, fresh):
-                assert (table is first[v]) == (v not in component)
-                np.testing.assert_array_equal(table, new)
+            for v, pair, (table, h) in zip(free, tables, fresh):
+                assert (pair is first[v]) == (v not in component)
+                np.testing.assert_array_equal(pair[0], table)
+                assert pair[1] == h
             first = dict(zip(free, tables))
 
     def test_nothing_is_carried_under_an_order_or_past_evidence_that_did_not_grow(self):
@@ -678,12 +681,14 @@ class TestTreeCarry:
             first = elimination.tree(evidence, free)
             assert not any(t is u for t in elimination.tree(then, asked) for u in first)
 
-    def test_a_table_that_overflowed_raises(self):
-        # the upward pass sums the potential over the one state of 0; the table of 0
-        # sums it over the three states of 1, past float64's largest value
+    def test_a_table_that_overflowed_has_no_entropy(self):
+        # the upward pass sums the potential over the one state of 0 and rescales
+        # it, so the table of 1 is uniform; the table of 0 sums the potential over
+        # the three states of 1 at once, past float64's largest value
         model = GraphicalModel((1, 3), (Potential((0, 1), np.full((1, 3), 1e308)),))
-        with pytest.raises(ValueError, match="finite"):
-            _Elimination(model).tree({}, [0, 1])
+        (zero, h_zero), (one, h_one) = _Elimination(model).tree({}, [0, 1])
+        assert np.isinf(zero).all() and h_zero is None
+        assert one.tolist() == [1.0, 1.0, 1.0] and h_one == pytest.approx(1.0, abs=1e-15)
 
 
 class TestBucketKernel:
