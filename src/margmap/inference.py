@@ -28,21 +28,20 @@ query. ``pr``, ``mar`` and the oracle use a fresh core per query.
 
 For a round of two candidates or more the greedy asks ``tree`` for every
 candidate's table and its entropy from one bucket tree (Shafer & Shenoy
-1990): one upward
-pass along the same min-fill path over the components that hold them,
-through the same steps and message memo, and one downward pass over only
-the buckets on the way to the candidates, which sums each bucket by one
-string-subscript ``np.einsum`` call per message or table on plain arrays
-(``_bucket_sums``), contracted pairwise along numpy's greedy path from
-``_PATH_STATES`` joint states on. What those calls are depends on the
-bucket's scopes, sums and cardinalities alone, so ``_bucket_plan`` is one
-``functools.lru_cache`` memo of the ``_PLANS`` most recent plans, shared by
-every model: the subscripts, the operands of ones, the folds and the
-contraction paths repeat round after round, run after run, and on every
-model parsed from the same text. Each tree table is its own component's, up
-to scale, so the core keeps the tables, with their entropies, of the
-components a newly observed variable does not join and computes only the
-others. The tables are exact, but their last bits are the tree's own, so
+1990): one upward pass along the same min-fill path over the components
+that hold them, through the same steps and message memo, and one downward
+pass over only the buckets on the way to the candidates, which sums each
+bucket by one string-subscript ``np.einsum`` call per message or table on
+plain arrays (``_bucket_sums``), contracted pairwise along numpy's greedy
+path from ``_PATH_STATES`` joint states on. What those calls are depends
+on the bucket's scopes, sums and cardinalities alone, so ``_bucket_plan``
+is one ``functools.lru_cache`` memo of the ``_PLANS`` most recent plans,
+shared by every model: the subscripts, the operands of ones, the folds and
+the contraction paths repeat round after round, run after run, and on
+every model parsed from the same text. Each tree table is its own
+component's, up to scale, so the core keeps the tables, with their
+entropies, of the components a newly observed variable does not join and
+computes only the others. The tables are exact, but their last bits are the tree's own, so
 the greedy uses them only to rank: the candidates within 1e-9 of the least
 tree entropy, and any whose table's mass is zero or not finite, get their
 own walks, and the winner's marginal and entropy are its walk's.
@@ -407,8 +406,9 @@ class _Elimination:
         new = [v for v in evidence if v not in before]
         # a table holds while no newly observed variable joins its component; a
         # caller's order has an edgeless graph, which shows no components
-        gone = _reach(path.adjacency, _mask(new)) if grew and not self.ordered else -1
-        self.tables = {v: t for v, t in self.tables.items() if not gone >> v & 1}
+        if self.tables:
+            gone = _reach(path.adjacency, _mask(new)) if grew and not self.ordered else -1
+            self.tables = {v: t for v, t in self.tables.items() if not gone >> v & 1}
         path = path.fork(())
         for v in new:
             path.remaining.remove(v)
@@ -477,7 +477,7 @@ class _Elimination:
     def tree(
         self, evidence: Evidence, variables: Sequence[int]
     ) -> list[tuple[np.ndarray, float | None]]:
-        """Each of ``variables``' unnormalised table under ``evidence`` and its entropy, by a bucket tree.
+        """Each of ``variables``' unnormalised table and its entropy under ``evidence``, by one bucket tree.
 
         The upward pass walks the round's min-fill stepper over the free
         variables of the components that hold a requested variable (the stepper
@@ -814,7 +814,7 @@ def _entropy(probs: np.ndarray) -> float:
 
 
 def _entropies(tables: list[np.ndarray]) -> list[float | None]:
-    """Each table's normalised entropy, as :func:`~margmap.inference.entropy` takes it, in one pass.
+    """Each table's normalised entropy, as :func:`entropy` takes it, in one pass.
 
     ``None`` where a table's mass is zero or not finite.
     """
