@@ -8,7 +8,10 @@ exact-match and Hamming accuracy together with the time spent in marginal
 queries versus the exact solve. Instances run one at a time over the whole
 grid. Every threshold's run scores the same rounds until its threshold
 stops it, so the instance's runs share one log of greedy rounds and score
-each round once, and each distinct explained set is solved once. Rows
+each round once, and each distinct explained set is solved once. The
+instance's evidence check and its oracle solves, all under its one
+evidence, share one elimination core, so the model is restricted to that
+evidence once and each solve reuses the messages of those before it. Rows
 still come out in (threshold, instance) order, and the timing columns stay
 per-row costs. Instance RNG streams are derived from (master seed, instance
 index), so results do not depend on execution order.
@@ -28,10 +31,11 @@ from .inference import (
     DEFAULT_ORACLE_CAP,
     MmapSolution,
     OracleTooLargeError,
+    _sharing,
     brute_force_mmap,
     pr,
 )
-from .heuristic import _check_epsilon, _explainable, _sharing_rounds, epsilon_mmap2mar
+from .heuristic import _check_epsilon, _explainable, epsilon_mmap2mar
 from .uaiio import parse_uai
 
 # The most evidence draws :func:`generate_instance` makes before it gives up.
@@ -141,9 +145,12 @@ def run_benchmark(
 
     Instances run one at a time, each over the whole grid, but results,
     skips and trajectory points come out in (epsilon, index) order. Each
-    instance's greedy runs share one :func:`~margmap.heuristic._sharing_rounds`
-    scope, so its rounds are scored once across the grid, and each distinct
-    explained set is solved by the oracle once. ``t_mar`` and ``t_mmap`` are
+    instance runs in one :func:`~margmap.inference._sharing` scope, from its
+    evidence draws to its last oracle solve: its greedy runs share one log,
+    so its rounds are scored once across the grid; each distinct explained
+    set is solved by the oracle once; and ``pr`` in :func:`generate_instance`
+    and every oracle solve share one elimination core, though every answer
+    is bit for bit the one a fresh core gives. ``t_mar`` and ``t_mmap`` are
     per-row costs: the seconds of that row's own greedy run (replayed rounds
     count the time they took when first scored) and of its oracle solve (a
     reused solve repeats its seconds), so their sums can exceed the run's
@@ -162,55 +169,9 @@ def run_benchmark(
     # outcomes[i][index]: the row, or the skip, of (grid[i], instance index)
     outcomes: list[list[InstanceResult | SkippedInstance]] = [[] for _ in grid]
     for index in range(spec.q):
-        # An instance's evidence and explain set depend only on (seed, index).
-        rng = np.random.default_rng([spec.seed, index])
-        skip = None
-        try:
-            evidence = generate_instance(model, spec.k, rng)
-        except ZeroProbabilityEvidenceError as err:
-            skip = str(err)
-        else:
-            explain = _explainable(model, evidence)
-            if not explain:
-                skip = "no explainable variables left unobserved"
-        if skip is not None:
-            for eps, row in zip(grid, outcomes):
-                row.append(SkippedInstance(eps, index, skip))
-            continue
-        # the oracle's solution and seconds under each explained set met so far
-        solved: dict[frozenset[int], tuple[MmapSolution, float]] = {}
-        with _sharing_rounds():
-            for eps, row in zip(grid, outcomes):
-                try:
-                    trace = epsilon_mmap2mar(model, explain, evidence, epsilon=eps)
-                    explained = frozenset(trace.explained)
-                    if explained not in solved:
-                        start = time.perf_counter()
-                        exact = brute_force_mmap(
-                            model, evidence, trace.explained, cap=spec.oracle_cap
-                        )
-                        solved[explained] = (exact, time.perf_counter() - start)
-                except (ZeroProbabilityEvidenceError, OracleTooLargeError) as err:
-                    row.append(SkippedInstance(eps, index, str(err)))
-                    continue
-                exact, t_mmap = solved[explained]
-                row.append(
-                    InstanceResult(
-                        epsilon=eps,
-                        index=index,
-                        evidence=dict(evidence),
-                        heuristic_assignment=dict(trace.explained),
-                        exact_assignment=dict(exact.assignment),
-                        exact_match=trace.explained == exact.assignment,
-                        hamming_similarity=hamming_similarity(
-                            trace.explained, exact.assignment
-                        ),
-                        confidence=trace.confidence,
-                        explained_fraction=len(trace.explained) / len(explain),
-                        t_mar=trace.mar_seconds,
-                        t_mmap=t_mmap,
-                    )
-                )
+        with _sharing():
+            for row, outcome in zip(outcomes, _instance_outcomes(model, spec, index)):
+                row.append(outcome)
 
     points: list[TrajectoryPoint] = []
     results: list[InstanceResult] = []
@@ -231,6 +192,56 @@ def run_benchmark(
                 )
             )
     return points, results, skipped
+
+
+def _instance_outcomes(
+    model: GraphicalModel, spec: BenchmarkSpec, index: int
+) -> list[InstanceResult | SkippedInstance]:
+    """Instance ``index``'s row, or its skip, at each threshold of the grid, in grid order."""
+    # An instance's evidence and explain set depend only on (seed, index).
+    rng = np.random.default_rng([spec.seed, index])
+    skip = None
+    try:
+        evidence = generate_instance(model, spec.k, rng)
+    except ZeroProbabilityEvidenceError as err:
+        skip = str(err)
+    else:
+        explain = _explainable(model, evidence)
+        if not explain:
+            skip = "no explainable variables left unobserved"
+    if skip is not None:
+        return [SkippedInstance(eps, index, skip) for eps in spec.epsilon_grid]
+    # the oracle's solution and seconds under each explained set met so far
+    solved: dict[frozenset[int], tuple[MmapSolution, float]] = {}
+    outcomes: list[InstanceResult | SkippedInstance] = []
+    for eps in spec.epsilon_grid:
+        try:
+            trace = epsilon_mmap2mar(model, explain, evidence, epsilon=eps)
+            explained = frozenset(trace.explained)
+            if explained not in solved:
+                start = time.perf_counter()
+                exact = brute_force_mmap(model, evidence, trace.explained, cap=spec.oracle_cap)
+                solved[explained] = (exact, time.perf_counter() - start)
+        except (ZeroProbabilityEvidenceError, OracleTooLargeError) as err:
+            outcomes.append(SkippedInstance(eps, index, str(err)))
+            continue
+        exact, t_mmap = solved[explained]
+        outcomes.append(
+            InstanceResult(
+                epsilon=eps,
+                index=index,
+                evidence=dict(evidence),
+                heuristic_assignment=dict(trace.explained),
+                exact_assignment=dict(exact.assignment),
+                exact_match=trace.explained == exact.assignment,
+                hamming_similarity=hamming_similarity(trace.explained, exact.assignment),
+                confidence=trace.confidence,
+                explained_fraction=len(trace.explained) / len(explain),
+                t_mar=trace.mar_seconds,
+                t_mmap=t_mmap,
+            )
+        )
+    return outcomes
 
 
 def _mean(values: Iterable[float]) -> float:

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
+from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Real
 
@@ -31,7 +29,7 @@ from .model import (
     _check_explain,
     _normalized,
 )
-from .inference import _Elimination, _entropy, _log_z, _over_z
+from .inference import _Elimination, _entropy, _log_z, _over_z, _shared
 
 
 # How far above the least tree entropy a target is still walked. Tree and
@@ -71,9 +69,10 @@ class ExplanationTrace:
     one min-fill walk (as for the only candidate of the last round), runs
     on one elimination through a shared message memo. ``mar_seconds`` is
     the time spent scoring this run's rounds, entropies included. Inside
-    :func:`_sharing_rounds`, a round an earlier call already scored is
-    replayed, not scored again, and still adds the seconds it took when it
-    was scored, so ``mar_seconds`` is the cost of this run, not wall time.
+    a :func:`~margmap.inference._sharing` scope, a round an earlier call
+    already scored is replayed, not scored again, and still adds the seconds
+    it took when it was scored, so ``mar_seconds`` is the cost of this run,
+    not wall time.
     """
 
     steps: tuple[ExplanationStep, ...]
@@ -148,30 +147,6 @@ class _RoundLog:
         self.rounds: list[tuple[ExplanationStep, float]] = []
 
 
-_round_logs: ContextVar[dict[tuple, _RoundLog] | None] = ContextVar("_round_logs", default=None)
-
-
-@contextmanager
-def _sharing_rounds() -> Iterator[None]:
-    """A scope in which greedy runs on the same inputs score each round once.
-
-    Inside it, :func:`mmap2mar` and :func:`epsilon_mmap2mar` keep a
-    :class:`_RoundLog` per (model, evidence items, target list), each as the
-    caller passed it. A call replays the logged rounds until its epsilon
-    stops it and scores, and logs, only the rounds past them, so every
-    threshold of one instance costs one full run's rounds. Each call returns
-    the trace a fresh call would, bit for bit, apart from ``mar_seconds``. A
-    call that raises leaves no log behind it if it made a new one. Outside
-    any scope each call keeps its rounds to itself. ``run_benchmark`` opens
-    one scope per instance.
-    """
-    token = _round_logs.set({})
-    try:
-        yield
-    finally:
-        _round_logs.reset(token)
-
-
 def _greedy(
     model: GraphicalModel,
     explain: Iterable[int],
@@ -180,10 +155,16 @@ def _greedy(
 ) -> ExplanationTrace:
     """The greedy run behind :func:`mmap2mar` and :func:`epsilon_mmap2mar`.
 
-    The run reads its rounds from a :class:`_RoundLog`: the one kept under
-    its inputs in an open :func:`_sharing_rounds` scope, or a new one. It
-    replays each logged round until epsilon stops it, and scores a round only
-    past the logged ones. Scoring (:func:`_score_round`) asks the log's
+    The run reads its rounds from a :class:`_RoundLog`: the one an open
+    :func:`~margmap.inference._sharing` scope keeps under its inputs (model,
+    evidence items and target list, each as the caller passed it), or a new
+    one. It replays each logged round until epsilon stops it, and scores, and
+    logs, a round only past the logged ones, so every threshold of one
+    instance costs one full run's rounds, and each call returns the trace a
+    fresh call would, bit for bit, apart from ``mar_seconds``. A call that
+    raises leaves no log behind it if it made a new one; outside any scope
+    each call keeps its rounds to itself. The log's core is its own, not the
+    scope's shared one: its evidence grows every round. Scoring (:func:`_score_round`) asks the log's
     :class:`~margmap.inference._Elimination` for the round's bucket tree
     and its walked targets' tables, under the round's one evidence, so the
     round's calls share one generation of its message memo; only the winner
@@ -204,8 +185,7 @@ def _greedy(
             f"variables {degenerate} have cardinality 1 and cannot be explained"
         )
 
-    logs = _round_logs.get()
-    # the log holds the model (in its elimination), so the id stays the model's
+    logs = _shared.get()
     key = (id(model), tuple(evidence.items()), explain)
     log = logs.get(key) if logs is not None else None
     if log is None:

@@ -24,7 +24,11 @@ the walks and bucket trees before it, under this evidence and the last
 one, are memo hits: mostly what the newly observed variable touches is
 redone. The memo turns over when the evidence changes, so a round's calls
 share one generation of it. Each table is bit-identical to a separate
-query. ``pr``, ``mar`` and the oracle use a fresh core per query.
+query. ``pr``, ``mar`` and the oracle use a fresh core per query, except
+inside a ``_sharing`` scope, where those under the min-fill order share one
+core per model: ``run_benchmark`` opens one per instance, so the instance's
+evidence check and its oracle solves, all under its one evidence, restrict
+the model once and share one message memo.
 
 For a round of two candidates or more the greedy asks ``tree`` for every
 candidate's table and its entropy from one bucket tree (Shafer & Shenoy
@@ -63,6 +67,8 @@ import itertools
 import math
 import string
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -699,6 +705,45 @@ def _joined(factors: Iterable[Potential], keep: tuple[int, ...], cards: Sequence
     return Potential._result(keep, values)
 
 
+# The open :func:`_sharing` scope's state, ``None`` outside any scope: each
+# model's shared core under its id, and each greedy round log under its key
+# (see ``heuristic._greedy``). A core or log holds its model, so the id stays
+# the model's while the scope is open.
+_shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
+
+
+@contextmanager
+def _sharing() -> Iterator[None]:
+    """A scope in which queries on the same model share one elimination core.
+
+    Inside it, :func:`pr`, :func:`mar` and :func:`brute_force_mmap` under the
+    default min-fill order run on one :class:`_Elimination` per model, so
+    queries under the same evidence restrict the model once and reuse each
+    other's messages; each still answers bit for bit as a fresh core would.
+    A caller's ``order`` still gets a fresh core. The greedy explainer keeps
+    its runs' rounds here too, one log per (model, evidence, target list),
+    each on a core of its own (see ``heuristic._greedy``). Everything the
+    scope holds is dropped when it exits, normally or by an exception.
+    ``run_benchmark`` opens one scope per instance.
+    """
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _core(model: GraphicalModel, order: Sequence[int] | None = None) -> _Elimination:
+    """The open scope's core of ``model`` under a min-fill order, or else a fresh core."""
+    shared = _shared.get()
+    if shared is None or order is not None:
+        return _Elimination(model, order)
+    core = shared.get(id(model))
+    if core is None:
+        core = shared[id(model)] = _Elimination(model)
+    return core
+
+
 def _check_finite(values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise ValueError("table entries must be finite: a product of potentials overflowed")
@@ -748,7 +793,7 @@ def pr(
         _rank(model, order)
         _log_z(model)
         return 1.0
-    table, log_num = _Elimination(model, order).table(evidence, ())
+    table, log_num = _core(model, order).table(evidence, ())
     return _over_z(model, float(table.values), log_num)
 
 
@@ -783,7 +828,7 @@ def mar(
     when its joint mass is zero.
     """
     evidence, (variable,) = _check_explain(model, evidence, (variable,))
-    table, _ = _Elimination(model, order).table(evidence, (variable,))
+    table, _ = _core(model, order).table(evidence, (variable,))
     try:
         return normalize(table)
     except ZeroProbabilityEvidenceError:
@@ -882,7 +927,7 @@ def brute_force_mmap(
     if states > cap:
         raise OracleTooLargeError(f"{states} explained states exceed the cap of {cap}")
 
-    factors, log_num = _Elimination(model).held(evidence, explain)
+    factors, log_num = _core(model).held(evidence, explain)
     traceback = []
     for v in reversed(explain):
         bucket = [f for f in factors if v in f.scope]

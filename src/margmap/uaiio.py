@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .model import Evidence, GraphicalModel, NetworkKind, Potential
 
 
@@ -32,33 +34,40 @@ class UaiParseError(ValueError):
 
 
 class _Cursor:
-    """Token stream with line/token positions for error reporting."""
+    """Token stream; the line and token positions are worked out only to report an error."""
 
     def __init__(self, text: str):
-        self.tokens: list[tuple[str, int, int]] = []
-        header = True
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if header and stripped.startswith("c"):
-                continue
-            if header and stripped:
-                header = False
-            for tok_no, tok in enumerate(line.split(), start=1):
-                self.tokens.append((tok, line_no, tok_no))
+        self.lines = text.splitlines()
+        # the header's comment lines, which start with "c" and come before the
+        # first other non-blank line, hold no tokens
+        self.first = next(
+            (i for i, line in enumerate(self.lines) if line.strip()[:1] not in ("", "c")),
+            len(self.lines),
+        )
+        self.tokens = " ".join(self.lines[self.first :]).split()
         self.pos = 0
-        self.last = (1, 0)  # line/token of the most recently consumed token
+
+    def _position(self, index: int) -> tuple[int, int]:
+        """The (line, token) position of token ``index``, each from 1; (1, 0) before the first."""
+        if index < 0:
+            return 1, 0
+        positions = [
+            (line_no, tok_no)
+            for line_no, line in enumerate(self.lines[self.first :], start=self.first + 1)
+            for tok_no in range(1, len(line.split()) + 1)
+        ]
+        return positions[index]
 
     def next(self, expect: str) -> str:
         if self.pos >= len(self.tokens):
-            line = self.tokens[-1][1] if self.tokens else 1
+            line = self._position(len(self.tokens) - 1)[0] if self.tokens else 1
             raise UaiParseError(f"unexpected end of input, expected {expect}", line)
-        text, line, tok_no = self.tokens[self.pos]
         self.pos += 1
-        self.last = (line, tok_no)
-        return text
+        return self.tokens[self.pos - 1]
 
     def fail(self, message: str) -> UaiParseError:
-        return UaiParseError(message, *self.last)
+        """An error at the most recently consumed token."""
+        return UaiParseError(message, *self._position(self.pos - 1))
 
     def take_int(self, what: str, minimum: int = 0) -> int:
         text = self.next(what)
@@ -80,14 +89,42 @@ class _Cursor:
             raise self.fail(f"{what} must be finite, found {text}")
         return value
 
+    def take_table(self, i: int, count: int) -> np.ndarray:
+        """Table ``i``'s ``count`` entries, each finite and non-negative, in one array.
+
+        The block is read by one ``float`` per token and checked as a whole;
+        only a block that fails is read again entry by entry, to report its
+        first bad entry where it is.
+        """
+        block = self.tokens[self.pos : self.pos + count]
+        try:
+            values = np.array([float(tok) for tok in block])
+        except ValueError:
+            values = None
+        if values is not None and values.size == count:
+            if 0.0 <= values.min() and values.max() < math.inf:  # NaN fails both
+                self.pos += count
+                return values
+        entries = []
+        for j in range(count):
+            value = self.take_float(f"entry {j} of table {i}")
+            if value < 0.0:
+                raise self.fail(f"negative table value {value}")
+            entries.append(value)
+        return np.array(entries)
+
     def finish(self) -> None:
         if self.pos < len(self.tokens):
-            text, line, tok_no = self.tokens[self.pos]
-            raise UaiParseError(f"unexpected trailing token {text!r}", line, tok_no)
+            line, tok_no = self._position(self.pos)
+            raise UaiParseError(f"unexpected trailing token {self.tokens[self.pos]!r}", line, tok_no)
 
 
 def parse_uai(text: str) -> GraphicalModel:
-    """Parse model text into a validated graphical model."""
+    """Parse model text into a validated graphical model.
+
+    Each table's entries are checked here (finite, non-negative), so its
+    potential is built without a second check.
+    """
     cur = _Cursor(text)
     kind_text = cur.next("network kind keyword")
     try:
@@ -115,19 +152,14 @@ def parse_uai(text: str) -> GraphicalModel:
 
     potentials: list[Potential] = []
     for i, scope in enumerate(scopes):
-        expected = math.prod(cards[v] for v in scope)
+        shape = tuple(cards[v] for v in scope)
+        expected = math.prod(shape)
         count = cur.take_int(f"entry count of table {i}")
         if count != expected:
             raise cur.fail(
                 f"table {i} declares {count} entries but scope {scope} needs {expected}"
             )
-        entries = []
-        for j in range(count):
-            value = cur.take_float(f"entry {j} of table {i}")
-            if value < 0.0:
-                raise cur.fail(f"negative table value {value}")
-            entries.append(value)
-        potentials.append(Potential.from_flat(scope, entries, cards))
+        potentials.append(Potential._result(scope, cur.take_table(i, count).reshape(shape)))
     cur.finish()
     return GraphicalModel(cards, tuple(potentials), network_kind=kind)
 

@@ -28,6 +28,7 @@ from margmap import (
     run_benchmark,
 )
 from margmap.bench import CSV_HEADER
+from margmap.inference import _Elimination
 from margmap.generate import random_grid_model, random_model
 from margmap.uaiio import write_uai
 
@@ -385,6 +386,35 @@ class TestRunBenchmark:
         assert not skipped
         distinct = {(r.index, frozenset(r.heuristic_assignment)) for r in results}
         assert len(solves) == len(distinct) < len(results)
+        monkeypatch.undo()
+        reference = _reference_benchmark(spec)
+        assert _emitted(tmp_path, "shared", points, results) == _emitted(
+            tmp_path, "reference", *reference[:2]
+        )
+
+    def test_one_shared_core_per_instance(self, tmp_path, monkeypatch):
+        # X2 = 1 is impossible, so some instances draw their evidence again
+        rng = np.random.default_rng(13)
+        grid = random_grid_model(1, 5, 2, rng=rng)
+        zeroed = Potential((2,), [1.0, 0.0])
+        path = tmp_path / "chain.uai"
+        path.write_text(write_uai(GraphicalModel(grid.cardinalities, (*grid.potentials, zeroed))))
+        spec = BenchmarkSpec(path, k=1, q=8, epsilon_grid=(0.0, 0.4, 0.8, 1.0), seed=3)
+        made, draws = [], []
+        init = _Elimination.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Elimination, "__init__", counting)
+        monkeypatch.setattr("margmap.bench.pr", lambda *args: draws.append(args) or pr(*args))
+        points, results, skipped = run_benchmark(spec)
+        assert not skipped and len(draws) > spec.q
+        assert len({(r.index, frozenset(r.heuristic_assignment)) for r in results}) > spec.q
+        # per instance, one core for its draws and oracle solves and one for its
+        # greedy rounds; one more for the parsed model's partition function
+        assert len(made) == 2 * spec.q + 1
         monkeypatch.undo()
         reference = _reference_benchmark(spec)
         assert _emitted(tmp_path, "shared", points, results) == _emitted(

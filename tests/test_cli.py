@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from margmap.cli import main
+from margmap import cli
+from margmap.cli import build_parser, main
 from margmap.uaiio import parse_uai
 
 from conftest import WEATHER_TEXT
@@ -235,3 +236,42 @@ class TestBench:
         ) == 1
         assert "'epsilons'" in capsys.readouterr().err
         assert not (tmp_path / "run_instances.csv").exists()
+
+
+class TestParser:
+    def test_one_parser_per_process_parses_like_fresh_ones(
+        self, weather_file, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+
+        def counting():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        # a flag set in one call must not carry into the next
+        argvs = [
+            ["solve", str(weather_file), "--explain", "0,1", "--epsilon", "0.95"],
+            ["solve", str(weather_file), "--explain", "0,1"],
+            ["oracle", str(weather_file), "--explain", "0", "--oracle-cap", "4"],
+            ["bench", str(weather_file)],  # no --out-prefix: argparse exits
+        ]
+        outputs = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exit:
+                code = ("exit", exit.code)
+            outputs.append((code, capsys.readouterr()))
+        assert len(built) == 1
+        assert cli._parser() is cli._parser()
+        for argv, output in zip(argvs, outputs):
+            parser = build_parser()
+            try:
+                args = parser.parse_args(argv)
+                code = args.func(args)
+            except SystemExit as exit:
+                code = ("exit", exit.code)
+            assert (code, capsys.readouterr()) == output
+        assert outputs[-1][0] == ("exit", 2)

@@ -16,7 +16,7 @@ from margmap import (
 )
 from margmap import inference
 from margmap.generate import random_grid_model, random_model
-from margmap.heuristic import _round_logs, _sharing_rounds
+from margmap.inference import _shared, _sharing
 from margmap.inference import _Elimination
 
 from conftest import (
@@ -357,7 +357,7 @@ class TestRoundLog:
             fresh[None] = mmap2mar(model, targets, evidence)
             for order in (grid, grid[::-1], list(rng.permutation(grid))):
                 scored = _count_calls(monkeypatch)
-                with _sharing_rounds():
+                with _sharing():
                     for e in order:
                         shared = epsilon_mmap2mar(model, targets, evidence, epsilon=float(e))
                         assert trace_bits(shared) == trace_bits(fresh[float(e)])
@@ -369,7 +369,7 @@ class TestRoundLog:
 
     def test_replayed_rounds_count_their_first_seconds(self):
         model, evidence, targets = next(_explainable_instances(82))
-        with _sharing_rounds():
+        with _sharing():
             first = mmap2mar(model, targets, evidence)
             again = mmap2mar(model, targets, evidence)
         assert again.mar_seconds == first.mar_seconds > 0.0
@@ -382,7 +382,7 @@ class TestRoundLog:
         b = mmap2mar(model, targets, evidence)
         assert len(scored) == 2 * len(targets)
         assert trace_bits(a) == trace_bits(b) == trace_bits(fresh)
-        assert _round_logs.get() is None
+        assert _shared.get() is None
 
     def test_other_evidence_or_target_order_misses_the_log(self, monkeypatch):
         model, evidence, targets = next(
@@ -392,7 +392,7 @@ class TestRoundLog:
         other = {**evidence, observed: (state + 1) % model.cardinalities[observed]}
         mmap2mar(model, targets, evidence)
         scored = _count_calls(monkeypatch)
-        with _sharing_rounds():
+        with _sharing():
             mmap2mar(model, targets, evidence)
             assert len(scored) == len(targets)
             mmap2mar(model, targets, evidence)
@@ -414,10 +414,10 @@ class TestRoundLog:
         )
         pr(model, {})  # the error path checks the partition function: fill it first
         scored = _count_calls(monkeypatch)
-        with _sharing_rounds():
+        with _sharing():
             with pytest.raises(ZeroProbabilityEvidenceError) as first:
                 epsilon_mmap2mar(model, [1, 2], {0: 1}, epsilon=0.5)
-            assert _round_logs.get() == {}
+            assert _shared.get() == {}
             with pytest.raises(ZeroProbabilityEvidenceError) as again:
                 mmap2mar(model, [1, 2], {0: 1})
         assert str(again.value) == str(first.value)

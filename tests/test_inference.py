@@ -1,8 +1,11 @@
 """Variable elimination, entropy, and the brute-force oracles."""
 
+import contextvars
 import functools
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -35,6 +38,8 @@ from margmap.inference import (
     _joined,
     _max_message,
     _MinFill,
+    _shared,
+    _sharing,
     _sum_message,
 )
 from margmap.uaiio import parse_uai, write_uai
@@ -1397,3 +1402,86 @@ class TestOverflow:
         for query in queries:
             with pytest.raises(ValueError, match="finite"):
                 query()
+
+
+def _fresh(query, *args, **kwargs):
+    """``query``'s answer, or its error's type and message, outside any sharing scope."""
+    return _answer(contextvars.Context().run, query, *args, **kwargs)
+
+
+def _answer(run, query, *args, **kwargs):
+    """What ``run(query, ...)`` gives, every float as its bytes, or its error's type and message."""
+    try:
+        result = run(query, *args, **kwargs)
+    except (ZeroProbabilityEvidenceError, OracleTooLargeError) as err:
+        return type(err), str(err)
+    if isinstance(result, float):
+        return np.float64(result).tobytes()
+    if isinstance(result, MassFunction):
+        return result.variable, result.probs.tobytes()
+    return result.assignment, np.float64(result.probability).tobytes()
+
+
+class TestSharingScope:
+    def test_interleaved_queries_answer_as_fresh_ones(self):
+        rng = np.random.default_rng(71)
+        # X0 = 1 is impossible: the draw a bench instance makes again
+        impossible = GraphicalModel(
+            (2, 2, 3),
+            (Potential((0,), [1.0, 0.0]), Potential((0, 1, 2), rng.random((2, 2, 3)))),
+        )
+        models = [impossible, *differential_models(71)[::4]]
+        redrawn = skipped = 0
+        for model in models:
+            evidences = _evidence_sequence(model, rng)
+            if model is impossible:
+                evidences = [{0: 1}, {0: 0}, {0: 0, 2: 1}, {0: 1, 2: 1}, {2: 1}, {}]
+            order = tuple(int(v) for v in rng.permutation(model.n_vars))
+            with _sharing():
+                for evidence in evidences:
+                    free = [v for v in range(model.n_vars) if v not in evidence]
+                    queries = [(pr, model, evidence), (brute_force_mmap, model, evidence, ())]
+                    queries += [(mar, model, evidence, v) for v in free]
+                    queries += [(brute_force_mmap, model, evidence, free), (pr, model, evidence)]
+                    queries += [(mar, model, evidence, free[-1]), (brute_force_mmap, model, evidence, free[::2])]
+                    states = math.prod(model.cardinalities[v] for v in free)
+                    for query, *args in queries:
+                        assert _answer(lambda f, *a: f(*a), query, *args) == _fresh(query, *args)
+                    # a caller's order gets a fresh core, and the shared one goes on unchanged
+                    assert _answer(lambda f, *a: f(*a, order=order), pr, model, evidence) == _fresh(
+                        pr, model, evidence, order=order
+                    )
+                    if states > 1:  # the oracle's cap skips the full set, as the bench does
+                        got = _answer(lambda f, *a: f(*a, cap=states - 1), brute_force_mmap, model, evidence, free)
+                        assert got == _fresh(brute_force_mmap, model, evidence, free, cap=states - 1)
+                        assert got[0] is OracleTooLargeError
+                        skipped += 1
+                    try:
+                        solution = brute_force_mmap(model, evidence, ())
+                    except ZeroProbabilityEvidenceError:  # the model's joint mass is zero
+                        continue
+                    assert solution.probability == pr(model, evidence)  # P(evidence), bit for bit
+                    redrawn += solution.probability == 0.0
+                shared = _shared.get()
+                assert list(shared) == [id(model)]  # one core served every query
+                assert isinstance(shared[id(model)], _Elimination)
+        assert redrawn >= 2 and skipped > 100
+
+    def test_the_scope_leaves_nothing_behind(self):
+        for fails in (False, True):
+            model = random_grid_model(2, 3, 2, rng=np.random.default_rng(72))
+            alive = weakref.ref(model)
+            try:
+                with _sharing():
+                    pr(model, {0: 1})
+                    brute_force_mmap(model, {0: 1}, [1, 2])
+                    mmap2mar(model, [1, 2], {0: 1})
+                    assert len(_shared.get()) == 2  # the shared core and the run's round log
+                    if fails:
+                        raise KeyError("inside the scope")
+            except KeyError:
+                pass
+            assert _shared.get() is None
+            del model
+            gc.collect()
+            assert alive() is None  # no core, log or memo holds the model any more
