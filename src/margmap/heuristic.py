@@ -164,12 +164,13 @@ def _greedy(
     fresh call would, bit for bit, apart from ``mar_seconds``. A call that
     raises leaves no log behind it if it made a new one; outside any scope
     each call keeps its rounds to itself. The log's core is its own, not the
-    scope's shared one: its evidence grows every round. Scoring (:func:`_score_round`) asks the log's
-    :class:`~margmap.inference._Elimination` for the round's bucket tree
-    and its walked targets' tables, under the round's one evidence, so the
-    round's calls share one generation of its message memo; only the winner
-    becomes a :class:`MassFunction`. Round 1 also asks for the empty
-    keep when there is evidence: its table and log scale are those of
+    scope's shared one, since its evidence grows every round. Scoring
+    (:func:`_score_round`) asks the log's :class:`~margmap.inference._Elimination`
+    for the round's bucket tree and its walked targets' tables, under the
+    round's one evidence, so the round's calls share one generation of its
+    message memo; only the winner becomes a :class:`MassFunction`. Round 1
+    also asks for the empty keep when there is evidence: its table and log
+    scale are those of
     ``pr``'s own elimination, so P(evidence), the start of p~, comes out
     bit-identical without a second elimination. The ratio to the partition
     function is taken after the last round.

@@ -60,7 +60,7 @@ class _Cursor:
 
     def next(self, expect: str) -> str:
         if self.pos >= len(self.tokens):
-            line = self._position(len(self.tokens) - 1)[0] if self.tokens else 1
+            line = self._position(len(self.tokens) - 1)[0]
             raise UaiParseError(f"unexpected end of input, expected {expect}", line)
         self.pos += 1
         return self.tokens[self.pos - 1]
@@ -100,9 +100,9 @@ class _Cursor:
         try:
             values = np.array([float(tok) for tok in block])
         except ValueError:
-            values = None
-        if values is not None and values.size == count:
-            if 0.0 <= values.min() and values.max() < math.inf:  # NaN fails both
+            pass
+        else:  # NaN fails both bounds
+            if values.size == count and 0.0 <= values.min() and values.max() < math.inf:
                 self.pos += count
                 return values
         entries = []
@@ -115,8 +115,8 @@ class _Cursor:
 
     def finish(self) -> None:
         if self.pos < len(self.tokens):
-            line, tok_no = self._position(self.pos)
-            raise UaiParseError(f"unexpected trailing token {self.tokens[self.pos]!r}", line, tok_no)
+            text = self.tokens[self.pos]
+            raise UaiParseError(f"unexpected trailing token {text!r}", *self._position(self.pos))
 
 
 def parse_uai(text: str) -> GraphicalModel:

@@ -16,8 +16,7 @@ from margmap import (
 )
 from margmap import inference
 from margmap.generate import random_grid_model, random_model
-from margmap.inference import _shared, _sharing
-from margmap.inference import _Elimination
+from margmap.inference import _Elimination, _shared, _sharing
 
 from conftest import (
     differential_models,
