@@ -6,15 +6,17 @@ unobserved variable, treats whatever it explained as the target set, solves
 that same set exactly with the constrained-elimination oracle, and records
 exact-match and Hamming accuracy together with the time spent in marginal
 queries versus the exact solve. Instances run one at a time over the whole
-grid. Every threshold's run scores the same rounds until its threshold
-stops it, so the instance's runs share one log of greedy rounds and score
-each round once, and each distinct explained set is solved once. The
-instance's evidence check and its oracle solves, all under its one
-evidence, share one elimination core, so the model is restricted to that
-evidence once and each solve reuses the messages of those before it. Rows
-still come out in (threshold, instance) order, and the timing columns stay
-per-row costs. Instance RNG streams are derived from (master seed, instance
-index), so results do not depend on execution order.
+grid, and all of an instance's queries share one elimination core: its
+evidence check, its greedy runs and its oracle solves. Every threshold's
+run scores the same rounds until its threshold stops it, so the runs share
+one log of greedy rounds on that core and score each round once. The runs
+over the whole grid come first and the oracle solves after, so the core's
+evidence grows through the rounds and comes back to the instance's
+evidence once; a solve of an explained set met before reuses the messages
+of the solves before it. Rows still come out in (threshold, instance)
+order, and the timing columns stay per-row costs. Instance RNG streams are
+derived from (master seed, instance index), so results do not depend on
+execution order.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 from .model import GraphicalModel, ZeroProbabilityEvidenceError, _check_integer
 from .inference import (
     DEFAULT_ORACLE_CAP,
-    MmapSolution,
     OracleTooLargeError,
     _sharing,
     brute_force_mmap,
@@ -146,15 +147,14 @@ def run_benchmark(
     Instances run one at a time, each over the whole grid, but results,
     skips and trajectory points come out in (epsilon, index) order. Each
     instance runs in one :func:`~margmap.inference._sharing` scope, from its
-    evidence draws to its last oracle solve: its greedy runs share one log,
-    so its rounds are scored once across the grid; each distinct explained
-    set is solved by the oracle once; and ``pr`` in :func:`generate_instance`
-    and every oracle solve share one elimination core, though every answer
-    is bit for bit the one a fresh core gives. ``t_mar`` and ``t_mmap`` are
+    evidence draws to its last oracle solve: ``pr`` in
+    :func:`generate_instance`, the greedy runs and the oracle solves share
+    one elimination core, though every answer is bit for bit the one a fresh
+    core gives, and the greedy runs share one log of rounds on it, so the
+    rounds are scored once across the grid. ``t_mar`` and ``t_mmap`` are
     per-row costs: the seconds of that row's own greedy run (replayed rounds
-    count the time they took when first scored) and of its oracle solve (a
-    reused solve repeats its seconds), so their sums can exceed the run's
-    wall time.
+    count the time they took when first scored), so their sum can exceed the
+    run's wall time, and of that row's own oracle solve.
 
     An instance is skipped, with its reason recorded, only for a domain
     failure: no evidence with positive probability could be drawn, the
@@ -211,21 +211,26 @@ def _instance_outcomes(
             skip = "no explainable variables left unobserved"
     if skip is not None:
         return [SkippedInstance(eps, index, skip) for eps in spec.epsilon_grid]
-    # the oracle's solution and seconds under each explained set met so far
-    solved: dict[frozenset[int], tuple[MmapSolution, float]] = {}
-    outcomes: list[InstanceResult | SkippedInstance] = []
+    # every greedy run first, then every oracle solve, so the shared core's
+    # evidence comes back to the instance's once
+    traces = []
     for eps in spec.epsilon_grid:
         try:
-            trace = epsilon_mmap2mar(model, explain, evidence, epsilon=eps)
-            explained = frozenset(trace.explained)
-            if explained not in solved:
-                start = time.perf_counter()
-                exact = brute_force_mmap(model, evidence, trace.explained, cap=spec.oracle_cap)
-                solved[explained] = (exact, time.perf_counter() - start)
-        except (ZeroProbabilityEvidenceError, OracleTooLargeError) as err:
+            traces.append(epsilon_mmap2mar(model, explain, evidence, epsilon=eps))
+        except ZeroProbabilityEvidenceError as err:
+            traces.append(SkippedInstance(eps, index, str(err)))
+    outcomes: list[InstanceResult | SkippedInstance] = []
+    for eps, trace in zip(spec.epsilon_grid, traces):
+        if isinstance(trace, SkippedInstance):
+            outcomes.append(trace)
+            continue
+        start = time.perf_counter()
+        try:
+            exact = brute_force_mmap(model, evidence, trace.explained, cap=spec.oracle_cap)
+        except OracleTooLargeError as err:
             outcomes.append(SkippedInstance(eps, index, str(err)))
             continue
-        exact, t_mmap = solved[explained]
+        t_mmap = time.perf_counter() - start
         outcomes.append(
             InstanceResult(
                 epsilon=eps,

@@ -29,7 +29,7 @@ from .model import (
     _check_explain,
     _normalized,
 )
-from .inference import _Elimination, _entropy, _log_z, _over_z, _shared
+from .inference import _Elimination, _core, _entropy, _log_z, _over_z
 
 
 # How far above the least tree entropy a target is still walked. Tree and
@@ -69,7 +69,8 @@ class ExplanationTrace:
     one min-fill walk (as for the only candidate of the last round), runs
     on one elimination through a shared message memo. ``mar_seconds`` is
     the time spent scoring this run's rounds, entropies included. Inside
-    a :func:`~margmap.inference._sharing` scope, a round an earlier call
+    a :func:`~margmap.inference._sharing` scope the rounds run on the
+    model's shared core, and a round an earlier call with the same inputs
     already scored is replayed, not scored again, and still adds the seconds
     it took when it was scored, so ``mar_seconds`` is the cost of this run,
     not wall time.
@@ -130,19 +131,18 @@ def _explainable(model: GraphicalModel, evidence: Evidence) -> list[int]:
 
 
 class _RoundLog:
-    """The rounds scored so far for one (model, evidence, target list).
+    """The rounds scored so far for one (evidence, target list), kept on the model's core.
 
     ``rounds`` holds, per scored round in order, the winning step (entropy,
-    variable, state and marginal) and the round's seconds; ``elimination``
-    has run exactly those rounds, so it goes on with the next one as a fresh
-    run would; ``evidence_sum`` is round 1's P(evidence) table and log scale,
-    kept when there is evidence.
+    variable, state and marginal) and the round's seconds; ``evidence_sum``
+    is round 1's P(evidence) table and log scale, kept when there is
+    evidence. The core the log is kept on scores the next round as a fresh
+    core would, whatever it answered in between.
     """
 
-    __slots__ = ("elimination", "evidence_sum", "rounds")
+    __slots__ = ("evidence_sum", "rounds")
 
-    def __init__(self, model: GraphicalModel):
-        self.elimination = _Elimination(model)
+    def __init__(self) -> None:
         self.evidence_sum: tuple[Potential, float] | None = None
         self.rounds: list[tuple[ExplanationStep, float]] = []
 
@@ -155,24 +155,27 @@ def _greedy(
 ) -> ExplanationTrace:
     """The greedy run behind :func:`mmap2mar` and :func:`epsilon_mmap2mar`.
 
-    The run reads its rounds from a :class:`_RoundLog`: the one an open
-    :func:`~margmap.inference._sharing` scope keeps under its inputs (model,
-    evidence items and target list, each as the caller passed it), or a new
-    one. It replays each logged round until epsilon stops it, and scores, and
-    logs, a round only past the logged ones, so every threshold of one
-    instance costs one full run's rounds, and each call returns the trace a
-    fresh call would, bit for bit, apart from ``mar_seconds``. A call that
-    raises leaves no log behind it if it made a new one; outside any scope
-    each call keeps its rounds to itself. The log's core is its own, not the
-    scope's shared one, since its evidence grows every round. Scoring
-    (:func:`_score_round`) asks the log's :class:`~margmap.inference._Elimination`
-    for the round's bucket tree and its walked targets' tables, under the
-    round's one evidence, so the round's calls share one generation of its
-    message memo; only the winner becomes a :class:`MassFunction`. Round 1
-    also asks for the empty keep when there is evidence: its table and log
-    scale are those of
-    ``pr``'s own elimination, so P(evidence), the start of p~, comes out
-    bit-identical without a second elimination. The ratio to the partition
+    The run scores its rounds on :func:`~margmap.inference._core`'s
+    :class:`~margmap.inference._Elimination` for the model: inside a
+    :func:`~margmap.inference._sharing` scope the model's shared core, the
+    one its ``pr``, ``mar`` and oracle queries run on, and a fresh one
+    outside. It reads them from the :class:`_RoundLog` that core keeps under
+    its inputs (evidence items and target list, each as the caller passed
+    them), or a new one. It replays each logged round until epsilon stops it,
+    and scores, and logs, a round only past the logged ones, so every
+    threshold of one instance costs one full run's rounds, and each call
+    returns the trace a fresh call would, bit for bit, apart from
+    ``mar_seconds``. A call that raises leaves no log behind it if it made a
+    new one; outside any scope each call keeps its rounds to itself.
+    Scoring (:func:`_score_round`) asks the core for the round's bucket tree
+    and its walked targets' tables, under the round's one evidence, so the
+    round's calls share one generation of its message memo; only the winner
+    becomes a :class:`MassFunction`. Round 1 also asks for the empty keep
+    when there is evidence: its table and log scale are those of ``pr``'s
+    own elimination, so P(evidence), the start of p~, comes out
+    bit-identical without a second elimination, and on a shared core that
+    has just answered ``pr`` under the same evidence, as in
+    ``run_benchmark``, its walk is memo hits. The ratio to the partition
     function is taken after the last round.
     """
     explain = tuple(explain)
@@ -186,11 +189,9 @@ def _greedy(
             f"variables {degenerate} have cardinality 1 and cannot be explained"
         )
 
-    logs = _shared.get()
-    key = (id(model), tuple(evidence.items()), explain)
-    log = logs.get(key) if logs is not None else None
-    if log is None:
-        log = _RoundLog(model)
+    elimination = _core(model)
+    key = (tuple(evidence.items()), explain)
+    log = elimination.logs.get(key) or _RoundLog()
     working = dict(evidence)
     steps: list[ExplanationStep] = []
     mar_calls = 0
@@ -199,7 +200,7 @@ def _greedy(
 
     while targets:
         if len(steps) == len(log.rounds):
-            log.rounds.append(_score_round(log, working, targets))
+            log.rounds.append(_score_round(elimination, log, working, targets))
         step, seconds = log.rounds[len(steps)]
         mar_seconds += seconds
         mar_calls += len(targets)
@@ -209,8 +210,7 @@ def _greedy(
         steps.append(step)
         working[step.variable] = step.chosen_state
         targets.remove(step.variable)
-    if logs is not None:
-        logs[key] = log
+    elimination.logs[key] = log
 
     # The first ratio taken on a model also computes its log partition
     # function, a full elimination: after the rounds, only the last round's
@@ -236,9 +236,9 @@ def _greedy(
 
 
 def _score_round(
-    log: _RoundLog, working: Evidence, targets: list[int]
+    elimination: _Elimination, log: _RoundLog, working: Evidence, targets: list[int]
 ) -> tuple[ExplanationStep, float]:
-    """Score the round after ``log``'s: the least entropic target's step, and the seconds taken.
+    """Score the round after ``log``'s on ``elimination``: the least entropic target's step, and its seconds.
 
     A round of two targets or more is ranked first by the entropies of
     :meth:`~margmap.inference._Elimination.tree`'s tables, and only the
@@ -261,7 +261,6 @@ def _score_round(
     is.
     """
     start = time.perf_counter()
-    elimination = log.elimination
     walked = targets
     if len(targets) > 1:
         entropies = [h for _, h in elimination.tree(working, targets)]

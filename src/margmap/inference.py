@@ -7,28 +7,29 @@ caller's ordering: a fixed priority on the same stepper, with no fill work.
 ``brute_force_mmap`` solves marginal MAP exactly by constrained
 elimination; both are the exact answers the greedy is tested against.
 
-Every elimination runs through one core, ``_Elimination``, which answers one
-question per call: it sums the model down to the factors one set of kept
-variables holds, under one evidence; ``table`` multiplies them into the
-set's table, and the oracle max-eliminates them instead. The greedy
-explainer keeps one core per run, across its rounds. The core sets up the
-start without evidence once: a min-fill stepper over every variable, on
-bitsets with fill counts updated per step, and the potentials that hold
-each variable. A new evidence's start conditions on it the one way
-observing does: from the last evidence's start when the evidence only
-grew, from that base otherwise, each new variable is dropped from the
-stepper with no fill edges and only the potentials that hold it are
-restricted again. Each keep then gets its own walk, a fork of the stepper
-without it, through one message memo, so the steps its walk shares with
-the walks and bucket trees before it, under this evidence and the last
-one, are memo hits: mostly what the newly observed variable touches is
-redone. The memo turns over when the evidence changes, so a round's calls
-share one generation of it. Each table is bit-identical to a separate
-query. ``pr``, ``mar`` and the oracle use a fresh core per query, except
-inside a ``_sharing`` scope, where those under the min-fill order share one
-core per model: ``run_benchmark`` opens one per instance, so the instance's
-evidence check and its oracle solves, all under its one evidence, restrict
-the model once and share one message memo.
+Every elimination runs through one core, ``_Elimination``, which answers
+one question per call: it sums the model down to the factors one set of
+kept variables holds, under one evidence; ``table`` multiplies them into
+the set's table, and the oracle max-eliminates them instead. A greedy run
+keeps one core across its rounds. The core sets up the start without
+evidence once: a min-fill stepper over every variable, on bitsets with fill
+counts updated per step, and the potentials that hold each variable. A new
+evidence's start conditions on it the one way observing does: from the last
+evidence's start when the evidence only grew, from that base otherwise,
+each new variable is dropped from the stepper with no fill edges and only
+the potentials that hold it are restricted again. Each keep then gets its
+own walk, a fork of the stepper without it, through one message memo, so
+the steps its walk shares with the walks and bucket trees before it, under
+this evidence and the last one, are memo hits: mostly what the newly
+observed variable touches is redone. The memo turns over when the evidence
+changes, so a round's calls share one generation of it. Each table is
+bit-identical to a separate query. ``pr``, ``mar``, the oracle and each
+greedy run use a fresh core, except inside a ``_sharing`` scope, where
+those under the min-fill order share one core per model, and the greedy
+keeps its round logs on it: ``run_benchmark`` opens one per instance, and
+runs its greedy calls over the whole grid before its oracle solves, so the
+core's evidence grows through the rounds and comes back to the instance's
+evidence once, for the oracle solves.
 
 For a round of two candidates or more the greedy asks ``tree`` for every
 candidate's table and its entropy from one bucket tree (Shafer & Shenoy
@@ -317,7 +318,9 @@ class _Elimination:
     permutation of all model variables) is given, that order's subsequence,
     as the stepper's rank on an edgeless graph, where every fill count is 0
     and stays 0. A table that overflowed float64 on the way shows up as a
-    non-finite entry and raises ``ValueError``.
+    non-finite entry and raises ``ValueError``. A core under a caller's order
+    answers one query (see :func:`_core`); only min-fill cores build bucket
+    trees (:meth:`tree`) or keep round logs.
 
     Each call walks its keep on a fork of the min-fill stepper over the free
     variables with the keep's variables dropped, which orders the rest
@@ -345,12 +348,11 @@ class _Elimination:
     new evidence keeps those of the components it leaves as they were.
     """
 
-    __slots__ = ("model", "ordered", "base", "started", "messages", "earlier", "tables")
+    __slots__ = ("model", "base", "started", "messages", "earlier", "tables", "logs")
 
     def __init__(self, model: GraphicalModel, order: Sequence[int] | None = None):
         self.model = model
         rank = _rank(model, order)
-        self.ordered = rank is not None
         graph = _interaction_graph(model) if rank is None else [0] * model.n_vars
         holders: list[list[tuple[int, Potential]]] = [[] for _ in range(model.n_vars)]
         for entry in enumerate(model.potentials):
@@ -369,6 +371,9 @@ class _Elimination:
         # each variable's bucket-tree table, and its entropy, that still hold
         # under the last evidence
         self.tables: dict[int, tuple[np.ndarray, float | None]] = {}
+        # the greedy's round logs on this core, each under its caller's
+        # evidence items and target tuple (see ``heuristic._greedy``)
+        self.logs: dict[tuple, object] = {}
 
     def table(self, evidence: Evidence, keep: Sequence[int]) -> tuple[Potential, float]:
         """The table over ``keep`` under ``evidence``, and its log scale.
@@ -410,10 +415,9 @@ class _Elimination:
             started = self.base
         before, path, holders, observed = started
         new = [v for v in evidence if v not in before]
-        # a table holds while no newly observed variable joins its component; a
-        # caller's order has an edgeless graph, which shows no components
+        # a table holds while no newly observed variable joins its component
         if self.tables:
-            gone = _reach(path.adjacency, _mask(new)) if grew and not self.ordered else -1
+            gone = _reach(path.adjacency, _mask(new)) if grew else -1
             self.tables = {v: t for v, t in self.tables.items() if not gone >> v & 1}
         path = path.fork(())
         for v in new:
@@ -512,13 +516,13 @@ class _Elimination:
 
         The core keeps every table it gave under the last evidence, with its
         entropy, and computes only those it does not hold: the upward pass
-        walks only the components that hold such a variable, or every free
-        variable under a caller's order. Observing variables leaves every
-        other component's factors as they were, so :meth:`_start` keeps the
-        tables of the components no newly observed variable joins in the last
-        start's graph, as the same (table, entropy) pairs; it keeps none under
-        a caller's order, whose graph shows no components, or when the
-        evidence did not only grow.
+        walks only the components that hold such a variable. Observing
+        variables leaves every other component's factors as they were, so
+        :meth:`_start` keeps the tables of the components no newly observed
+        variable joins in the last start's graph, as the same (table,
+        entropy) pairs; it keeps none when the evidence did not only grow.
+        The tree serves min-fill cores only: a caller's order steps on an
+        edgeless graph, which shows no components.
         """
         path, holders, _ = self._start(evidence)
         tables = self.tables
@@ -527,7 +531,7 @@ class _Elimination:
             return [tables[v] for v in variables]
         holders = list(holders)
         numbers = itertools.count(len(self.model.potentials))
-        linked = _mask(path.remaining) if self.ordered else _reach(path.adjacency, _mask(missing))
+        linked = _reach(path.adjacency, _mask(missing))
         walk = path.fork([v for v in path.remaining if not linked >> v & 1])
         steps: list[tuple[tuple, tuple[int, Potential]]] = []  # (bucket, message entry)
         order = list(iter(walk.eliminate_next, None))
@@ -706,8 +710,7 @@ def _joined(factors: Iterable[Potential], keep: tuple[int, ...], cards: Sequence
 
 
 # The open :func:`_sharing` scope's state, ``None`` outside any scope: each
-# model's shared core under its id, and each greedy round log under its key
-# (see ``heuristic._greedy``). A core or log holds its model, so the id stays
+# model's shared core under its id. A core holds its model, so the id stays
 # the model's while the scope is open.
 _shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
 
@@ -716,15 +719,16 @@ _shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
 def _sharing() -> Iterator[None]:
     """A scope in which queries on the same model share one elimination core.
 
-    Inside it, :func:`pr`, :func:`mar` and :func:`brute_force_mmap` under the
-    default min-fill order run on one :class:`_Elimination` per model, so
-    queries under the same evidence restrict the model once and reuse each
-    other's messages; each still answers bit for bit as a fresh core would.
-    A caller's ``order`` still gets a fresh core. The greedy explainer keeps
-    its runs' rounds here too, one log per (model, evidence, target list),
-    each on a core of its own (see ``heuristic._greedy``). Everything the
-    scope holds is dropped when it exits, normally or by an exception.
-    ``run_benchmark`` opens one scope per instance.
+    Inside it, :func:`pr`, :func:`mar`, :func:`brute_force_mmap` and the
+    greedy explainer, under the default min-fill order, run on one
+    :class:`_Elimination` per model (:func:`_core`), so queries under the
+    same evidence restrict the model once and reuse each other's messages;
+    each still answers bit for bit as a fresh core would. The greedy keeps
+    its round logs on that core, so a run goes on from the rounds an earlier
+    run with the same inputs logged (see ``heuristic._greedy``). A caller's
+    ``order`` still gets a fresh core. Everything the scope holds is dropped
+    when it exits, normally or by an exception. ``run_benchmark`` opens one
+    scope per instance.
     """
     token = _shared.set({})
     try:
@@ -734,7 +738,11 @@ def _sharing() -> Iterator[None]:
 
 
 def _core(model: GraphicalModel, order: Sequence[int] | None = None) -> _Elimination:
-    """The open scope's core of ``model`` under a min-fill order, or else a fresh core."""
+    """The open scope's core of ``model`` under a min-fill order, or else a fresh core.
+
+    A fresh core under a caller's ``order`` answers one query: it never
+    builds a bucket tree or keeps a table.
+    """
     shared = _shared.get()
     if shared is None or order is not None:
         return _Elimination(model, order)

@@ -16,7 +16,7 @@ from margmap import (
 )
 from margmap import inference
 from margmap.generate import random_grid_model, random_model
-from margmap.inference import _Elimination, _shared, _sharing
+from margmap.inference import _Elimination, _core, _shared, _sharing
 
 from conftest import (
     differential_models,
@@ -412,11 +412,11 @@ class TestRoundLog:
             (Potential((0,), [1.0, 0.0]), Potential((0, 1, 2), np.ones((2, 2, 2)))),
         )
         pr(model, {})  # the error path checks the partition function: fill it first
-        scored = _count_calls(monkeypatch)
+        scored = _count_calls(monkeypatch, "tree")  # one bucket tree per round of two targets
         with _sharing():
             with pytest.raises(ZeroProbabilityEvidenceError) as first:
                 epsilon_mmap2mar(model, [1, 2], {0: 1}, epsilon=0.5)
-            assert _shared.get() == {}
+            assert _core(model).logs == {}  # the scope's core keeps no log
             with pytest.raises(ZeroProbabilityEvidenceError) as again:
                 mmap2mar(model, [1, 2], {0: 1})
         assert str(again.value) == str(first.value)

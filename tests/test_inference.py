@@ -340,10 +340,10 @@ class TestSharedElimination:
         scored = heuristic._score_round
         checked = []
 
-        def checking(log, working, targets):
-            result = scored(log, working, targets)
-            path, holders, observed = log.elimination.started[1:]
-            again, again_holders, again_observed = _Elimination(log.elimination.model)._start(working)
+        def checking(elimination, log, working, targets):
+            result = scored(elimination, log, working, targets)
+            path, holders, observed = elimination.started[1:]
+            again, again_holders, again_observed = _Elimination(elimination.model)._start(working)
             assert path.remaining == again.remaining
             assert path.adjacency == again.adjacency
             assert path.fill == again.fill
@@ -557,17 +557,6 @@ class TestBucketTree:
         tables = _Elimination(model).tree({}, [1, 2])
         np.testing.assert_allclose([t / t.sum() for t, _ in tables], [[0.3, 0.7], [0.4, 0.6]], atol=1e-15)
 
-    def test_some_variables_under_a_callers_order(self):
-        # under a caller's order the stepper's graph has no edges, so the upward
-        # pass walks every free variable, not only those joined to the requested
-        model = random_grid_model(3, 3, 2, rng=np.random.default_rng(1))
-        for evidence in ({}, {3: 1}):
-            tables = _Elimination(model, range(9)).tree(evidence, [0, 4])
-            for v, (table, _) in zip((0, 4), tables):
-                np.testing.assert_allclose(
-                    table / table.sum(), mar(model, evidence, v).probs, rtol=0.0, atol=1e-12
-                )
-
     @staticmethod
     def _memo(monkeypatch, size):
         """A fresh memo of ``size`` bucket sum plans in place of ``_bucket_plan``'s own."""
@@ -672,17 +661,12 @@ class TestTreeCarry:
                 assert pair[1] == h
             first = dict(zip(free, tables))
 
-    def test_nothing_is_carried_under_an_order_or_past_evidence_that_did_not_grow(self):
+    def test_nothing_is_carried_past_evidence_that_did_not_grow(self):
         model, evidence, free = self._cut_grid()
         flipped = {**evidence, 2: 1 - evidence[2]}  # another state of an observed variable
         shrunk = {v: s for v, s in evidence.items() if v != 2}
-        grown = {**evidence, 0: 1}
-        runs = [
-            (_Elimination(model), flipped, free),
-            (_Elimination(model), shrunk, [*free, 2]),
-            (_Elimination(model, range(36)), grown, free[1:]),
-        ]
-        for elimination, then, asked in runs:
+        for then, asked in ((flipped, free), (shrunk, [*free, 2])):
+            elimination = _Elimination(model)
             first = elimination.tree(evidence, free)
             assert not any(t is u for t in elimination.tree(then, asked) for u in first)
 
@@ -1419,6 +1403,8 @@ def _answer(run, query, *args, **kwargs):
         return np.float64(result).tobytes()
     if isinstance(result, MassFunction):
         return result.variable, result.probs.tobytes()
+    if isinstance(result, heuristic.ExplanationTrace):
+        return trace_bits(result)
     return result.assignment, np.float64(result.probability).tobytes()
 
 
@@ -1431,19 +1417,34 @@ class TestSharingScope:
             (Potential((0,), [1.0, 0.0]), Potential((0, 1, 2), rng.random((2, 2, 3)))),
         )
         models = [impossible, *differential_models(71)[::4]]
-        redrawn = skipped = 0
+        redrawn = skipped = resumed = 0
         for model in models:
             evidences = _evidence_sequence(model, rng)
             if model is impossible:
                 evidences = [{0: 1}, {0: 0}, {0: 0, 2: 1}, {0: 1, 2: 1}, {2: 1}, {}]
             order = tuple(int(v) for v in rng.permutation(model.n_vars))
+            resume = None  # the last evidence's full greedy run, asked under the next evidence
             with _sharing():
+                core = inference._core(model)
                 for evidence in evidences:
                     free = [v for v in range(model.n_vars) if v not in evidence]
-                    queries = [(pr, model, evidence), (brute_force_mmap, model, evidence, ())]
+                    explain = [v for v in free if model.cardinalities[v] >= 2]
+                    # the greedy is one more query on the shared core: its runs at two
+                    # thresholds share one log, which the full run resumes after the core
+                    # moved to the next evidence
+                    greedy = [(epsilon_mmap2mar, model, explain, evidence, e) for e in (0.3, 0.7)]
+                    if not explain:
+                        greedy = [(), ()]
+                    queries = [(pr, model, evidence), greedy[0], (brute_force_mmap, model, evidence, ())]
                     queries += [(mar, model, evidence, v) for v in free]
-                    queries += [(brute_force_mmap, model, evidence, free), (pr, model, evidence)]
-                    queries += [(mar, model, evidence, free[-1]), (brute_force_mmap, model, evidence, free[::2])]
+                    queries += [greedy[1], (brute_force_mmap, model, evidence, free)]
+                    if resume:
+                        log = core.logs.get((tuple(resume[3].items()), tuple(resume[2])))
+                        resumed += log is not None and len(log.rounds) < len(resume[2])
+                    queries += [resume or (), (pr, model, evidence), (mar, model, evidence, free[-1])]
+                    queries += [(brute_force_mmap, model, evidence, free[::2])]
+                    queries = [q for q in queries if q]
+                    resume = (mmap2mar, model, explain, evidence) if explain else None
                     states = math.prod(model.cardinalities[v] for v in free)
                     for query, *args in queries:
                         assert _answer(lambda f, *a: f(*a), query, *args) == _fresh(query, *args)
@@ -1462,10 +1463,12 @@ class TestSharingScope:
                         continue
                     assert solution.probability == pr(model, evidence)  # P(evidence), bit for bit
                     redrawn += solution.probability == 0.0
+                if resume:
+                    assert _answer(lambda f, *a: f(*a), *resume) == _fresh(*resume)
                 shared = _shared.get()
                 assert list(shared) == [id(model)]  # one core served every query
-                assert isinstance(shared[id(model)], _Elimination)
-        assert redrawn >= 2 and skipped > 100
+                assert shared[id(model)] is core
+        assert redrawn >= 2 and skipped > 100 and resumed > 20
 
     def test_the_scope_leaves_nothing_behind(self):
         for fails in (False, True):
@@ -1476,7 +1479,7 @@ class TestSharingScope:
                     pr(model, {0: 1})
                     brute_force_mmap(model, {0: 1}, [1, 2])
                     mmap2mar(model, [1, 2], {0: 1})
-                    assert len(_shared.get()) == 2  # the shared core and the run's round log
+                    assert len(_shared.get()) == 1  # the shared core, with the run's round log on it
                     if fails:
                         raise KeyError("inside the scope")
             except KeyError:

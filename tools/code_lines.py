@@ -1,10 +1,12 @@
 """Count the code lines of Python files: lines that hold a token other than a comment.
 
 Docstrings (the leading string of a module, class or function), comments and
-blank lines are left out. Prints one count per file and, for several files,
-their total. Run from the repository root:
+blank lines are left out. A directory stands for its ``*.py`` files, found
+recursively, in sorted order. Prints one count per file and, for several
+files, their total. Run from the repository root:
 
     python tools/code_lines.py src/margmap/*.py
+    python tools/code_lines.py src
 """
 
 from __future__ import annotations
@@ -55,12 +57,15 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    paths = []
+    for name in map(Path, argv):
+        paths += sorted(name.rglob("*.py")) if name.is_dir() else [name]
     total = 0
-    for name in argv:
-        n = code_lines(Path(name))
+    for path in paths:
+        n = code_lines(path)
         total += n
-        print(f"{n:6d}  {name}")
-    if len(argv) > 1:
+        print(f"{n:6d}  {path}")
+    if len(paths) > 1:
         print(f"{total:6d}  total")
     return 0
 
